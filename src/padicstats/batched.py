@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 MAX_INT64_PRODUCT = 2 ** 62
+MAX_FLOAT32_EXACT = 2 ** 24  # float32 holds every integer up to this exactly
 
 
 def check_modulus_budget(n: int, modulus: int):
@@ -257,8 +258,16 @@ def f2_primary_multiplicity(mats: np.ndarray, coeffs, d: int,
 
 def fp_primary_multiplicity(mats: np.ndarray, coeffs, d: int, p: int,
                             cap_pow: int | None = None) -> np.ndarray:
-    """Odd-p fallback of f2_primary_multiplicity via float matmuls."""
+    """Odd-p fallback of f2_primary_multiplicity via float32 matmuls.
+
+    A float32 product of residues mod p is exact only while its row sums
+    n * (p - 1)^2 stay within 2^24; larger inputs raise ValueError.
+    """
     B, n, _ = mats.shape
+    if n * (p - 1) ** 2 > MAX_FLOAT32_EXACT:
+        raise ValueError(
+            f"float32 kernel is inexact at n={n}, p={p}: needs n (p-1)^2 <= 2^24"
+        )
     if cap_pow is None:
         cap_pow = max(1, (max(n // d, 1) - 1).bit_length())
     A = (mats % p).astype(np.float32)

@@ -18,6 +18,9 @@ from . import closed_forms as cf
 from .experiment import (
     INCONCLUSIVE,
     PASS,
+    BudgetExceeded,
+    InvalidSpec,
+    PrecisionPolicyViolation,
     UnknownExperiment,
     build_experiment,
     list_experiments,
@@ -72,8 +75,11 @@ _OVERRIDE_FLAGS = (
     ("--p", int), ("--n", int), ("--precision", int), ("--trials", int),
     ("--seed", int), ("--workers", int), ("--s", int), ("--d", int),
     ("--m", int), ("--k", int), ("--c", int), ("--label", str),
-    ("--points", str), ("--mode", str), ("--tol", float),
+    ("--points", str), ("--mode", str),
 )
+
+# bad run parameters, reported as usage errors (exit 2) rather than tracebacks
+_USAGE_ERRORS = (InvalidSpec, PrecisionPolicyViolation, BudgetExceeded)
 
 
 def _add_override_flags(p: argparse.ArgumentParser):
@@ -203,22 +209,28 @@ def _cmd_formula(args, extra) -> int:
     return 0
 
 
+def _usage_error(exc) -> int:
+    print(f"usage error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
+    return 2
+
+
 def _cmd_run(args, exhaustive: bool) -> int:
-    overrides = _overrides_from_args(args)
+    from .registry import REGISTRY
+
     try:
-        spec = build_experiment(args.experiment, overrides)
+        spec = build_experiment(args.experiment, _overrides_from_args(args))
     except UnknownExperiment:
         print(f"unknown experiment: {args.experiment}", file=sys.stderr)
         return 2
-    except KeyError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    from .registry import REGISTRY
-
+    except (KeyError, *_USAGE_ERRORS) as exc:
+        return _usage_error(exc)
     if exhaustive and REGISTRY[spec.name].kind != "exact":
         print(f"{spec.name} is not an exhaustive experiment", file=sys.stderr)
         return 2
-    reports = run_experiment(spec)
+    try:
+        reports = run_experiment(spec)
+    except _USAGE_ERRORS as exc:
+        return _usage_error(exc)
     print(f"{spec.name}: {spec.describe()}")
     _print_reports(reports)
     if args.out:
@@ -233,26 +245,35 @@ def _cmd_suite(args) -> int:
     if not names:
         print(f"no experiments match {args.filter!r}", file=sys.stderr)
         return 2
+    # every spec is built, and so validated, before anything runs
+    specs = []
+    try:
+        for name in names:
+            edef = REGISTRY[name]
+            for variant in edef.suite_variants:
+                overrides = dict(variant)
+                if args.seed is not None:
+                    overrides["seed"] = args.seed
+                if args.workers is not None:
+                    overrides["workers"] = args.workers
+                elif "PADIC_WORKERS" in os.environ:
+                    overrides["workers"] = _default_workers()
+                if args.trials is not None and edef.kind == "mc":
+                    overrides["trials"] = args.trials
+                specs.append(build_experiment(name, overrides))
+    except _USAGE_ERRORS as exc:
+        return _usage_error(exc)
     all_reports = []
     counts = {PASS: 0, "FAIL": 0, INCONCLUSIVE: 0}
-    for name in names:
-        edef = REGISTRY[name]
-        for variant in edef.suite_variants:
-            overrides = dict(variant)
-            if args.seed is not None:
-                overrides["seed"] = args.seed
-            if args.workers is not None:
-                overrides["workers"] = args.workers
-            elif "PADIC_WORKERS" in os.environ:
-                overrides["workers"] = _default_workers()
-            if args.trials is not None and edef.kind == "mc":
-                overrides["trials"] = args.trials
-            spec = build_experiment(name, overrides)
+    for spec in specs:
+        try:
             reports = run_experiment(spec)
-            _print_reports(reports)
-            for r in reports:
-                counts[r.verdict] = counts.get(r.verdict, 0) + 1
-            all_reports.extend(reports)
+        except _USAGE_ERRORS as exc:
+            return _usage_error(exc)
+        _print_reports(reports)
+        for r in reports:
+            counts[r.verdict] = counts.get(r.verdict, 0) + 1
+        all_reports.extend(reports)
     print(
         f"\nsuite: {counts[PASS]} pass, {counts['FAIL']} fail, "
         f"{counts[INCONCLUSIVE]} inconclusive"

@@ -232,12 +232,6 @@ def markov_spectral(params: MarkovParams, size: int):
     return U, E, Uinv
 
 
-def markov_u_entry_inf(params: MarkovParams, d: int) -> float:
-    """Limit row U(inf, d) = 1/((t;t)_inf (ut;t)_inf)."""
-    t, u = params.t, params.u
-    return 1.0 / (_qp(t, t) * _qp(u * t, t))
-
-
 def markov_sample_path(params: MarkovParams, start, steps: int, rng) -> list:
     """Sample successive states by inverse-CDF over the descending support."""
     path = []

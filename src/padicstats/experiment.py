@@ -35,6 +35,10 @@ class BudgetExceeded(ValueError):
     """Exhaustive enumeration would exceed the configured budget."""
 
 
+class InvalidSpec(ValueError):
+    """A run parameter outside the domain every experiment accepts."""
+
+
 class UnknownExperiment(KeyError):
     """No registry entry with that name."""
 

@@ -16,6 +16,7 @@ from .padic_core import (
     MixedModulus,
     PadicPoly,
     PadicScalar,
+    QuotientRing,
     SATURATED,
     berkowitz_charpoly,
     inverse_mod,
@@ -86,8 +87,8 @@ class Rng:
 
 
 # --------------------------------------------------------------------------
-# Ring adapters.  BASE entries are plain ints mod p^N; QUOTIENT entries are
-# coefficient tuples reduced mod a monic polynomial Z.
+# Ring adapters.  BASE entries are plain ints mod p^N; quotient-ring entries
+# are coefficient tuples reduced mod a monic polynomial Z (padic_core).
 # --------------------------------------------------------------------------
 
 
@@ -115,65 +116,6 @@ class _BaseRing:
         return int(a) % self.modulus
 
 
-class _QuotientRing:
-    """Z/p^N[x] modulo a monic polynomial Z; elements are coefficient
-    tuples of length deg Z."""
-
-    def __init__(self, modpoly: PadicPoly):
-        if not modpoly.monic:
-            raise ValueError("quotient modulus must be monic")
-        self.p = modpoly.p
-        self.precision = modpoly.precision
-        self.modulus = modpoly.modulus
-        self.modpoly = modpoly
-        self.deg = modpoly.degree
-        self.zero = (0,) * self.deg
-        self.one = tuple([1 % self.modulus] + [0] * (self.deg - 1))
-
-    def add(self, a, b):
-        m = self.modulus
-        return tuple((x + y) % m for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        m = self.modulus
-        return tuple((x - y) % m for x, y in zip(a, b))
-
-    def neg(self, a):
-        m = self.modulus
-        return tuple(-x % m for x in a)
-
-    def mul(self, a, b):
-        m = self.modulus
-        d = self.deg
-        prod = [0] * (2 * d - 1)
-        for i, x in enumerate(a):
-            if x == 0:
-                continue
-            for j, y in enumerate(b):
-                prod[i + j] = (prod[i + j] + x * y) % m
-        # reduce mod the monic modulus
-        zc = self.modpoly.coeffs
-        for i in range(len(prod) - 1, d - 1, -1):
-            c = prod[i]
-            if c == 0:
-                continue
-            prod[i] = 0
-            for j in range(d):
-                prod[i - d + j] = (prod[i - d + j] - c * zc[j]) % m
-        return tuple(prod[:d])
-
-    def coerce(self, a):
-        if isinstance(a, int):
-            return tuple([a % self.modulus] + [0] * (self.deg - 1))
-        vals = [int(x) % self.modulus for x in a]
-        if len(vals) > self.deg:
-            raise ValueError("entry exceeds quotient degree")
-        return tuple(vals + [0] * (self.deg - len(vals)))
-
-    def to_poly(self, a) -> PadicPoly:
-        return PadicPoly.from_ints(self.p, self.precision, a)
-
-
 @dataclass(frozen=True)
 class PadicMatrix:
     """Square matrix over Z/p^N (ring=None) or Z/p^N[x]/(Z) (ring=Z monic)."""
@@ -196,7 +138,7 @@ class PadicMatrix:
             return _BaseRing(self.p, self.precision)
         if (self.quotient.p, self.quotient.precision) != (self.p, self.precision):
             raise MixedModulus("quotient modulus disagrees on (p, N)")
-        return _QuotientRing(self.quotient)
+        return QuotientRing(self.p, self.precision, self.quotient.coeffs)
 
     @property
     def n(self) -> int:

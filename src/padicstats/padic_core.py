@@ -243,6 +243,92 @@ def det_mod(entries, modulus: int) -> int:
     return det % modulus
 
 
+# ---------------------------------------------------------------------------
+# Dense polynomials over Z/m: coefficient lists, constant coefficient first,
+# trailing zeros trimmed.  F_p is the case m = p; PadicPoly, the quotient
+# ring below and the factorization code in root_census all use these.
+# ---------------------------------------------------------------------------
+
+
+def poly_trim(a) -> list:
+    a = list(a)
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def poly_add(a, b, m: int) -> list:
+    if len(a) < len(b):
+        a, b = b, a
+    out = [x % m for x in a]
+    for i, y in enumerate(b):
+        out[i] = (out[i] + y) % m
+    return poly_trim(out)
+
+
+def poly_sub(a, b, m: int) -> list:
+    out = [0] * max(len(a), len(b))
+    for i, x in enumerate(a):
+        out[i] = x % m
+    for i, y in enumerate(b):
+        out[i] = (out[i] - y) % m
+    return poly_trim(out)
+
+
+def poly_mul(a, b, m: int) -> list:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] = (out[i + j] + x * y) % m
+    return poly_trim(out)
+
+
+def poly_divmod(a, b, m: int):
+    """Quotient and remainder of a by a trimmed b whose leading
+    coefficient is a unit mod m."""
+    a = [x % m for x in a]
+    db = len(b) - 1
+    if len(a) - 1 < db:
+        return [], poly_trim(a)
+    inv = 1 if b[-1] == 1 else pow(b[-1], -1, m)
+    q = [0] * (len(a) - db)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = (a[i] * inv) % m
+        if c:
+            q[i - db] = c
+            for j, y in enumerate(b):
+                a[i - db + j] = (a[i - db + j] - c * y) % m
+    return poly_trim(q), poly_trim(a)
+
+
+def poly_horner(a, x: int, m: int) -> int:
+    """The value of a at x in Z/m."""
+    acc = 0
+    for c in reversed(a):
+        acc = (acc * x + c) % m
+    return acc
+
+
+def poly_bezout(a, b, p: int):
+    """s, t with s a + t b = 1 over F_p, for a and b coprime mod p."""
+    r0 = poly_trim(x % p for x in a)
+    r1 = poly_trim(x % p for x in b)
+    s0, s1 = [1], []
+    t0, t1 = [], [1]
+    while r1:
+        q, r = poly_divmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, poly_sub(s0, poly_mul(q, s1, p), p)
+        t0, t1 = t1, poly_sub(t0, poly_mul(q, t1, p), p)
+    if len(r0) != 1:
+        raise ValueError("inputs not coprime")
+    inv = pow(r0[0], -1, p)
+    return [(x * inv) % p for x in s0], [(x * inv) % p for x in t0]
+
+
 @dataclass(frozen=True)
 class PadicPoly:
     """Dense polynomial over Z/p^N, constant coefficient first.
@@ -258,10 +344,8 @@ class PadicPoly:
 
     def __post_init__(self):
         m = self.p ** self.precision
-        vals = [c % m for c in self.coeffs]
-        while vals and vals[-1] == 0:
-            vals.pop()
-        object.__setattr__(self, "coeffs", tuple(vals))
+        coeffs = poly_trim(c % m for c in self.coeffs)
+        object.__setattr__(self, "coeffs", tuple(coeffs))
 
     @classmethod
     def from_ints(cls, p: int, precision: int, coeffs) -> "PadicPoly":
@@ -294,10 +378,7 @@ class PadicPoly:
 
     def residue(self) -> tuple:
         """Coefficients of the reduction mod p, trailing zeros trimmed."""
-        vals = [c % self.p for c in self.coeffs]
-        while vals and vals[-1] == 0:
-            vals.pop()
-        return tuple(vals)
+        return tuple(poly_trim(c % self.p for c in self.coeffs))
 
     def _check(self, other):
         if self.p != other.p or self.precision != other.precision:
@@ -310,32 +391,18 @@ class PadicPoly:
 
     def __add__(self, other: "PadicPoly") -> "PadicPoly":
         self._check(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = (out[i] + c) % self.modulus
-        return self._make(out)
+        return self._make(poly_add(self.coeffs, other.coeffs, self.modulus))
 
     def __sub__(self, other: "PadicPoly") -> "PadicPoly":
-        return self + (-other)
+        self._check(other)
+        return self._make(poly_sub(self.coeffs, other.coeffs, self.modulus))
 
     def __neg__(self) -> "PadicPoly":
         return self._make(-c % self.modulus for c in self.coeffs)
 
     def __mul__(self, other: "PadicPoly") -> "PadicPoly":
         self._check(other)
-        if self.is_zero or other.is_zero:
-            return self._make(())
-        m = self.modulus
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = (out[i + j] + a * b) % m
-        return self._make(out)
+        return self._make(poly_mul(self.coeffs, other.coeffs, self.modulus))
 
     def scale(self, c: int) -> "PadicPoly":
         m = self.modulus
@@ -347,11 +414,7 @@ class PadicPoly:
         return PadicScalar(self.p, self.precision, self.evaluate_int(a.value))
 
     def evaluate_int(self, x: int) -> int:
-        m = self.modulus
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * x + c) % m
-        return acc
+        return poly_horner(self.coeffs, x, self.modulus)
 
     def derivative(self) -> "PadicPoly":
         m = self.modulus
@@ -362,17 +425,7 @@ class PadicPoly:
         self._check(other)
         if not other.monic:
             raise NonUnitLeadingCoefficient("divisor must be monic")
-        m = self.modulus
-        rem = list(self.coeffs)
-        d = other.degree
-        quot = [0] * max(len(rem) - d, 0)
-        for i in range(len(rem) - 1, d - 1, -1):
-            c = rem[i]
-            if c == 0:
-                continue
-            quot[i - d] = c
-            for j, b in enumerate(other.coeffs):
-                rem[i - d + j] = (rem[i - d + j] - c * b) % m
+        quot, rem = poly_divmod(self.coeffs, other.coeffs, self.modulus)
         return self._make(quot), self._make(rem)
 
     def __repr__(self):
@@ -436,6 +489,69 @@ def discriminant(f: PadicPoly) -> PadicScalar:
     return out if sign == 1 else -out
 
 
-def default_precision(max_valuation: int) -> int:
-    """Working precision policy: 2 * (max requested valuation) + 2."""
-    return 2 * max_valuation + 2
+# ---------------------------------------------------------------------------
+# Monic quotient rings Z/p^N[x]/(Z).
+# ---------------------------------------------------------------------------
+
+
+class QuotientRing:
+    """Z/p^N[x] modulo a monic polynomial Z; elements are coefficient
+    tuples of length deg Z on the basis 1, x, ..., x^(deg Z - 1)."""
+
+    def __init__(self, p: int, precision: int, modpoly):
+        self.p = p
+        self.precision = precision
+        self.modulus = p ** precision
+        self.modpoly = tuple(poly_trim(c % self.modulus for c in modpoly))
+        if not self.modpoly or self.modpoly[-1] != 1:
+            raise ValueError("quotient modulus must be monic")
+        self.deg = len(self.modpoly) - 1
+        self.zero = (0,) * self.deg
+        self.one = self.coerce(1)
+
+    def add(self, a, b):
+        m = self.modulus
+        return tuple((x + y) % m for x, y in zip(a, b))
+
+    def sub(self, a, b):
+        m = self.modulus
+        return tuple((x - y) % m for x, y in zip(a, b))
+
+    def neg(self, a):
+        m = self.modulus
+        return tuple(-x % m for x in a)
+
+    def mul(self, a, b):
+        m = self.modulus
+        rem = poly_divmod(poly_mul(a, b, m), self.modpoly, m)[1]
+        return tuple(rem) + (0,) * (self.deg - len(rem))
+
+    def coerce(self, a):
+        """An element from an int or a coefficient sequence."""
+        if isinstance(a, int):
+            a = (a,)
+        vals = [int(x) % self.modulus for x in a]
+        if len(vals) > self.deg:
+            raise ValueError("entry exceeds quotient degree")
+        return tuple(vals + [0] * (self.deg - len(vals)))
+
+    def val(self, a):
+        """Least coefficient valuation; SATURATED for the zero element."""
+        vals = [raw_valuation(x, self.p, self.modulus) for x in a]
+        finite = [v for v in vals if v is not SATURATED]
+        return min(finite) if finite else SATURATED
+
+    def inverse(self, a):
+        """Inverse of a unit: Bezout over F_p, then Newton lifting."""
+        if not any(x % self.p for x in a):
+            raise ZeroDivisionError("not a unit")
+        s, _ = poly_bezout(a, self.modpoly, self.p)
+        x = self.coerce(s)
+        # x <- x (2 - a x) doubles the number of correct digits
+        two = self.coerce(2)
+        for _ in range(max(1, (self.precision - 1).bit_length() + 1)):
+            x = self.mul(x, self.sub(two, self.mul(a, x)))
+        return x
+
+    def to_poly(self, a) -> PadicPoly:
+        return PadicPoly.from_ints(self.p, self.precision, a)

@@ -33,6 +33,7 @@ from .experiment import (
     EstimateReport,
     ExactReport,
     ExperimentSpec,
+    InvalidSpec,
     chi_square_pvalue,
     check_enumeration_budget,
     contingency_chi2,
@@ -42,7 +43,7 @@ from .experiment import (
     run_chunked,
 )
 from .matrix_lab import GL, MAT, smith_parts_quadratic, smith_parts_raw
-from .padic_core import PadicPoly, det_mod
+from .padic_core import PadicPoly, det_mod, is_prime
 from .root_census import (
     QUAD_RAMIFIED,
     QUAD_UNRAMIFIED,
@@ -64,6 +65,9 @@ class ExperimentDef:
     suite_variants: tuple = ({},)  # override dicts run by the full suite
 
     def make_spec(self, overrides: dict) -> ExperimentSpec:
+        """The run request for these overrides.  Unknown keys raise
+        KeyError; a non-prime p, trials < 1 or an unknown mode raise
+        InvalidSpec, before anything is sampled."""
         base = dict(self.defaults)
         known = set(base) | {"p", "n", "N", "trials", "seed", "workers", "mode"}
         for k in overrides:
@@ -75,7 +79,7 @@ class ExperimentDef:
             for k, v in base.items()
             if k not in {"p", "n", "N", "trials", "seed", "workers", "mode"}
         }
-        return ExperimentSpec(
+        spec = ExperimentSpec(
             name=self.name,
             p=base["p"],
             n=base["n"],
@@ -86,6 +90,13 @@ class ExperimentDef:
             workers=base.get("workers", 1),
             params=params,
         )
+        if not is_prime(spec.p):
+            raise InvalidSpec(f"p = {spec.p} is not prime")
+        if spec.trials < 1:
+            raise InvalidSpec(f"trials must be >= 1, got {spec.trials}")
+        if spec.mode not in (MAT, GL, POLY):
+            raise InvalidSpec(f"mode must be {MAT}, {GL} or {POLY}, got {spec.mode!r}")
+        return spec
 
 
 def _poly_batch(gen, size, p, n, N):

@@ -17,9 +17,18 @@ from dataclasses import dataclass
 
 from .padic_core import (
     PadicPoly,
+    QuotientRing,
     SATURATED,
     discriminant,
     inverse_mod,
+    is_prime,
+    poly_add,
+    poly_bezout,
+    poly_divmod,
+    poly_horner,
+    poly_mul,
+    poly_sub,
+    poly_trim,
     raw_valuation,
 )
 
@@ -59,80 +68,54 @@ class ExtensionDescriptor:
 
 
 # ---------------------------------------------------------------------------
-# Polynomials over F_p: tuples of ints, constant coefficient first.
+# Factorization over F_p, on the shared coefficient-list kernel with m = p.
 # ---------------------------------------------------------------------------
 
 
-def _fp_trim(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _fp_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _fp_trim(out)
-
-
-def _fp_divmod(a, b, p):
-    a = list(a)
-    db, da = len(b) - 1, len(a) - 1
-    if da < db:
-        return [], _fp_trim(a)
-    inv = pow(b[-1], -1, p)
-    q = [0] * (da - db + 1)
-    for i in range(da, db - 1, -1):
-        c = (a[i] * inv) % p
-        if c:
-            q[i - db] = c
-            for j in range(db + 1):
-                a[i - db + j] = (a[i - db + j] - c * b[j]) % p
-    return _fp_trim(q), _fp_trim(a)
-
-
 def _fp_gcd(a, b, p):
-    a, b = _fp_trim(a), _fp_trim(b)
+    """Monic gcd over F_p."""
+    a, b = poly_trim(a), poly_trim(b)
     while b:
-        a, b = b, _fp_divmod(a, b, p)[1]
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [(x * inv) % p for x in a]
-    return a
+        a, b = b, poly_divmod(a, b, p)[1]
+    return _fp_monic(a, p)
 
 
 def _fp_powmod(base, e, mod, p):
     result = [1]
-    base = _fp_divmod(base, mod, p)[1]
+    base = poly_divmod(base, mod, p)[1]
     while e:
         if e & 1:
-            result = _fp_divmod(_fp_mul(result, base, p), mod, p)[1]
-        base = _fp_divmod(_fp_mul(base, base, p), mod, p)[1]
+            result = poly_divmod(poly_mul(result, base, p), mod, p)[1]
+        base = poly_divmod(poly_mul(base, base, p), mod, p)[1]
         e >>= 1
     return result
 
 
 def _fp_derivative(a, p):
-    return _fp_trim([(i * c) % p for i, c in enumerate(a)][1:])
+    return poly_trim([(i * c) % p for i, c in enumerate(a)][1:])
 
 
 def _fp_pth_root(a, p):
     # over F_p, c^(1/p) = c, so the p-th root keeps every p-th coefficient
-    return _fp_trim([a[i] for i in range(0, len(a), p)])
+    return poly_trim([a[i] for i in range(0, len(a), p)])
 
 
 def _fp_monic(a, p):
-    a = _fp_trim(a)
+    a = poly_trim(a)
     if not a:
         return a
     inv = pow(a[-1], -1, p)
     return [(x * inv) % p for x in a]
+
+
+def _decode_residue(code, p, d):
+    """The code-th of the p^d residue tuples (c_0, ..., c_{d-1}), base p."""
+    c = []
+    v = code
+    for _ in range(d):
+        c.append(v % p)
+        v //= p
+    return tuple(c)
 
 
 def _squarefree_decomposition(f, p):
@@ -146,15 +129,15 @@ def _squarefree_decomposition(f, p):
         return [(g, e * p) for g, e in inner]
     out = []
     c = _fp_gcd(f, fd, p)
-    w = _fp_divmod(f, c, p)[0]
+    w = poly_divmod(f, c, p)[0]
     i = 1
     while len(w) > 1:
         y = _fp_gcd(w, c, p)
-        z = _fp_divmod(w, y, p)[0]
+        z = poly_divmod(w, y, p)[0]
         if len(z) > 1:
             out.append((_fp_monic(z, p), i))
         w = y
-        c = _fp_divmod(c, y, p)[0]
+        c = poly_divmod(c, y, p)[0]
         i += 1
     if len(c) > 1:
         inner = _squarefree_decomposition(_fp_pth_root(c, p), p)
@@ -175,13 +158,11 @@ def _distinct_degree(f, p):
     while len(rest) - 1 > 2 * d:
         d += 1
         h = _fp_powmod(h, p, rest, p)
-        diff = list(h) + [0] * max(0, 2 - len(h))
-        diff[1] = (diff[1] - 1) % p
-        g = _fp_gcd(diff, rest, p)
+        g = _fp_gcd(poly_sub(h, [0, 1], p), rest, p)
         if len(g) > 1:
             out.append((g, d))
-            rest = _fp_divmod(rest, g, p)[0]
-            h = _fp_divmod(h, rest, p)[1]
+            rest = poly_divmod(rest, g, p)[0]
+            h = poly_divmod(h, rest, p)[1]
     if len(rest) > 1:
         out.append((rest, len(rest) - 1))
     return out
@@ -201,22 +182,14 @@ def _equal_degree_split(f, d, p, rng=None):
     def try_split(h):
         if p % 2 == 1:
             e = (p ** d - 1) // 2
-            w = _fp_powmod(h, e, f, p)
-            w = list(w) + [0] * max(0, 1 - len(w))
-            w[0] = (w[0] - 1) % p
-            g = _fp_gcd(w, f, p)
+            g = _fp_gcd(poly_sub(_fp_powmod(h, e, f, p), [1], p), f, p)
         else:
             # trace map over F_{2^d}
             tr = list(h)
             sq = list(h)
             for _ in range(d - 1):
                 sq = _fp_powmod(sq, 2, f, p)
-                tr = _fp_trim(
-                    [
-                        ((tr[i] if i < len(tr) else 0) + (sq[i] if i < len(sq) else 0)) % p
-                        for i in range(max(len(tr), len(sq)))
-                    ]
-                )
+                tr = poly_add(tr, sq, p)
             g = _fp_gcd(tr, f, p)
         if 1 < len(g) < len(f):
             return g
@@ -234,21 +207,16 @@ def _equal_degree_split(f, d, p, rng=None):
         for c in range(p):
             yield [c, 1]
         for code in range(p ** n):
-            h = []
-            v = code
-            for _ in range(n):
-                h.append(v % p)
-                v //= p
-            yield h
+            yield _decode_residue(code, p, n)
 
     for h in candidates():
-        h = _fp_trim(h)
+        h = poly_trim(h)
         if len(h) <= 1:
             continue
         g = try_split(h)
         if g is not None:
             part = _fp_monic(g, p)
-            rest = _fp_divmod(f, part, p)[0]
+            rest = poly_divmod(f, part, p)[0]
             return _equal_degree_split(part, d, p, rng) + _equal_degree_split(rest, d, p, rng)
     raise RuntimeError("equal-degree factorization stalled")  # pragma: no cover
 
@@ -271,7 +239,7 @@ class ResidueFactorization:
 
 def factor_mod_p(coeffs, p: int, rng=None) -> ResidueFactorization:
     """Complete monic irreducible factorization of a nonzero poly over F_p."""
-    f = _fp_trim([int(c) % p for c in coeffs])
+    f = poly_trim([int(c) % p for c in coeffs])
     if not f:
         raise ValueError("cannot factor the zero polynomial")
     found = {}
@@ -291,51 +259,6 @@ def factor_mod_p(coeffs, p: int, rng=None) -> ResidueFactorization:
 # ---------------------------------------------------------------------------
 
 
-def _zmod_mul(a, b, m):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % m
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _zmod_add(a, b, m):
-    out = [0] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] = x % m
-    for i, y in enumerate(b):
-        out[i] = (out[i] + y) % m
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _zmod_sub(a, b, m):
-    return _zmod_add(a, [(-y) % m for y in b], m)
-
-
-def _zmod_divmod_monic(a, b, m):
-    a = list(a)
-    db = len(b) - 1
-    if len(a) - 1 < db:
-        return [], a
-    q = [0] * (len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i]
-        if c:
-            q[i - db] = c
-            for j in range(db + 1):
-                a[i - db + j] = (a[i - db + j] - c * b[j]) % m
-    while a and a[-1] == 0:
-        a.pop()
-    return q, a
-
-
 def _hensel_pair(f, g1, h1, s1, t1, p, target_exp):
     """Quadratic Hensel iteration: lift f = g*h from mod p to mod p^target.
 
@@ -349,89 +272,62 @@ def _hensel_pair(f, g1, h1, s1, t1, p, target_exp):
     while exp < target_exp:
         exp = min(2 * exp, target_exp)
         m = p ** exp
-        e = _zmod_sub(f, _zmod_mul(g, h, m), m)
-        _, dh = _zmod_divmod_monic(_zmod_mul(e, s, m), h, m)
-        dg, rem = _zmod_divmod_monic(_zmod_sub(e, _zmod_mul(g, dh, m), m), h, m)
+        e = poly_sub(f, poly_mul(g, h, m), m)
+        _, dh = poly_divmod(poly_mul(e, s, m), h, m)
+        dg, rem = poly_divmod(poly_sub(e, poly_mul(g, dh, m), m), h, m)
         if rem:  # pragma: no cover
             raise AssertionError("hensel correction not exact")
-        g = _zmod_add(g, dg, m)
-        h = _zmod_add(h, dh, m)
+        g = poly_add(g, dg, m)
+        h = poly_add(h, dh, m)
         if exp >= target_exp:
             break
         # refresh Bezout data to the new modulus
-        b = _zmod_sub(
-            _zmod_add(_zmod_mul(s, g, m), _zmod_mul(t, h, m), m), [1], m
-        )
-        _, d = _zmod_divmod_monic(_zmod_mul(s, b, m), h, m)
-        s = _zmod_sub(s, d, m)
-        t, rem = _zmod_divmod_monic(_zmod_sub([1], _zmod_mul(s, g, m), m), h, m)
+        b = poly_sub(poly_add(poly_mul(s, g, m), poly_mul(t, h, m), m), [1], m)
+        _, d = poly_divmod(poly_mul(s, b, m), h, m)
+        s = poly_sub(s, d, m)
+        t, rem = poly_divmod(poly_sub([1], poly_mul(s, g, m), m), h, m)
         if rem:  # pragma: no cover
             raise AssertionError("bezout refresh not exact")
     return g, h
 
 
-def hensel_split(f: PadicPoly, rng=None) -> list:
-    """Split a monic f into monic factors, one per distinct irreducible
-    residue factor, with the product reconstituting f exactly mod p^N."""
+def _lift_factors(f: PadicPoly, fact: ResidueFactorization) -> list:
+    """Hensel-lift the residue factorization of a monic f.
+
+    Returns one (monic factor, residue degree d, multiplicity) per
+    irreducible residue factor F of ``fact``: the factor reduces to F^mult
+    mod p, and the factors multiply to f exactly mod p^N.
+    """
     if not f.monic:
-        raise ValueError("hensel_split needs a monic polynomial")
+        raise ValueError("hensel lifting needs a monic polynomial")
+    if not fact.factors:
+        return []
     p, N = f.p, f.precision
-    fact = factor_mod_p(f.coeffs, p, rng)
-    groups = [(list(k), d, m) for k, d, m in fact.factors]
-    if len(groups) <= 1:
-        return [f]
+    *head, (_, d_last, m_last) = fact.factors
     out = []
     rest = list(f.coeffs)
-    for idx, (k, d, m) in enumerate(groups):
-        if idx == len(groups) - 1:
-            out.append(PadicPoly.from_ints(p, N, rest))
-            break
+    for k, d, m in head:
         gbar = [1]
         for _ in range(m):
-            gbar = _fp_mul(gbar, k, p)
-        hbar = _fp_divmod(_fp_trim([c % p for c in rest]), gbar, p)[0]
-        s, t = _fp_bezout(gbar, hbar, p)
-        g, h = _hensel_pair(rest, gbar, hbar, s, t, p, N)
-        out.append(PadicPoly.from_ints(p, N, g))
-        rest = h
+            gbar = poly_mul(gbar, k, p)
+        hbar = poly_divmod(poly_trim(c % p for c in rest), gbar, p)[0]
+        s, t = poly_bezout(gbar, hbar, p)
+        g, rest = _hensel_pair(rest, gbar, hbar, s, t, p, N)
+        out.append((PadicPoly.from_ints(p, N, g), d, m))
+    out.append((PadicPoly.from_ints(p, N, rest), d_last, m_last))
     return out
 
 
-def _fp_sub(a, b, p):
-    out = [0] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] = x % p
-    for i, y in enumerate(b):
-        out[i] = (out[i] - y) % p
-    return _fp_trim(out)
-
-
-def _fp_bezout(a, b, p):
-    """s, t with s a + t b = 1 over F_p for coprime a, b."""
-    r0, r1 = _fp_trim(a), _fp_trim(b)
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
-    while r1:
-        q, r = _fp_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _fp_sub(s0, _fp_mul(q, s1, p), p)
-        t0, t1 = t1, _fp_sub(t0, _fp_mul(q, t1, p), p)
-    if len(r0) != 1:
-        raise ValueError("inputs not coprime")
-    inv = pow(r0[0], -1, p)
-    return [(x * inv) % p for x in s0], [(x * inv) % p for x in t0]
+def hensel_split(f: PadicPoly, rng=None) -> list:
+    """Split a monic f into monic factors, one per distinct irreducible
+    residue factor, with the product reconstituting f exactly mod p^N."""
+    parts = _lift_factors(f, factor_mod_p(f.coeffs, f.p, rng))
+    return [g for g, _, _ in parts] or [f]
 
 
 # ---------------------------------------------------------------------------
 # Certified roots in Z_p by recursive residue refinement.
 # ---------------------------------------------------------------------------
-
-
-def _poly_eval_int(coeffs, x, m):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % m
-    return acc
 
 
 def _taylor_shift(coeffs, a, m):
@@ -455,10 +351,10 @@ def _newton_refine(coeffs, dcoeffs, p, N, x0, v2):
     res_mod = p ** (N - v2)
     x = x0 % modulus
     for _ in range(N + 4):
-        fx = _poly_eval_int(coeffs, x, modulus)
+        fx = poly_horner(coeffs, x, modulus)
         if fx == 0:
             break
-        fpx = _poly_eval_int(dcoeffs, x, modulus)
+        fpx = poly_horner(dcoeffs, x, modulus)
         u = (fpx // pv) % res_mod
         step = ((fx // pv) * inverse_mod(u, p, res_mod)) % res_mod
         if step == 0:
@@ -481,9 +377,9 @@ def _zp_roots_raw(coeffs, p, N):
     roots = []
     ok = True
     for a in range(p):
-        if _poly_eval_int(coeffs, a, p) != 0:
+        if poly_horner(coeffs, a, p) != 0:
             continue
-        fpa = _poly_eval_int(dcoeffs, a, modulus)
+        fpa = poly_horner(dcoeffs, a, modulus)
         # a unit derivative certifies exactly one root in the whole class
         # a + pZ_p; any weaker certificate can miss a second root hiding
         # deeper in the same class, so everything else recurses
@@ -538,8 +434,7 @@ def count_roots_in_zp(f: PadicPoly) -> int:
 def island_multiplicities(f: PadicPoly, rng=None) -> dict:
     """Multiplicity of each irreducible residue factor of a monic f; the
     number of eigenvalues on the island of F is deg(F) * multiplicity."""
-    fact = factor_mod_p(f.coeffs, f.p, rng)
-    return {k: m for k, d, m in fact.factors}
+    return {k: m for k, _, m in factor_mod_p(f.coeffs, f.p, rng).factors}
 
 
 def classify_quadratic(g: PadicPoly) -> ExtensionDescriptor:
@@ -576,108 +471,39 @@ def unramified_modulus(p: int, d: int) -> tuple:
     """A monic degree-d lift whose residue is irreducible over F_p."""
     key = (p, d)
     if key not in _UNRAMIFIED_MODULI:
-        # enumerate monic polynomials x^d + c_{d-1} x^{d-1} + ... + c_0
-        found = None
+        # the first irreducible x^d + c_{d-1} x^{d-1} + ... + c_0 in code order
         for code in range(p ** d):
-            c = []
-            v = code
-            for _ in range(d):
-                c.append(v % p)
-                v //= p
-            cand = c + [1]
+            cand = _decode_residue(code, p, d) + (1,)
             if _fp_is_irreducible(cand, p):
-                found = tuple(cand)
+                _UNRAMIFIED_MODULI[key] = cand
                 break
-        if found is None:  # pragma: no cover
+        else:  # pragma: no cover
             raise RuntimeError("no irreducible polynomial found")
-        _UNRAMIFIED_MODULI[key] = found
     return _UNRAMIFIED_MODULI[key]
 
 
 def _fp_is_irreducible(f, p):
+    """Rabin's test: x^(p^d) = x mod f, and x^(p^(d/q)) - x is coprime to
+    f for every prime q dividing d = deg f."""
     d = len(f) - 1
     if d < 1:
         return False
-    # x^{p^d} = x mod f and gcd(x^{p^(d/q)} - x, f) = 1 for prime q | d
-    xp = _fp_powmod([0, 1], p ** d, f, p)
-    diff = list(xp) + [0] * max(0, 2 - len(xp))
-    diff[1] = (diff[1] - 1) % p
-    if _fp_trim(diff):
+
+    def frobenius_minus_x(k):
+        # x^(p^k) - x, reduced mod f
+        xpk = _fp_powmod([0, 1], p ** k, f, p)
+        return poly_divmod(poly_sub(xpk, [0, 1], p), f, p)[1]
+
+    if frobenius_minus_x(d):
         return False
-    for q in {qq for qq in range(2, d + 1) if d % qq == 0 and _is_prime_small(qq)}:
-        xp = _fp_powmod([0, 1], p ** (d // q), f, p)
-        diff = list(xp) + [0] * max(0, 2 - len(xp))
-        diff[1] = (diff[1] - 1) % p
-        if len(_fp_gcd(diff, f, p)) > 1:
-            return False
-    return True
-
-
-def _is_prime_small(n):
-    return n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1))
-
-
-class _UnramRing:
-    """O_K / p^N for the unramified extension of degree d."""
-
-    def __init__(self, p: int, N: int, d: int, wpoly=None):
-        self.p, self.N, self.d = p, N, d
-        self.modulus = p ** N
-        self.wpoly = tuple(wpoly) if wpoly is not None else unramified_modulus(p, d)
-
-    def mul(self, a, b):
-        m, d = self.modulus, self.d
-        prod = [0] * (2 * d - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    prod[i + j] = (prod[i + j] + x * y) % m
-        for i in range(2 * d - 2, d - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j in range(d):
-                    prod[i - d + j] = (prod[i - d + j] - c * self.wpoly[j]) % m
-        return tuple(prod[:d])
-
-    def add(self, a, b):
-        m = self.modulus
-        return tuple((x + y) % m for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        m = self.modulus
-        return tuple((x - y) % m for x, y in zip(a, b))
-
-    def scalar(self, c):
-        return tuple([c % self.modulus] + [0] * (self.d - 1))
-
-    def val(self, a):
-        vals = [raw_valuation(x, self.p, self.modulus) for x in a]
-        finite = [v for v in vals if v is not SATURATED]
-        return min(finite) if finite else SATURATED
-
-    def div_exact_p(self, a, k):
-        return tuple(x // self.p ** k for x in a)
-
-    def inverse(self, a):
-        """Inverse of a unit, by residue inversion plus lifting."""
-        # residue inverse via extended Euclid over F_p[x]
-        res = _fp_trim([x % self.p for x in a])
-        if not res:
-            raise ZeroDivisionError("not a unit")
-        s, _t = _fp_bezout(res, list(self.wpoly), self.p)
-        inv = tuple(list(s) + [0] * (self.d - len(s)))
-        x = inv
-        # Newton lift: x <- x(2 - a x), doubling correct digits
-        steps = max(1, (self.N - 1).bit_length() + 1)
-        two = self.scalar(2)
-        for _ in range(steps):
-            x = self.mul(x, self.sub(two, self.mul(a, x)))
-        return x
+    return all(
+        len(_fp_gcd(frobenius_minus_x(d // q), f, p)) <= 1
+        for q in range(2, d + 1) if d % q == 0 and is_prime(q)
+    )
 
 
 def _unram_poly_eval(coeffs, x, ring):
-    acc = ring.scalar(0)
+    acc = ring.zero
     for c in reversed(coeffs):
         acc = ring.add(ring.mul(acc, x), c)
     return acc
@@ -694,7 +520,7 @@ def _unram_taylor_shift(coeffs, a, ring):
 
 def _unram_roots_raw(coeffs, ring):
     """Certified roots of a poly with coefficients in an unramified ring."""
-    p, N, d = ring.p, ring.N, ring.d
+    p, N, d = ring.p, ring.precision, ring.deg
     if all(all(x == 0 for x in c) for c in coeffs):
         return [], False
     dcoeffs = [tuple((i * x) % ring.modulus for x in c) for i, c in enumerate(coeffs)][1:]
@@ -730,7 +556,7 @@ def _unram_roots_raw(coeffs, ring):
         if sub_n < 1:
             ok = False
             continue
-        sub_ring = _UnramRing(p, sub_n, d, ring.wpoly)
+        sub_ring = QuotientRing(p, sub_n, ring.modpoly)
         sub = [
             tuple(x // p ** content % sub_ring.modulus for x in c) for c in scaled
         ]
@@ -744,17 +570,8 @@ def _unram_roots_raw(coeffs, ring):
     return roots, ok
 
 
-def _decode_residue(code, p, d):
-    c = []
-    v = code
-    for _ in range(d):
-        c.append(v % p)
-        v //= p
-    return tuple(c)
-
-
 def _unram_newton(coeffs, dcoeffs, x0, v2, ring):
-    p, N = ring.p, ring.N
+    p, N = ring.p, ring.precision
     res_mod = p ** (N - v2)
     x = x0
     for _ in range(N + 4):
@@ -762,7 +579,7 @@ def _unram_newton(coeffs, dcoeffs, x0, v2, ring):
         if all(v == 0 for v in fx):
             break
         fpx = _unram_poly_eval(dcoeffs, x, ring)
-        sub_ring = _UnramRing(p, N - v2, ring.d, ring.wpoly)
+        sub_ring = QuotientRing(p, N - v2, ring.modpoly)
         u = tuple(x2 // p ** v2 % sub_ring.modulus for x2 in fpx)
         fv = tuple(x2 // p ** v2 % sub_ring.modulus for x2 in fx)
         step = sub_ring.mul(fv, sub_ring.inverse(u))
@@ -775,8 +592,8 @@ def _unram_newton(coeffs, dcoeffs, x0, v2, ring):
 def unramified_roots(f: PadicPoly, d: int):
     """Certified roots of f in the unramified extension of degree d,
     returned as coefficient tuples on the fixed basis with their precision."""
-    ring = _UnramRing(f.p, f.precision, d)
-    coeffs = [ring.scalar(c) for c in f.coeffs]
+    ring = QuotientRing(f.p, f.precision, unramified_modulus(f.p, d))
+    coeffs = [ring.coerce(c) for c in f.coeffs]
     roots, ok = _unram_roots_raw(coeffs, ring)
     if not ok:
         raise PrecisionExhausted("extension root census not certified")
@@ -814,18 +631,6 @@ class Census:
         return out
 
 
-def _divide_off_root(coeffs, root, m):
-    """Synthetic division of a monic-list poly by (x - root) mod m."""
-    out = []
-    carry = 0
-    for c in reversed(coeffs):
-        carry = (carry * root + c) % m
-        out.append(carry)
-    out = out[:-1][::-1]
-    # exact when root is a true root mod m; last carry is f(root)
-    return out
-
-
 def census_of_poly(f: PadicPoly, rng=None) -> Census:
     """Resolve a monic polynomial into certified eigenvalue statistics.
 
@@ -836,15 +641,12 @@ def census_of_poly(f: PadicPoly, rng=None) -> Census:
     sample and report the rate.
     """
     p, N = f.p, f.precision
-    island = island_multiplicities(f, rng)
-    factors = hensel_split(f, rng)
+    fact = factor_mod_p(f.coeffs, p, rng)
     zp_root_list = []
     quad_orbits = []
     unram_counts = {}
     flags = set()
-    for g in factors:
-        res = factor_mod_p(g.coeffs, p, rng)
-        (fk, d, mult) = res.factors[0]
+    for g, d, mult in _lift_factors(f, fact):
         if mult == 1:
             if d == 1:
                 try:
@@ -873,7 +675,7 @@ def census_of_poly(f: PadicPoly, rng=None) -> Census:
             prec_rem = N
             for r, k in rts:
                 prec_rem = min(prec_rem, k)
-                remaining = _divide_off_root(remaining, r, p ** N)
+                remaining = poly_divmod(remaining, [-r, 1], p ** N)[0]
             rem_deg = len(remaining) - 1 if remaining else 0
             if prec_rem < 2 and rem_deg >= 2:
                 flags.add("quad")
@@ -930,7 +732,7 @@ def census_of_poly(f: PadicPoly, rng=None) -> Census:
         zp_roots=tuple(zp_root_list),
         pairwise_valuations=tuple(sorted(pair_vals)),
         quad_orbits=tuple(quad_orbits),
-        island_map=island,
+        island_map={k: m for k, _, m in fact.factors},
         unram_counts=unram_counts,
         flags=frozenset(flags),
     )

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from padicstats.cli import dispatch
 
 
@@ -80,6 +82,23 @@ def test_unknown_arguments_error():
     assert dispatch(["run", "no_such_experiment"]) == 2
     assert dispatch(["run", "det_moment", "--nonsense", "3"]) == 2
     assert dispatch(["bogus_command"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "E_Zp_count", "--trials", "0"],
+    ["run", "E_Zp_count", "--p", "4", "--trials", "64"],
+    ["run", "det_moment", "--mode", "FOO"],
+    ["run", "E_Zp_count", "--precision", "2", "--trials", "64"],
+    ["enumerate", "det_moment_exact", "--n", "2"],
+    ["run", "det_moment", "--tol", "0.5"],
+    ["suite", "--filter", "det_moment*", "--trials", "0"],
+])
+def test_bad_run_parameters_are_usage_errors(argv, capsys):
+    # rejected with exit 2 and a message, before any report is printed
+    assert dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
 
 
 def test_workers_env_default(tmp_path, monkeypatch, capsys):

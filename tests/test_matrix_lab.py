@@ -192,6 +192,24 @@ def test_gl_acceptance_rate():
     assert abs(hits / trials - want) < 3 * se
 
 
+def test_fp_primary_multiplicity_refuses_inexact_float32():
+    from padicstats.batched import batch_rank_mod_p, fp_primary_multiplicity
+
+    # n (p - 1)^2 <= 2^24 holds up to n = 16 at p = 1009
+    p = 1009
+    gen = Rng(12).generator()
+    mats = gen.integers(0, p, size=(3, 16, 16), dtype=np.int64)
+    mats[:, :, :4] = 0  # a kernel of dimension >= 4 for the factor x
+    got = fp_primary_multiplicity(mats, [0, 1], 1, p)
+    power = mats.copy()
+    for _ in range(4):  # A^16, past the largest multiplicity
+        power = np.matmul(power, power) % p
+    assert (got == 16 - batch_rank_mod_p(power, p)).all()
+    assert (got >= 4).all()
+    with pytest.raises(ValueError, match="inexact"):
+        fp_primary_multiplicity(np.zeros((1, 17, 17), dtype=np.int64), [0, 1], 1, p)
+
+
 def test_rng_streams():
     g1 = Rng(5, stream_id=0).generator()
     g2 = Rng(5, stream_id=0).generator()

@@ -3,11 +3,14 @@ from itertools import product
 import pytest
 
 from padicstats.matrix_lab import GL, MAT, PadicMatrix, Rng, charpoly, sample_matrix
+from padicstats import root_census
 from padicstats.padic_core import (
     PadicPoly,
     SATURATED,
     inverse_mod,
     poly_from_roots,
+    poly_mul,
+    poly_trim,
     raw_valuation,
 )
 from padicstats.root_census import (
@@ -26,8 +29,7 @@ from padicstats.root_census import (
     unramified_roots,
     zp_roots,
     _fp_gcd,
-    _fp_mul,
-    _fp_trim,
+    _lift_factors,
     _zp_roots_raw,
 )
 
@@ -56,8 +58,8 @@ def test_factor_mod_p_exhaustive_reconstitution():
                 for k, d, mult in fact.factors:
                     assert len(k) - 1 == d
                     for _ in range(mult):
-                        prod_ = _fp_mul(prod_, list(k), p)
-                assert prod_ == _fp_trim(f)
+                        prod_ = poly_mul(prod_, list(k), p)
+                assert prod_ == poly_trim(f)
                 assert fact.total_degree == deg
 
 
@@ -105,10 +107,13 @@ def test_hensel_split_reconstitutes_random():
         for h in parts[1:]:
             prod_ = prod_ * h
         assert prod_.coeffs == f.coeffs
-        for h in parts:
+        lifted = _lift_factors(f, factor_mod_p(f.coeffs, p))
+        assert [g for g, _, _ in lifted] == parts
+        for h, d, mult in lifted:
             assert h.monic
-            fact = factor_mod_p(h.coeffs, p)
-            assert len(fact.factors) == 1
+            ((k, dk, mk),) = factor_mod_p(h.coeffs, p).factors
+            assert (dk, mk) == (d, mult)
+            assert h.degree == d * mult
 
 
 def test_count_roots_examples():
@@ -231,6 +236,45 @@ def test_unramified_modulus_is_stable():
     assert unramified_modulus(3, 2) == unramified_modulus(3, 2)
     w = unramified_modulus(2, 3)
     assert len(w) == 4 and w[-1] == 1
+    for p in (2, 3, 5):
+        assert unramified_modulus(p, 1) == (0, 1)
+
+
+def test_degree_one_unramified_roots_match_zp_roots():
+    gen = Rng(41).generator()
+    for _ in range(150):
+        p = int(gen.choice([2, 3, 5]))
+        N = int(gen.integers(2, 8))
+        deg = int(gen.integers(1, 6))
+        coeffs = [int(x) for x in gen.integers(0, p ** N, size=deg)] + [1]
+        f = PadicPoly.from_ints(p, N, coeffs)
+        try:
+            want = sorted(zp_roots(f))
+        except PrecisionExhausted:
+            with pytest.raises(PrecisionExhausted):
+                unramified_roots(f, 1)
+            continue
+        got = sorted((r, k) for (r,), k in unramified_roots(f, 1))
+        assert got == want, (coeffs, p, N)
+
+
+def test_census_factors_each_residue_once(monkeypatch):
+    calls = []
+    real = root_census.factor_mod_p
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(root_census, "factor_mod_p", counting)
+    gen = Rng(57).generator()
+    for _ in range(60):
+        p = int(gen.choice([2, 3, 5]))
+        n = int(gen.integers(2, 7))
+        f = charpoly(sample_matrix(n, p, 8, MAT, gen))
+        calls.clear()
+        census_of_poly(f)
+        assert len(calls) == 1
 
 
 def test_census_examples():
