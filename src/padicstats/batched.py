@@ -16,9 +16,23 @@ MAX_FLOAT32_EXACT = 2 ** 24  # float32 holds every integer up to this exactly
 
 
 def check_modulus_budget(n: int, modulus: int):
+    """Refuse a modulus whose n-term sums of products could overflow int64."""
     if n * (modulus - 1) ** 2 > MAX_INT64_PRODUCT:
         raise ValueError(
             f"modulus {modulus} too large for int64 batch kernels at n={n}"
+        )
+
+
+def check_quad_budget(n: int, c: int, modulus: int):
+    """check_modulus_budget for products in Z/modulus[x]/(x^2 - c)."""
+    check_modulus_budget(max(2 * n * (1 + c % modulus), 1), modulus)
+
+
+def check_float32_budget(n: int, p: int):
+    """Refuse residues mod p whose n-term float32 dot products are inexact."""
+    if n * (p - 1) ** 2 > MAX_FLOAT32_EXACT:
+        raise ValueError(
+            f"float32 kernel is inexact at n={n}, p={p}: needs n (p-1)^2 <= 2^24"
         )
 
 
@@ -69,7 +83,7 @@ def batch_charpoly_quad(matsU: np.ndarray, matsV: np.ndarray, c: int,
     coefficient pair arrays (CU, CV), each (B, n+1), leading first.
     """
     B, n, _ = matsU.shape
-    check_modulus_budget(max(2 * n * (1 + c % modulus), 1), modulus)
+    check_quad_budget(n, c, modulus)
 
     def rmul_mat(AU, AV, BU, BV):
         U = (AU @ BU + c * (AV @ BV)) % modulus
@@ -264,10 +278,7 @@ def fp_primary_multiplicity(mats: np.ndarray, coeffs, d: int, p: int,
     n * (p - 1)^2 stay within 2^24; larger inputs raise ValueError.
     """
     B, n, _ = mats.shape
-    if n * (p - 1) ** 2 > MAX_FLOAT32_EXACT:
-        raise ValueError(
-            f"float32 kernel is inexact at n={n}, p={p}: needs n (p-1)^2 <= 2^24"
-        )
+    check_float32_budget(n, p)
     if cap_pow is None:
         cap_pow = max(1, (max(n // d, 1) - 1).bit_length())
     A = (mats % p).astype(np.float32)

@@ -2,16 +2,21 @@
 
 Monte Carlo runs are split into fixed-size chunks; chunk c draws from the
 counter-based stream keyed by (seed, c), and reduction happens in chunk
-order, so results are bit-identical for any worker count.  Exhaustive runs
-enumerate the whole finite level and produce exact rationals, widening to
-an interval when saturation leaves samples undetermined.
+order, so results are bit-identical for any worker count.  Experiments
+that declare the same shared pass read each chunk's stats from one store,
+so a chunk drawn for one of them is not drawn again for another.
+Exhaustive runs enumerate the whole finite level and produce exact
+rationals, widening to an interval when saturation leaves samples
+undetermined.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import threading
 import time
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -19,6 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 CHUNK_TRIALS = 4096
+SHARED_CHUNK_CAP = 256  # chunk results the shared-pass store keeps
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -56,6 +62,9 @@ class ExperimentSpec:
     seed: int
     workers: int = 1
     params: dict = field(default_factory=dict)
+    # experiments naming the same shared pass compute identical chunk
+    # stats for equal (p, n, N, mode, seed) and read them from one store
+    shared: str | None = None
 
     def describe(self) -> dict:
         out = {
@@ -249,11 +258,44 @@ def finalize(report) -> None:
 # ---------------------------------------------------------------------------
 
 
+# shared-pass key -> one chunk's stats dict, least recently used first
+_shared_chunks: OrderedDict = OrderedDict()
+_shared_lock = threading.Lock()
+
+
+def clear_shared_chunks() -> None:
+    """Empty the shared-pass store."""
+    with _shared_lock:
+        _shared_chunks.clear()
+
+
+def _shared_get(key):
+    with _shared_lock:
+        part = _shared_chunks.get(key)
+        if part is not None:
+            _shared_chunks.move_to_end(key)
+        return part
+
+
+def _shared_put(key, part: dict) -> None:
+    for v in part.values():
+        if isinstance(v, np.ndarray):
+            v.flags.writeable = False  # every later reader gets this object
+    with _shared_lock:
+        _shared_chunks[key] = part
+        while len(_shared_chunks) > SHARED_CHUNK_CAP:
+            _shared_chunks.popitem(last=False)
+
+
 def run_chunked(spec: ExperimentSpec, chunk_fn) -> dict:
     """Execute chunk_fn(gen, size) over all chunks and sum the stat dicts.
 
     The chunk index keys the random stream and reduction is in index
-    order, so the result is identical for any worker count.
+    order, so the result is identical for any worker count.  With
+    ``spec.shared`` set, each chunk's stats are read from, or added to, the
+    shared-pass store under the sampling parameters, the chunk index and
+    its size, so a run of fewer trials reuses the whole chunks of a longer
+    one and draws only its own partial last chunk.
     """
     from .matrix_lab import Rng
 
@@ -261,8 +303,17 @@ def run_chunked(spec: ExperimentSpec, chunk_fn) -> dict:
 
     def work(ci: int):
         size = min(CHUNK_TRIALS, spec.trials - ci * CHUNK_TRIALS)
-        gen = Rng(spec.seed, ci).generator()
-        return chunk_fn(gen, size)
+        key = None
+        if spec.shared is not None:
+            key = (spec.shared, spec.p, spec.n, spec.precision, spec.mode,
+                   spec.seed, ci, size)
+            part = _shared_get(key)
+            if part is not None:
+                return part
+        part = chunk_fn(Rng(spec.seed, ci).generator(), size)
+        if key is not None:
+            _shared_put(key, part)
+        return part
 
     if spec.workers <= 1:
         parts = [work(ci) for ci in range(nchunks)]

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -22,6 +23,9 @@ from .batched import (
     batch_charpoly_quad,
     batch_det,
     batch_valuation,
+    check_float32_budget,
+    check_modulus_budget,
+    check_quad_budget,
     f2_primary_multiplicity,
     fp_primary_multiplicity,
     sample_matrices,
@@ -63,11 +67,18 @@ class ExperimentDef:
     runner: object
     min_precision: int = 1
     suite_variants: tuple = ({},)  # override dicts run by the full suite
+    # spec -> None; raises ValueError when the batched kernels the runner
+    # calls cannot be exact for these parameters
+    budget: object = None
+    # name of the sample pass this experiment shares with others that run
+    # the same chunk function (see experiment.run_chunked)
+    shared: str | None = None
 
     def make_spec(self, overrides: dict) -> ExperimentSpec:
         """The run request for these overrides.  Unknown keys raise
-        KeyError; a non-prime p, trials < 1 or an unknown mode raise
-        InvalidSpec, before anything is sampled."""
+        KeyError; a non-prime p, trials < 1, an unknown mode or parameters
+        outside the batched kernels' exact range raise InvalidSpec, before
+        anything is sampled."""
         base = dict(self.defaults)
         known = set(base) | {"p", "n", "N", "trials", "seed", "workers", "mode"}
         for k in overrides:
@@ -89,6 +100,7 @@ class ExperimentDef:
             seed=base.get("seed", 20240801),
             workers=base.get("workers", 1),
             params=params,
+            shared=self.shared,
         )
         if not is_prime(spec.p):
             raise InvalidSpec(f"p = {spec.p} is not prime")
@@ -96,7 +108,38 @@ class ExperimentDef:
             raise InvalidSpec(f"trials must be >= 1, got {spec.trials}")
         if spec.mode not in (MAT, GL, POLY):
             raise InvalidSpec(f"mode must be {MAT}, {GL} or {POLY}, got {spec.mode!r}")
+        if self.budget is not None:
+            try:
+                self.budget(spec)
+            except ValueError as exc:
+                raise InvalidSpec(str(exc)) from None
         return spec
+
+
+def _charpoly_budget(spec):
+    """int64 budget of batch_charpoly / batch_det mod p^N at every size run."""
+    n = max((spec.n, *spec.params.get("sizes", ())))
+    check_modulus_budget(n, spec.p ** spec.precision)
+
+
+def _sampling_budget(spec):
+    """Entries mod p^N, and p^m times them, stay int64."""
+    bound = spec.p ** (spec.precision + spec.params.get("m", 0))
+    if bound > 2 ** 63:
+        raise ValueError(f"entries up to {bound} too large for int64 sampling")
+
+
+def _island_budget(spec):
+    if spec.p != 2:
+        check_float32_budget(spec.n, spec.p)
+    elif spec.n > 63:
+        raise ValueError("packed F_2 kernels support n <= 63")
+
+
+def _charpoly_det_budget(spec):
+    _charpoly_budget(spec)
+    c = spec.params.get("c") or _nonresidue(spec.p)
+    check_quad_budget(spec.n, c, spec.p ** spec.precision)
 
 
 def _poly_batch(gen, size, p, n, N):
@@ -174,7 +217,7 @@ def _zp_chunk(spec, gen, size):
 
 
 def _run_zp_count(spec):
-    stats = run_chunked(spec, lambda gen, size: _zp_chunk(spec, gen, size))
+    stats = run_chunked(spec, partial(_zp_chunk, spec))
     target = AnalyticTarget(value=1.0, tol=1e-12)
     if spec.mode == GL:
         target = AnalyticTarget(
@@ -189,7 +232,7 @@ def _run_zp_count(spec):
 
 
 def _run_var_zp(spec):
-    stats = run_chunked(spec, lambda gen, size: _zp_chunk(spec, gen, size))
+    stats = run_chunked(spec, partial(_zp_chunk, spec))
     target = AnalyticTarget(value=cf.var_zp(spec.p).value, flags=(ASYMPTOTIC,))
     return [
         make_estimate_report(
@@ -200,7 +243,7 @@ def _run_var_zp(spec):
 
 
 def _run_pair_hist(spec):
-    stats = run_chunked(spec, lambda gen, size: _zp_chunk(spec, gen, size))
+    stats = run_chunked(spec, partial(_zp_chunk, spec))
     p = spec.p
     reports = []
     for m in range(PAIR_CELLS):
@@ -605,7 +648,7 @@ def _quad_cell_target(p, label, m):
 
 
 def _run_quad_census(spec):
-    stats = run_chunked(spec, lambda gen, size: _census_chunk(spec, gen, size))
+    stats = run_chunked(spec, partial(_census_chunk, spec))
     reports = []
     for idx, (label, m) in enumerate(QUAD_CELLS):
         reports.append(
@@ -620,7 +663,7 @@ def _run_quad_census(spec):
 
 
 def _run_expected_quad(spec):
-    stats = run_chunked(spec, lambda gen, size: _census_chunk(spec, gen, size))
+    stats = run_chunked(spec, partial(_census_chunk, spec))
     ncell = len(QUAD_CELLS)
     p = spec.p
     rep_u = make_estimate_report(
@@ -643,7 +686,7 @@ def _run_expected_quad(spec):
 
 
 def _run_higher_cubic(spec):
-    stats = run_chunked(spec, lambda gen, size: _census_chunk(spec, gen, size))
+    stats = run_chunked(spec, partial(_census_chunk, spec))
     iv = cf.higher_degree_bounds(spec.p, 3, 1.0)
     rep = make_estimate_report(
         spec, "mean eigenvalue count in the unramified cubic extension",
@@ -975,6 +1018,7 @@ _register(ExperimentDef(
     defaults=dict(p=3, n=6, N=10, trials=100_000, mode=MAT),
     runner=_run_zp_count,
     min_precision=6,
+    budget=_charpoly_budget,
 ))
 
 _register(ExperimentDef(
@@ -984,6 +1028,7 @@ _register(ExperimentDef(
     defaults=dict(p=3, n=8, N=12, trials=100_000, mode=MAT),
     runner=_run_var_zp,
     min_precision=8,
+    budget=_charpoly_budget,
 ))
 
 _register(ExperimentDef(
@@ -993,6 +1038,7 @@ _register(ExperimentDef(
     defaults=dict(p=3, n=8, N=12, trials=100_000, mode=MAT),
     runner=_run_pair_hist,
     min_precision=8,
+    budget=_charpoly_budget,
 ))
 
 _register(ExperimentDef(
@@ -1006,6 +1052,7 @@ _register(ExperimentDef(
         {"p": p, "n": n, "k": k}
         for p in (2, 3) for n in (1, 2, 3) for k in (1, 2)
     ),
+    budget=_charpoly_budget,
 ))
 
 _register(ExperimentDef(
@@ -1025,6 +1072,7 @@ _register(ExperimentDef(
     runner=_run_island_law,
     min_precision=1,
     suite_variants=({"d": 1}, {"d": 2}),
+    budget=_island_budget,
 ))
 
 _register(ExperimentDef(
@@ -1034,6 +1082,7 @@ _register(ExperimentDef(
     defaults=dict(p=2, n=4, N=8, trials=100_000, mode=MAT),
     runner=_run_cok_markov,
     min_precision=4,
+    budget=_sampling_budget,
 ))
 
 _register(ExperimentDef(
@@ -1043,6 +1092,7 @@ _register(ExperimentDef(
     defaults=dict(p=2, n=4, N=8, trials=50_000, mode=MAT, m=1),
     runner=_run_cok_joint_chain,
     min_precision=4,
+    budget=_sampling_budget,
 ))
 
 _register(ExperimentDef(
@@ -1054,6 +1104,7 @@ _register(ExperimentDef(
     runner=_run_quad_chain,
     min_precision=4,
     suite_variants=({"label": "UNRAMIFIED"}, {"label": "RAMIFIED"}),
+    budget=_sampling_budget,
 ))
 
 _register(ExperimentDef(
@@ -1063,6 +1114,8 @@ _register(ExperimentDef(
     defaults=dict(p=3, n=6, N=12, trials=100_000, mode=MAT),
     runner=_run_quad_census,
     min_precision=8,
+    budget=_charpoly_budget,
+    shared="census",
 ))
 
 _register(ExperimentDef(
@@ -1072,6 +1125,8 @@ _register(ExperimentDef(
     defaults=dict(p=3, n=6, N=12, trials=40_000, mode=MAT),
     runner=_run_expected_quad,
     min_precision=8,
+    budget=_charpoly_budget,
+    shared="census",
 ))
 
 _register(ExperimentDef(
@@ -1081,6 +1136,8 @@ _register(ExperimentDef(
     defaults=dict(p=3, n=6, N=12, trials=100_000, mode=MAT),
     runner=_run_higher_cubic,
     min_precision=8,
+    budget=_charpoly_budget,
+    shared="census",
 ))
 
 _register(ExperimentDef(
@@ -1090,6 +1147,7 @@ _register(ExperimentDef(
     defaults=dict(p=3, n=2, N=10, trials=100_000, mode=MAT),
     runner=_run_en_relation,
     min_precision=6,
+    budget=_charpoly_budget,
 ))
 
 _register(ExperimentDef(
@@ -1099,6 +1157,7 @@ _register(ExperimentDef(
     defaults=dict(p=2, n=4, N=10, trials=100_000, mode=MAT, sizes=(2, 3, 4)),
     runner=_run_en_decay,
     min_precision=6,
+    budget=_charpoly_budget,
 ))
 
 _register(ExperimentDef(
@@ -1108,6 +1167,7 @@ _register(ExperimentDef(
     defaults=dict(p=3, n=6, N=10, trials=100_000, mode=GL),
     runner=_run_gl_support,
     min_precision=6,
+    budget=_charpoly_budget,
 ))
 
 _register(ExperimentDef(
@@ -1117,6 +1177,7 @@ _register(ExperimentDef(
     defaults=dict(p=3, n=8, N=14, trials=60_000, mode=MAT, c=None),
     runner=_run_charpoly_det,
     min_precision=8,
+    budget=_charpoly_det_budget,
 ))
 
 _register(ExperimentDef(

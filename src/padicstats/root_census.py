@@ -14,6 +14,7 @@ samples against a reported discard rate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .padic_core import (
     PadicPoly,
@@ -237,11 +238,25 @@ class ResidueFactorization:
         return self._total_degree
 
 
+FACTOR_CACHE_SIZE = 4096  # residues whose factorizations are kept
+
+
 def factor_mod_p(coeffs, p: int, rng=None) -> ResidueFactorization:
-    """Complete monic irreducible factorization of a nonzero poly over F_p."""
-    f = poly_trim([int(c) % p for c in coeffs])
+    """Complete monic irreducible factorization of a nonzero poly over F_p.
+
+    Without a random stream the result depends on the residue alone, so it
+    is cached on (residue, p); a call with ``rng`` bypasses the cache and
+    consumes the stream as an uncached factorization would.
+    """
+    f = tuple(poly_trim([int(c) % p for c in coeffs]))
     if not f:
         raise ValueError("cannot factor the zero polynomial")
+    if rng is None:
+        return _factor_cached(f, p)
+    return _factor(f, p, rng)
+
+
+def _factor(f: tuple, p: int, rng=None) -> ResidueFactorization:
     found = {}
     for sf, mult in _squarefree_decomposition(f, p):
         for prod, d in _distinct_degree(sf, p):
@@ -252,6 +267,9 @@ def factor_mod_p(coeffs, p: int, rng=None) -> ResidueFactorization:
         sorted((k, d, m) for k, (d, m) in found.items())
     )
     return ResidueFactorization(p, factors)
+
+
+_factor_cached = lru_cache(maxsize=FACTOR_CACHE_SIZE)(_factor)
 
 
 # ---------------------------------------------------------------------------

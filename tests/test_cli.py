@@ -101,6 +101,19 @@ def test_bad_run_parameters_are_usage_errors(argv, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "E_Zp_count", "--n", "30", "--precision", "19"],
+    ["run", "E_Zp_count", "--precision", "40"],
+    ["run", "island_law", "--p", "1009", "--n", "60"],
+])
+def test_kernel_budget_is_a_usage_error(argv, capsys):
+    # past the batched kernels' exact range: refused before any sampling
+    assert dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ")
+
+
 def test_workers_env_default(tmp_path, monkeypatch, capsys):
     out1, out2 = tmp_path / "w1.json", tmp_path / "w4.json"
     args = ["run", "det_moment", "--trials", "2048", "--seed", "3"]

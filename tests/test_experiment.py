@@ -1,13 +1,17 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from padicstats import experiment
 from padicstats.experiment import (
     AnalyticTarget,
     EstimateReport,
     ExactReport,
+    ExperimentSpec,
+    InvalidSpec,
     PrecisionPolicyViolation,
     UnknownExperiment,
     build_experiment,
@@ -16,6 +20,7 @@ from padicstats.experiment import (
     reports_from_json,
     reports_to_csv,
     reports_to_json,
+    run_chunked,
     run_exhaustive,
     run_experiment,
     run_monte_carlo,
@@ -225,3 +230,149 @@ def test_report_fields_json_schema():
         assert key in d
     assert isinstance(d["ci"], list) and len(d["ci"]) == 2
     assert d["analytic"].get("value") is not None
+
+
+# ---------------------------------------------------------------------------
+# Run-parameter budgets of the batched kernels.
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name,overrides", [
+    ("E_Zp_count", {"N": 19}),                # 6 (3^19 - 1)^2 > 2^62
+    ("E_Zp_count", {"N": 40}),                # p^N past int64
+    ("en_decay", {"sizes": (2, 3, 40), "N": 18, "p": 3}),  # the largest size counts
+    ("charpoly_det_identity", {"p": 2}),      # no quadratic non-residue
+    ("cok_markov", {"N": 64}),                # sampling mod 2^64
+    ("island_law", {"p": 1009, "n": 60}),     # float32 products inexact
+    ("island_law", {"p": 2, "n": 64}),        # packed F_2 rows hold 63 bits
+])
+def test_kernel_budgets_refused_when_spec_is_built(name, overrides):
+    with pytest.raises(InvalidSpec):
+        build_experiment(name, overrides)
+
+
+def test_kernel_budgets_accept_their_edge():
+    # 6 (3^18 - 1)^2 < 2^62 and 16 (1009 - 1)^2 < 2^24
+    assert build_experiment("E_Zp_count", {"N": 18}).precision == 18
+    assert build_experiment("en_decay", {"N": 18, "p": 3}).precision == 18
+    assert build_experiment("island_law", {"p": 1009, "n": 16}).n == 16
+    assert build_experiment("cok_markov", {"N": 63}).precision == 63
+
+
+# ---------------------------------------------------------------------------
+# The shared census pass.
+# ---------------------------------------------------------------------------
+
+CENSUS = ("quad_census", "expected_quad", "higher_degree_unramified_cubic")
+
+
+@pytest.fixture
+def shared_store():
+    experiment.clear_shared_chunks()
+    yield experiment._shared_chunks
+    experiment.clear_shared_chunks()
+
+
+def _census_dicts(name, overrides):
+    reports = run_experiment(build_experiment(name, overrides))
+    return _strip_wall([r.to_dict() for r in reports])
+
+
+def test_census_experiments_declare_one_shared_pass():
+    for name in CENSUS:
+        spec = build_experiment(name)
+        assert spec.shared == "census"
+        assert "shared" not in spec.describe()
+    assert build_experiment("E_Zp_count").shared is None
+    with pytest.raises(KeyError):
+        build_experiment("quad_census", {"shared": "other"})
+
+
+def test_shared_census_reports_match_cold_runs(shared_store):
+    base = {"trials": 700, "seed": 11}
+    cold = {}
+    for name in CENSUS:
+        experiment.clear_shared_chunks()
+        cold[name] = _census_dicts(name, base)
+    experiment.clear_shared_chunks()
+    warm = {name: _census_dicts(name, base) for name in CENSUS}
+    assert len(shared_store) == 1  # one chunk, drawn once for all three
+    assert warm == cold
+    for name in reversed(CENSUS):  # read back from the warm store
+        assert _census_dicts(name, base) == cold[name]
+
+
+def test_shorter_shared_run_reads_whole_chunks(shared_store):
+    chunk = experiment.CHUNK_TRIALS
+    short = {"trials": 2 * chunk + 100, "seed": 3}
+    cold = _census_dicts("expected_quad", short)
+    experiment.clear_shared_chunks()
+    _census_dicts("quad_census", {"trials": 3 * chunk, "seed": 3})
+    assert len(shared_store) == 3
+    assert _census_dicts("expected_quad", short) == cold
+    # only the partial last chunk was drawn anew
+    assert len(shared_store) == 4
+    assert sorted(k[-2:] for k in shared_store) == [
+        (0, chunk), (1, chunk), (2, 100), (2, chunk)]
+
+
+def test_unshared_experiment_leaves_store_untouched(shared_store):
+    _census_dicts("quad_census", {"trials": 300, "seed": 1})
+    before = list(shared_store.items())
+    run_experiment(build_experiment("E_Zp_count", {"trials": 300, "seed": 1}))
+    run_experiment(build_experiment("det_moment", {"trials": 300, "seed": 1}))
+    assert list(shared_store.items()) == before
+
+
+def test_shared_store_is_capped(shared_store):
+    cap = experiment.SHARED_CHUNK_CAP
+    nchunks = cap + 5
+    spec = ExperimentSpec(name="t", p=3, n=1, precision=1, mode="MAT",
+                          trials=nchunks * experiment.CHUNK_TRIALS, seed=0,
+                          shared="test")
+    sizes = []
+
+    def chunk(gen, size):
+        sizes.append(len(shared_store))
+        return {"trials": size, "hist": np.ones(2)}
+
+    total = run_chunked(spec, chunk)
+    assert max(sizes) <= cap and len(shared_store) == cap
+    assert total["trials"] == spec.trials
+    assert total["hist"].tolist() == [nchunks, nchunks]
+    # the oldest chunks were evicted
+    assert sorted(k[6] for k in shared_store) == list(range(nchunks - cap, nchunks))
+    # stored parts are read-only, so no reader can change what others see
+    part = next(iter(shared_store.values()))
+    with pytest.raises(ValueError):
+        part["hist"][0] = 5.0
+
+
+def test_shared_store_under_thread_contention(shared_store):
+    # more workers than cores and a short switch interval: a lost update
+    # in the store would leave it off its cap or lose a chunk's stats
+    cap = experiment.SHARED_CHUNK_CAP
+    nchunks = 2 * cap
+    spec = ExperimentSpec(name="t", p=3, n=1, precision=1, mode="MAT",
+                          trials=nchunks * experiment.CHUNK_TRIALS, seed=1,
+                          workers=8, shared="stress")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        total = run_chunked(spec, lambda gen, size: {"trials": size})
+    finally:
+        sys.setswitchinterval(interval)
+    assert total["trials"] == spec.trials
+    assert len(shared_store) == cap
+
+
+def test_census_worker_invariance_with_cold_store(shared_store, monkeypatch):
+    monkeypatch.setattr(experiment, "CHUNK_TRIALS", 256)
+    base = {"trials": 1000, "seed": 8}  # four chunks, the last one partial
+    for name in CENSUS:
+        experiment.clear_shared_chunks()
+        one = _census_dicts(name, base)
+        experiment.clear_shared_chunks()
+        two = _census_dicts(name, {**base, "workers": 2})
+        assert len(shared_store) == 4
+        assert one == two

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from padicstats.matrix_lab import (
     GL,
@@ -19,7 +20,7 @@ from padicstats.matrix_lab import (
     smith_parts_quadratic,
     smith_parts_raw,
 )
-from padicstats.padic_core import PadicPoly, poly_from_roots
+from padicstats.padic_core import PadicPoly, berkowitz_charpoly, poly_from_roots
 
 
 def _cofactor_det(rows, m):
@@ -208,6 +209,40 @@ def test_fp_primary_multiplicity_refuses_inexact_float32():
     assert (got >= 4).all()
     with pytest.raises(ValueError, match="inexact"):
         fp_primary_multiplicity(np.zeros((1, 17, 17), dtype=np.int64), [0, 1], 1, p)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_batch_charpoly_exact_at_int64_budget_edge(data):
+    from padicstats.batched import (
+        MAX_INT64_PRODUCT,
+        batch_charpoly,
+        check_modulus_budget,
+    )
+
+    n = data.draw(st.integers(1, 6))
+    # the largest modulus the budget admits at this n
+    m = math.isqrt(MAX_INT64_PRODUCT // n) + 1
+    assert n * (m - 1) ** 2 <= MAX_INT64_PRODUCT < n * m ** 2
+    # entries near m - 1 make the products, and their sums, largest
+    entry = st.one_of(st.integers(m - 2 ** 16, m - 1), st.integers(0, m - 1))
+    row = st.lists(entry, min_size=n, max_size=n)
+    mats = data.draw(st.lists(st.lists(row, min_size=n, max_size=n),
+                              min_size=1, max_size=3))
+    mats.append([[m - 1] * n for _ in range(n)])  # the worst case
+    got = batch_charpoly(np.array(mats, dtype=np.int64), m)
+    for A, coeffs in zip(mats, got):
+        want = berkowitz_charpoly(
+            A, add=lambda a, b: (a + b) % m, mul=lambda a, b: (a * b) % m,
+            neg=lambda a: (-a) % m, zero=0, one=1,
+        )
+        assert coeffs.tolist() == want
+    # one past the edge is refused, not wrapped
+    check_modulus_budget(n, m)
+    with pytest.raises(ValueError, match="too large"):
+        check_modulus_budget(n, m + 1)
+    with pytest.raises(ValueError, match="too large"):
+        batch_charpoly(np.zeros((1, n, n), dtype=np.int64), m + 1)
 
 
 def test_rng_streams():

@@ -1,6 +1,7 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from padicstats.matrix_lab import GL, MAT, PadicMatrix, Rng, charpoly, sample_matrix
 from padicstats import root_census
@@ -61,6 +62,42 @@ def test_factor_mod_p_exhaustive_reconstitution():
                         prod_ = poly_mul(prod_, list(k), p)
                 assert prod_ == poly_trim(f)
                 assert fact.total_degree == deg
+
+
+@st.composite
+def _residues(draw):
+    """(p, coefficients low-first) of a poly with a unit leading residue;
+    coefficients are drawn past p so the cache key must reduce them."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    deg = draw(st.integers(0, 8))
+    low = draw(st.lists(st.integers(0, p ** 3), min_size=deg, max_size=deg))
+    lead = draw(st.integers(1, p - 1)) + p * draw(st.integers(0, 3))
+    return p, low + [lead]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_residues(), st.integers(0, 2 ** 32))
+def test_factor_mod_p_cache_matches_uncached(case, seed):
+    p, coeffs = case
+    residue = tuple(poly_trim([c % p for c in coeffs]))
+    fact = factor_mod_p(coeffs, p)
+    assert fact == root_census._factor(residue, p)
+    assert factor_mod_p(coeffs, p) is fact  # the second call is a cache hit
+    prod_ = [1]
+    for k, d, mult in fact.factors:
+        assert isinstance(k, tuple) and len(k) - 1 == d
+        for _ in range(mult):
+            prod_ = poly_mul(prod_, list(k), p)
+    inv = pow(residue[-1], -1, p)
+    assert prod_ == [(c * inv) % p for c in residue]
+    # a random stream bypasses the cache and is consumed exactly as an
+    # uncached factorization consumes it
+    info = root_census._factor_cached.cache_info()
+    gen, ref = Rng(seed).generator(), Rng(seed).generator()
+    assert factor_mod_p(coeffs, p, gen) == fact
+    assert root_census._factor(residue, p, ref) == fact
+    assert root_census._factor_cached.cache_info() == info
+    assert gen.integers(0, 2 ** 62) == ref.integers(0, 2 ** 62)
 
 
 def test_factor_mod_p_factors_are_irreducible():
