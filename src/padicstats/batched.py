@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 MAX_INT64_PRODUCT = 2 ** 62
-MAX_FLOAT32_EXACT = 2 ** 24  # float32 holds every integer up to this exactly
+MAX_FLOAT64_EXACT = 2 ** 53  # float64 holds every integer up to this exactly
 
 
 def check_modulus_budget(n: int, modulus: int):
@@ -28,11 +28,11 @@ def check_quad_budget(n: int, c: int, modulus: int):
     check_modulus_budget(max(2 * n * (1 + c % modulus), 1), modulus)
 
 
-def check_float32_budget(n: int, p: int):
-    """Refuse residues mod p whose n-term float32 dot products are inexact."""
-    if n * (p - 1) ** 2 > MAX_FLOAT32_EXACT:
+def check_float64_budget(n: int, p: int):
+    """Refuse residues mod p whose n-term float64 dot products are inexact."""
+    if n * (p - 1) ** 2 > MAX_FLOAT64_EXACT:
         raise ValueError(
-            f"float32 kernel is inexact at n={n}, p={p}: needs n (p-1)^2 <= 2^24"
+            f"float64 kernel is inexact at n={n}, p={p}: needs n (p-1)^2 <= 2^53"
         )
 
 
@@ -151,33 +151,45 @@ def batch_valuation(vals: np.ndarray, p: int, N: int) -> np.ndarray:
 
 def batch_rank_mod_p(mats: np.ndarray, p: int) -> np.ndarray:
     """Ranks over F_p of a batch of square matrices, by vectorized
-    elimination with a shared column schedule."""
-    A = (mats % p).astype(np.int64).copy()
-    B, n, _ = A.shape
-    if B == 0:
-        return np.zeros(0, dtype=np.int64)
+    elimination with a shared column schedule.
+
+    Step col eliminates with the pivot in the rows not yet used as pivots,
+    and only in the trailing columns col+1.., since no later step reads
+    column col.  Entries are reduced mod p lazily: each step adds at most
+    (p - 1)^2 to their magnitude, and the trailing block is reduced only
+    when the next update could pass MAX_INT64_PRODUCT.
+    """
+    # T[b, j, i] = A[b, i, j], so column j of A is the contiguous T[:, j]
+    T = np.remainder(mats.transpose(0, 2, 1), p, order="C").astype(
+        np.int64, copy=False)
+    B, n, _ = T.shape
     used = np.zeros((B, n), dtype=bool)
     rank = np.zeros(B, dtype=np.int64)
-    inv = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=np.int64)
     idx = np.arange(B)
+    step = (p - 1) ** 2
+    bound = p - 1  # every |entry| of the trailing block is at most this
     for col in range(n):
-        colvals = A[:, :, col]
+        colvals = T[:, col] % p
         cand = (colvals != 0) & ~used
         piv = cand.argmax(axis=1)
         found = cand[idx, piv]
-        pivrow = A[idx, piv, :].copy()
-        pivval = colvals[idx, piv]
-        scale = inv[pivval % p]
-        pivrow = (pivrow * scale[:, None]) % p
-        write = np.where(found[:, None], pivrow, A[idx, piv, :])
-        A[idx, piv, :] = write
-        colvals = A[:, :, col]
-        elim = (colvals != 0) & found[:, None]
-        elim[idx, piv] = False
-        factors = np.where(elim, colvals, 0)
-        A = (A - factors[:, :, None] * pivrow[:, None, :]) % p
-        used[idx, piv] |= found
         rank += found
+        used[idx, piv] |= found
+        if col == n - 1 or not found.any():
+            continue
+        # invert only the pivot values present at this step
+        vals, where = np.unique(colvals[idx, piv][found], return_inverse=True)
+        scale = np.zeros(B, dtype=np.int64)
+        scale[found] = np.array([pow(int(v), -1, p) for v in vals],
+                                dtype=np.int64)[where]
+        factors = np.where(used, 0, (colvals * scale[:, None]) % p)
+        rest = T[:, col + 1:]
+        if bound + step > MAX_INT64_PRODUCT:
+            rest %= p
+            bound = p - 1
+        pivrow = rest[idx, :, piv] % p
+        rest -= pivrow[:, :, None] * factors[:, None, :]
+        bound += step
     return rank
 
 
@@ -189,13 +201,13 @@ def batch_rank_mod_p(mats: np.ndarray, p: int) -> np.ndarray:
 
 def f2_pack(mats: np.ndarray) -> np.ndarray:
     """(B, n, n) 0/1 matrices -> (B, n) uint64 row bitmasks."""
-    n = mats.shape[2]
+    B, rows, n = mats.shape
     if n > 63:
         raise ValueError("packed F_2 kernels support n <= 63")
-    weights = (np.uint64(1) << np.arange(n, dtype=np.uint64))
-    return (mats.astype(np.uint64) * weights[None, None, :]).sum(
-        axis=2, dtype=np.uint64
-    )
+    # bit j of row i is entry (i, j): little-endian bytes of one uint64
+    packed = np.zeros((B, rows, 8), dtype=np.uint8)
+    packed[:, :, : (n + 7) // 8] = np.packbits(mats, axis=2, bitorder="little")
+    return packed.view("<u8")[:, :, 0].astype(np.uint64, copy=False)
 
 
 def f2_matmul(A: np.ndarray, B: np.ndarray, n: int) -> np.ndarray:
@@ -236,14 +248,13 @@ def f2_rank(rows: np.ndarray, n: int) -> np.ndarray:
 
 
 def f2_poly_of_matrix(packed: np.ndarray, coeffs, n: int) -> np.ndarray:
-    """Evaluate a monic F_2[x] polynomial at a packed matrix batch."""
-    out = None
-    for c in reversed(coeffs):
-        if out is None:
-            out = np.zeros_like(packed)
-            if c % 2:
-                out = f2_add_identity(out, n)
-            continue
+    """Evaluate a monic F_2[x] polynomial (coefficients low degree first,
+    degree >= 1) at a packed matrix batch, by Horner from A + c_{d-1} I."""
+    *low, lead = coeffs
+    if lead % 2 != 1 or not low:
+        raise ValueError("expected a monic polynomial of degree >= 1")
+    out = f2_add_identity(packed, n) if low[-1] % 2 else packed.copy()
+    for c in reversed(low[:-1]):
         out = f2_matmul(out, packed, n)
         if c % 2:
             out = f2_add_identity(out, n)
@@ -272,31 +283,28 @@ def f2_primary_multiplicity(mats: np.ndarray, coeffs, d: int,
 
 def fp_primary_multiplicity(mats: np.ndarray, coeffs, d: int, p: int,
                             cap_pow: int | None = None) -> np.ndarray:
-    """Odd-p fallback of f2_primary_multiplicity via float32 matmuls.
+    """Odd-p counterpart of f2_primary_multiplicity via float64 matmuls.
 
-    A float32 product of residues mod p is exact only while its row sums
-    n * (p - 1)^2 stay within 2^24; larger inputs raise ValueError.
+    A float64 product of residues mod p is exact while its row sums
+    n * (p - 1)^2 stay within 2^53; larger inputs raise ValueError.
     """
     B, n, _ = mats.shape
-    check_float32_budget(n, p)
+    check_float64_budget(n, p)
+    *low, lead = [c % p for c in coeffs]
+    if lead != 1 or not low:
+        raise ValueError("expected a monic polynomial of degree >= 1")
     if cap_pow is None:
         cap_pow = max(1, (max(n // d, 1) - 1).bit_length())
-    A = (mats % p).astype(np.float32)
-
-    def mul(X, Y):
-        return np.matmul(X, Y).astype(np.float32) % p
-
-    eye = np.eye(n, dtype=np.float32)[None, :, :]
-    out = None
-    for c in reversed(list(coeffs)):
-        if out is None:
-            out = (c % p) * np.broadcast_to(eye, (B, n, n)).copy()
-            continue
-        out = mul(out, A)
-        out = (out + (c % p) * eye) % p
-    M = out
+    A = (mats % p).astype(np.float64)
+    diag = np.arange(n)
+    # Horner from A + c_{d-1} I; only the diagonal needs reducing after +c I
+    M = A.copy()
+    M[:, diag, diag] = (M[:, diag, diag] + low[-1]) % p
+    for c in reversed(low[:-1]):
+        M = np.matmul(M, A) % p
+        M[:, diag, diag] = (M[:, diag, diag] + c) % p
     for _ in range(cap_pow):
-        M = mul(M, M)
+        M = np.matmul(M, M) % p
     r = batch_rank_mod_p(M.astype(np.int64), p)
     return (n - r) // d
 

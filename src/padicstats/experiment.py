@@ -258,7 +258,9 @@ def finalize(report) -> None:
 # ---------------------------------------------------------------------------
 
 
-# shared-pass key -> one chunk's stats dict, least recently used first
+# shared-pass key -> one chunk's stats dict, least recently used first.
+# A key is (shared, p, n, N, mode, seed, chunk index, chunk size); its
+# first six fields name the pass the chunk belongs to.
 _shared_chunks: OrderedDict = OrderedDict()
 _shared_lock = threading.Lock()
 
@@ -282,9 +284,17 @@ def _shared_put(key, part: dict) -> None:
         if isinstance(v, np.ndarray):
             v.flags.writeable = False  # every later reader gets this object
     with _shared_lock:
+        if key not in _shared_chunks and len(_shared_chunks) >= SHARED_CHUNK_CAP:
+            # Evict the least recently used chunk of another pass.  A full
+            # store of this pass's own chunks keeps them and drops the new
+            # one: evicting those would make a repeat of a pass longer than
+            # the cap recompute every chunk, each evicting one it needs next.
+            pass_ = key[:6]
+            other = next((k for k in _shared_chunks if k[:6] != pass_), None)
+            if other is None:
+                return
+            del _shared_chunks[other]
         _shared_chunks[key] = part
-        while len(_shared_chunks) > SHARED_CHUNK_CAP:
-            _shared_chunks.popitem(last=False)
 
 
 def run_chunked(spec: ExperimentSpec, chunk_fn) -> dict:

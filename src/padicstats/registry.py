@@ -23,7 +23,7 @@ from .batched import (
     batch_charpoly_quad,
     batch_det,
     batch_valuation,
-    check_float32_budget,
+    check_float64_budget,
     check_modulus_budget,
     check_quad_budget,
     f2_primary_multiplicity,
@@ -131,7 +131,7 @@ def _sampling_budget(spec):
 
 def _island_budget(spec):
     if spec.p != 2:
-        check_float32_budget(spec.n, spec.p)
+        check_float64_budget(spec.n, spec.p)
     elif spec.n > 63:
         raise ValueError("packed F_2 kernels support n <= 63")
 
@@ -368,6 +368,12 @@ def _run_det_moment_exact(spec):
 # ---------------------------------------------------------------------------
 
 ISLAND_MAX_J = 6
+# The kernels count dim ker F(A)^K / d = sum_i min(K, s_i) over the sizes
+# s_i of the F-primary blocks of A, which sum to the multiplicity mult.  If
+# every s_i < K this is mult; otherwise both it and mult are >= K.  So with
+# K = 2^ISLAND_CAP_POW >= ISLAND_MAX_J + 1, min(count, ISLAND_MAX_J + 1)
+# equals min(mult, ISLAND_MAX_J + 1), the only value the histogram keeps.
+ISLAND_CAP_POW = ISLAND_MAX_J.bit_length()
 
 
 def _island_factor(p: int, d: int):
@@ -385,9 +391,9 @@ def _run_island_law(spec):
     def chunk(gen, size):
         mats = gen.integers(0, p, size=(size, n, n), dtype=np.int64)
         if p == 2:
-            mult = f2_primary_multiplicity(mats, coeffs, d)
+            mult = f2_primary_multiplicity(mats, coeffs, d, ISLAND_CAP_POW)
         else:
-            mult = fp_primary_multiplicity(mats, coeffs, d, p)
+            mult = fp_primary_multiplicity(mats, coeffs, d, p, ISLAND_CAP_POW)
         hist = np.bincount(
             np.minimum(mult, ISLAND_MAX_J + 1), minlength=ISLAND_MAX_J + 2
         ).astype(np.float64)
@@ -1029,6 +1035,7 @@ _register(ExperimentDef(
     runner=_run_var_zp,
     min_precision=8,
     budget=_charpoly_budget,
+    shared="zp",
 ))
 
 _register(ExperimentDef(
@@ -1039,6 +1046,7 @@ _register(ExperimentDef(
     runner=_run_pair_hist,
     min_precision=8,
     budget=_charpoly_budget,
+    shared="zp",
 ))
 
 _register(ExperimentDef(

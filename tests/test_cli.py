@@ -104,7 +104,7 @@ def test_bad_run_parameters_are_usage_errors(argv, capsys):
 @pytest.mark.parametrize("argv", [
     ["run", "E_Zp_count", "--n", "30", "--precision", "19"],
     ["run", "E_Zp_count", "--precision", "40"],
-    ["run", "island_law", "--p", "1009", "--n", "60"],
+    ["run", "island_law", "--p", "1009", "--n", str(2 ** 53 // 1008 ** 2 + 1)],
 ])
 def test_kernel_budget_is_a_usage_error(argv, capsys):
     # past the batched kernels' exact range: refused before any sampling

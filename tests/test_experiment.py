@@ -243,7 +243,7 @@ def test_report_fields_json_schema():
     ("en_decay", {"sizes": (2, 3, 40), "N": 18, "p": 3}),  # the largest size counts
     ("charpoly_det_identity", {"p": 2}),      # no quadratic non-residue
     ("cok_markov", {"N": 64}),                # sampling mod 2^64
-    ("island_law", {"p": 1009, "n": 60}),     # float32 products inexact
+    ("island_law", {"p": 1009, "n": 2 ** 53 // 1008 ** 2 + 1}),  # float64 inexact
     ("island_law", {"p": 2, "n": 64}),        # packed F_2 rows hold 63 bits
 ])
 def test_kernel_budgets_refused_when_spec_is_built(name, overrides):
@@ -252,10 +252,11 @@ def test_kernel_budgets_refused_when_spec_is_built(name, overrides):
 
 
 def test_kernel_budgets_accept_their_edge():
-    # 6 (3^18 - 1)^2 < 2^62 and 16 (1009 - 1)^2 < 2^24
+    # 6 (3^18 - 1)^2 < 2^62 and n (1009 - 1)^2 <= 2^53
     assert build_experiment("E_Zp_count", {"N": 18}).precision == 18
     assert build_experiment("en_decay", {"N": 18, "p": 3}).precision == 18
-    assert build_experiment("island_law", {"p": 1009, "n": 16}).n == 16
+    edge = 2 ** 53 // 1008 ** 2
+    assert build_experiment("island_law", {"p": 1009, "n": edge}).n == edge
     assert build_experiment("cok_markov", {"N": 63}).precision == 63
 
 
@@ -340,12 +341,39 @@ def test_shared_store_is_capped(shared_store):
     assert max(sizes) <= cap and len(shared_store) == cap
     assert total["trials"] == spec.trials
     assert total["hist"].tolist() == [nchunks, nchunks]
-    # the oldest chunks were evicted
-    assert sorted(k[6] for k in shared_store) == list(range(nchunks - cap, nchunks))
+    # a pass longer than the cap keeps its first chunks
+    assert sorted(k[6] for k in shared_store) == list(range(cap))
     # stored parts are read-only, so no reader can change what others see
     part = next(iter(shared_store.values()))
     with pytest.raises(ValueError):
         part["hist"][0] = 5.0
+
+
+def test_repeated_long_shared_pass_recomputes_only_its_overflow(
+        shared_store, monkeypatch):
+    cap, size = 8, experiment.CHUNK_TRIALS
+    monkeypatch.setattr(experiment, "SHARED_CHUNK_CAP", cap)
+    calls = []
+
+    def chunk(gen, trials):
+        calls.append(trials)
+        return {"trials": trials}
+
+    def spec(seed, nchunks):
+        return ExperimentSpec(name="t", p=3, n=1, precision=1, mode="MAT",
+                              trials=nchunks * size, seed=seed, shared="long")
+
+    assert run_chunked(spec(0, cap + 5), chunk)["trials"] == (cap + 5) * size
+    assert len(calls) == cap + 5 and len(shared_store) == cap
+    calls.clear()
+    assert run_chunked(spec(0, cap + 5), chunk)["trials"] == (cap + 5) * size
+    assert len(calls) == 5
+    # another pass still gets in, evicting the first pass's chunks
+    calls.clear()
+    run_chunked(spec(1, 2), chunk)
+    run_chunked(spec(1, 2), chunk)
+    assert len(calls) == 2 and len(shared_store) == cap
+    assert sum(k[5] == 1 for k in shared_store) == 2
 
 
 def test_shared_store_under_thread_contention(shared_store):
@@ -364,6 +392,35 @@ def test_shared_store_under_thread_contention(shared_store):
         sys.setswitchinterval(interval)
     assert total["trials"] == spec.trials
     assert len(shared_store) == cap
+
+
+def test_zp_experiments_share_one_pass(shared_store):
+    names = ("var_zp", "pair_valuation_hist")
+    for name in names:
+        assert build_experiment(name).shared == "zp"
+    base = {"trials": 700, "seed": 11}
+    cold = {}
+    for name in names:
+        experiment.clear_shared_chunks()
+        cold[name] = _census_dicts(name, base)
+    experiment.clear_shared_chunks()
+    warm = {name: _census_dicts(name, base) for name in names}
+    assert len(shared_store) == 1  # one chunk, drawn once for both
+    assert warm == cold
+
+
+@pytest.mark.parametrize("overrides", [
+    {"p": 3, "n": 12, "d": 1},
+    {"p": 2, "n": 20, "d": 2},
+])
+def test_island_law_cap_gives_the_default_cap_report(overrides, monkeypatch):
+    from padicstats import registry
+
+    spec = build_experiment("island_law", {**overrides, "trials": 400, "seed": 9})
+    capped = _strip_wall([r.to_dict() for r in run_experiment(spec)])
+    monkeypatch.setattr(registry, "ISLAND_CAP_POW", None)  # the kernels' default
+    full = _strip_wall([r.to_dict() for r in run_experiment(spec)])
+    assert capped == full
 
 
 def test_census_worker_invariance_with_cold_store(shared_store, monkeypatch):

@@ -193,22 +193,177 @@ def test_gl_acceptance_rate():
     assert abs(hits / trials - want) < 3 * se
 
 
-def test_fp_primary_multiplicity_refuses_inexact_float32():
-    from padicstats.batched import batch_rank_mod_p, fp_primary_multiplicity
+def _exact_multiplicity(A, coeffs, p):
+    """n - rank F(A)^n over F_p, in Python integers: the exact reference."""
+    from padicstats.matrix_lab import _rank_mod_p
 
-    # n (p - 1)^2 <= 2^24 holds up to n = 16 at p = 1009
-    p = 1009
+    n = len(A)
+
+    def mul(X, Y):
+        return [[sum(X[i][k] * Y[k][j] for k in range(n)) % p
+                 for j in range(n)] for i in range(n)]
+
+    F = [[0] * n for _ in range(n)]
+    for c in reversed(coeffs):  # Horner
+        F = mul(F, A)
+        for i in range(n):
+            F[i][i] = (F[i][i] + c) % p
+    power = F
+    for _ in range(n - 1):
+        power = mul(power, F)
+    return n - _rank_mod_p(power, p)
+
+
+def test_fp_primary_multiplicity_refuses_inexact_float64():
+    from padicstats.batched import check_float64_budget, fp_primary_multiplicity
+    from padicstats.padic_core import is_prime
+
+    # the largest prime with 4 (p - 1)^2 <= 2^53; at n = 5 it is past the bound
+    p = math.isqrt(2 ** 53 // 4) + 1
+    while not is_prime(p):
+        p -= 1
+    assert 4 * (p - 1) ** 2 <= 2 ** 53 < 5 * (p - 1) ** 2
     gen = Rng(12).generator()
-    mats = gen.integers(0, p, size=(3, 16, 16), dtype=np.int64)
-    mats[:, :, :4] = 0  # a kernel of dimension >= 4 for the factor x
+    mats = gen.integers(p - 2 ** 10, p, size=(6, 4, 4), dtype=np.int64)
+    mats[:3, :, 0] = 0  # A e_0 = 0: a kernel for the factor x
+    mats[3:, :, 0] = 0  # A e_0 = e_0: a kernel for the factor x - 1
+    mats[3:, 0, 0] = 1
+    for coeffs in ([0, 1], [p - 1, 1]):
+        got = fp_primary_multiplicity(mats, coeffs, 1, p)
+        want = [_exact_multiplicity(A, coeffs, p) for A in mats.tolist()]
+        assert got.tolist() == want
+    assert min(fp_primary_multiplicity(mats[:3], [0, 1], 1, p)) >= 1
+    assert min(fp_primary_multiplicity(mats[3:], [p - 1, 1], 1, p)) >= 1
+    with pytest.raises(ValueError, match="inexact"):
+        fp_primary_multiplicity(np.zeros((1, 5, 5), dtype=np.int64), [0, 1], 1, p)
+    edge = 2 ** 53 // 1008 ** 2
+    check_float64_budget(edge, 1009)
+    with pytest.raises(ValueError, match="inexact"):
+        check_float64_budget(edge + 1, 1009)
+
+
+def test_fp_primary_multiplicity_exact_at_p1009_n60():
+    # float32 products were inexact here: a planted nilpotent 3-block
+    # came back as multiplicity 0
+    from padicstats.batched import fp_primary_multiplicity
+    from padicstats.matrix_lab import _rank_mod_p
+
+    p, n = 1009, 60
+    gen = Rng(13).generator()
+    mats = gen.integers(0, p, size=(4, n, n), dtype=np.int64)
+    mats[:, :3, :] = 0
+    mats[:, 3:, :3] = 0
+    mats[:, 0, 1] = mats[:, 1, 2] = 1  # the Jordan block J_3(0)
+    for A in mats:  # elementary similarities spread it over every entry
+        for i, j, c in zip(gen.integers(0, n, 400), gen.integers(0, n, 400),
+                           gen.integers(1, p, 400)):
+            if i != j:
+                A[i] = (A[i] + c * A[j]) % p
+                A[:, j] = (A[:, j] - c * A[:, i]) % p
+    assert (mats != 0).mean() > 0.99
     got = fp_primary_multiplicity(mats, [0, 1], 1, p)
     power = mats.copy()
-    for _ in range(4):  # A^16, past the largest multiplicity
+    for _ in range(6):  # A^64, past the largest multiplicity
         power = np.matmul(power, power) % p
-    assert (got == 16 - batch_rank_mod_p(power, p)).all()
-    assert (got >= 4).all()
-    with pytest.raises(ValueError, match="inexact"):
-        fp_primary_multiplicity(np.zeros((1, 17, 17), dtype=np.int64), [0, 1], 1, p)
+    want = [n - _rank_mod_p(A, p) for A in power.tolist()]
+    assert got.tolist() == want
+    assert min(want) >= 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_batch_rank_mod_p_matches_scalar_rank(data):
+    from padicstats.batched import batch_rank_mod_p
+    from padicstats.matrix_lab import _rank_mod_p
+
+    # at p = 2^31 - 1 one update step reaches 2^62, so the trailing block
+    # is reduced before every step
+    p = data.draw(st.sampled_from([2, 3, 5, 1009, 2 ** 31 - 1]))
+    n = data.draw(st.integers(1, 6))
+    entry = st.one_of(st.integers(max(0, p - 4), p - 1), st.integers(0, p - 1))
+
+    def planted(r):
+        # L R with L n x r and R r x n has rank <= r
+        L = data.draw(st.lists(st.lists(entry, min_size=r, max_size=r),
+                               min_size=n, max_size=n))
+        R = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                               min_size=r, max_size=r))
+        return [[sum(L[i][k] * R[k][j] for k in range(r)) % p
+                 for j in range(n)] for i in range(n)]
+
+    mats = [planted(data.draw(st.integers(0, n))) for _ in range(data.draw(st.integers(1, 4)))]
+    mats.append([[p - 1] * n for _ in range(n)])
+    arr = np.array(mats, dtype=np.int64)
+    # unreduced entries are reduced first
+    lift = data.draw(st.integers(0, 3))
+    got = batch_rank_mod_p(arr + p * lift, p)
+    assert got.tolist() == [_rank_mod_p(A, p) for A in mats]
+
+
+@pytest.mark.parametrize("p,coeffs", [
+    (2, [0, 1]), (2, [1, 1, 1]), (3, [2, 1]), (3, [1, 0, 1]),
+])
+def test_primary_multiplicity_kernels_match_exact_reference(p, coeffs):
+    from padicstats.batched import f2_primary_multiplicity, fp_primary_multiplicity
+
+    d = len(coeffs) - 1
+    mats = Rng(30 + p + d).generator().integers(0, p, size=(40, 8, 8),
+                                                dtype=np.int64)
+    mats[:10, :, :4] = 0  # x divides the characteristic polynomial
+    if p == 2:
+        got = f2_primary_multiplicity(mats, coeffs, d)
+    else:
+        got = fp_primary_multiplicity(mats, coeffs, d, p)
+    want = [_exact_multiplicity(A, coeffs, p) // d for A in mats.tolist()]
+    assert got.tolist() == want
+    assert any(want)
+
+
+def test_batch_rank_mod_p_reduces_before_int64_overflow():
+    # at p = 2^31 - 1 three unreduced updates of a 16 x 16 elimination
+    # would pass 2^63; planted dependent rows keep the ranks below 16
+    from padicstats.batched import batch_rank_mod_p
+    from padicstats.matrix_lab import _rank_mod_p
+
+    p = 2 ** 31 - 1
+    gen = Rng(14).generator()
+    mats = gen.integers(0, p, size=(8, 16, 16), dtype=np.int64)
+    for b in range(4):
+        mats[b, 8 + b:] = mats[b, : 8 - b] * 3 % p
+    got = batch_rank_mod_p(mats, p)
+    assert got.tolist() == [_rank_mod_p(A, p) for A in mats.tolist()]
+    assert got.tolist() == [8 + b for b in range(4)] + [16] * 4
+
+
+def _planted_island_batch(p, seed):
+    """16 x 16 matrices mod p, half with a nilpotent Jordan block of size
+    10, so that x has multiplicity >= 10 there."""
+    gen = Rng(seed).generator()
+    mats = gen.integers(0, p, size=(64, 16, 16), dtype=np.int64)
+    mats[:32, :10, :] = 0
+    mats[:32, 10:, :10] = 0
+    for i in range(9):
+        mats[:32, i, i + 1] = 1
+    return mats
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_island_cap_keeps_the_capped_histogram(p):
+    from padicstats.batched import f2_primary_multiplicity, fp_primary_multiplicity
+    from padicstats.registry import ISLAND_CAP_POW, ISLAND_MAX_J
+
+    assert 2 ** ISLAND_CAP_POW >= ISLAND_MAX_J + 1
+    mats = _planted_island_batch(p, 20 + p)
+    if p == 2:
+        full = f2_primary_multiplicity(mats, [0, 1], 1)
+        capped = f2_primary_multiplicity(mats, [0, 1], 1, ISLAND_CAP_POW)
+    else:
+        full = fp_primary_multiplicity(mats, [0, 1], 1, p)
+        capped = fp_primary_multiplicity(mats, [0, 1], 1, p, ISLAND_CAP_POW)
+    assert (full[:32] >= 10).all()
+    assert (capped[:32] < full[:32]).all()  # K = 8 cuts the 10-block short
+    top = ISLAND_MAX_J + 1
+    assert (np.minimum(capped, top) == np.minimum(full, top)).all()
 
 
 @settings(max_examples=80, deadline=None)
