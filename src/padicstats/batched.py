@@ -281,6 +281,47 @@ def f2_primary_multiplicity(mats: np.ndarray, coeffs, d: int,
     return (n - r) // d
 
 
+def float64_mod_inplace(X: np.ndarray, p: int,
+                        scratch: np.ndarray) -> np.ndarray:
+    """X %= p for float64 integers 0 <= X <= 2^53, in place.
+
+    scratch is a float64 array of X's shape whose contents are discarded.
+    The rounded quotient X / p is within one of the exact one, so a pass
+    of X -= p floor(X / p) leaves X within one step of its residue
+    (-p < X < 2p), and a second pass over those small values is exact.
+    """
+    for _ in range(2):
+        np.divide(X, p, out=scratch)
+        np.floor(scratch, out=scratch)
+        scratch *= p
+        X -= scratch
+    return X
+
+
+def _fp_poly_power(mats: np.ndarray, low: list, p: int,
+                   cap_pow: int) -> np.ndarray:
+    """F(A)^(2^cap_pow) mod p in float64, for monic F = x^d + sum low[i] x^i.
+
+    Each product is written to a second buffer and reduced there with its
+    operand as scratch, so no step allocates a full-size array.
+    """
+    n = mats.shape[1]
+    A = (mats % p).astype(np.float64)
+    diag = np.arange(n)
+    # Horner from A + c_{d-1} I; only the diagonal needs reducing after +c I
+    M = A.copy()
+    M[:, diag, diag] = (M[:, diag, diag] + low[-1]) % p
+    S = np.empty_like(M)
+    for c in reversed(low[:-1]):
+        np.matmul(M, A, out=S)
+        M, S = float64_mod_inplace(S, p, scratch=M), M
+        M[:, diag, diag] = (M[:, diag, diag] + c) % p
+    for _ in range(cap_pow):
+        np.matmul(M, M, out=S)
+        M, S = float64_mod_inplace(S, p, scratch=M), M
+    return M
+
+
 def fp_primary_multiplicity(mats: np.ndarray, coeffs, d: int, p: int,
                             cap_pow: int | None = None) -> np.ndarray:
     """Odd-p counterpart of f2_primary_multiplicity via float64 matmuls.
@@ -295,17 +336,9 @@ def fp_primary_multiplicity(mats: np.ndarray, coeffs, d: int, p: int,
         raise ValueError("expected a monic polynomial of degree >= 1")
     if cap_pow is None:
         cap_pow = max(1, (max(n // d, 1) - 1).bit_length())
-    A = (mats % p).astype(np.float64)
-    diag = np.arange(n)
-    # Horner from A + c_{d-1} I; only the diagonal needs reducing after +c I
-    M = A.copy()
-    M[:, diag, diag] = (M[:, diag, diag] + low[-1]) % p
-    for c in reversed(low[:-1]):
-        M = np.matmul(M, A) % p
-        M[:, diag, diag] = (M[:, diag, diag] + c) % p
-    for _ in range(cap_pow):
-        M = np.matmul(M, M) % p
-    r = batch_rank_mod_p(M.astype(np.int64), p)
+    # the float64 buffers are freed before the elimination runs
+    M = _fp_poly_power(mats, low, p, cap_pow).astype(np.int64)
+    r = batch_rank_mod_p(M, p)
     return (n - r) // d
 
 

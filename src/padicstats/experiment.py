@@ -376,6 +376,17 @@ def make_estimate_report(spec, estimand, sums, sumsq, used, analytic,
     return rep
 
 
+def chi2_sf(x: float, dof: int) -> float:
+    """Upper tail P(X > x) of the chi-square law with dof degrees of freedom.
+
+    scipy's chi2.sf is this same chdtrc call, but importing its stats
+    module costs about a second and tens of MB; scipy.special does not.
+    """
+    from scipy.special import chdtrc
+
+    return float(chdtrc(dof, x))
+
+
 def chi_square_pvalue(observed: np.ndarray, probs: np.ndarray,
                       min_expected: float = 5.0) -> tuple:
     """Goodness-of-fit chi-square with pooling of low-expectation cells.
@@ -383,8 +394,6 @@ def chi_square_pvalue(observed: np.ndarray, probs: np.ndarray,
     Returns (chi2, dof, p_value).  Cells with expected count below the
     threshold are pooled into one bucket.
     """
-    from scipy.stats import chi2 as chi2_dist
-
     total = observed.sum()
     expected = probs * total
     keep = expected >= min_expected
@@ -397,7 +406,7 @@ def chi_square_pvalue(observed: np.ndarray, probs: np.ndarray,
         dof += 1
     if dof < 1:
         return chi2, 0, 1.0
-    return chi2, dof, float(chi2_dist.sf(chi2, dof))
+    return chi2, dof, chi2_sf(chi2, dof)
 
 
 def contingency_chi2(table: np.ndarray) -> tuple:

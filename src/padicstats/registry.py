@@ -38,6 +38,7 @@ from .experiment import (
     ExactReport,
     ExperimentSpec,
     InvalidSpec,
+    chi2_sf,
     chi_square_pvalue,
     check_enumeration_budget,
     contingency_chi2,
@@ -76,9 +77,10 @@ class ExperimentDef:
 
     def make_spec(self, overrides: dict) -> ExperimentSpec:
         """The run request for these overrides.  Unknown keys raise
-        KeyError; a non-prime p, trials < 1, an unknown mode or parameters
-        outside the batched kernels' exact range raise InvalidSpec, before
-        anything is sampled."""
+        KeyError; a non-prime p, n, trials or workers < 1, a seed outside
+        [0, 2^64), an unknown mode or parameters outside the batched
+        kernels' exact range raise InvalidSpec, before anything is
+        sampled."""
         base = dict(self.defaults)
         known = set(base) | {"p", "n", "N", "trials", "seed", "workers", "mode"}
         for k in overrides:
@@ -104,8 +106,14 @@ class ExperimentDef:
         )
         if not is_prime(spec.p):
             raise InvalidSpec(f"p = {spec.p} is not prime")
+        if spec.n < 1:
+            raise InvalidSpec(f"n must be >= 1, got {spec.n}")
         if spec.trials < 1:
             raise InvalidSpec(f"trials must be >= 1, got {spec.trials}")
+        if spec.workers < 1:
+            raise InvalidSpec(f"workers must be >= 1, got {spec.workers}")
+        if not 0 <= spec.seed < 2 ** 64:
+            raise InvalidSpec(f"seed must lie in [0, 2^64), got {spec.seed}")
         if spec.mode not in (MAT, GL, POLY):
             raise InvalidSpec(f"mode must be {MAT}, {GL} or {POLY}, got {spec.mode!r}")
         if self.budget is not None:
@@ -130,6 +138,8 @@ def _sampling_budget(spec):
 
 
 def _island_budget(spec):
+    if spec.params["d"] < 1:
+        raise ValueError(f"d must be >= 1, got {spec.params['d']}")
     if spec.p != 2:
         check_float64_budget(spec.n, spec.p)
     elif spec.n > 63:
@@ -499,9 +509,7 @@ def _run_cok_joint_chain(spec):
         c, d = contingency_chi2(sub.astype(np.float64))
         chi2 += c
         dof += d
-    from scipy.stats import chi2 as chi2_dist
-
-    pval = float(chi2_dist.sf(chi2, dof)) if dof >= 1 else 1.0
+    pval = chi2_sf(chi2, dof) if dof >= 1 else 1.0
     used = int(table.sum())
     rep = EstimateReport(
         name=spec.name, params=spec.describe(),

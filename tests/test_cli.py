@@ -102,6 +102,24 @@ def test_bad_run_parameters_are_usage_errors(argv, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["run", "det_moment", "--n", "0"],
+    ["run", "det_moment", "--workers", "0"],
+    ["run", "det_moment", "--workers", "-3"],
+    ["run", "det_moment", "--seed", "-1"],
+    ["run", "det_moment", "--seed", str(2 ** 64)],
+    ["run", "island_law", "--d", "0"],
+    ["suite", "--filter", "det_moment*", "--workers", "0"],
+])
+def test_bad_size_worker_seed_and_degree_are_usage_errors(argv, capsys):
+    # n, workers and d below 1 and seeds outside [0, 2^64) are refused
+    # before sampling, with exit 2 and a usage message
+    assert dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ")
+
+
+@pytest.mark.parametrize("argv", [
     ["run", "E_Zp_count", "--n", "30", "--precision", "19"],
     ["run", "E_Zp_count", "--precision", "40"],
     ["run", "island_law", "--p", "1009", "--n", str(2 ** 53 // 1008 ** 2 + 1)],

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -258,6 +260,71 @@ def test_kernel_budgets_accept_their_edge():
     edge = 2 ** 53 // 1008 ** 2
     assert build_experiment("island_law", {"p": 1009, "n": edge}).n == edge
     assert build_experiment("cok_markov", {"N": 63}).precision == 63
+
+
+def test_run_parameter_edges_accepted():
+    spec = build_experiment(
+        "det_moment", {"n": 1, "workers": 1, "seed": 2 ** 64 - 1})
+    assert (spec.n, spec.workers, spec.seed) == (1, 1, 2 ** 64 - 1)
+    assert build_experiment("det_moment", {"seed": 0}).seed == 0
+    assert build_experiment("island_law", {"d": 1}).params["d"] == 1
+
+
+# ---------------------------------------------------------------------------
+# Chi-square tails from scipy.special.
+# ---------------------------------------------------------------------------
+
+
+def test_chi2_sf_equals_the_stats_module_bitwise():
+    from scipy.stats import chi2
+
+    gen = Rng(31).generator()
+    fixed = np.array([0.0, 1e-300, 1e-12, 0.5, 1.0, 1e4])
+    drawn = np.concatenate([
+        gen.uniform(0, 50, 200), gen.uniform(0, 1e4, 200),
+        gen.exponential(100, 200),
+    ])
+    for dof in range(1, 400):
+        for x in np.concatenate([fixed, gen.choice(drawn, 40)]):
+            assert experiment.chi2_sf(float(x), dof) == float(chi2.sf(x, dof)), (x, dof)
+
+
+def test_chi_square_pvalue_equals_the_stats_module_bitwise():
+    from scipy.stats import chi2
+
+    gen = Rng(32).generator()
+    seen_pooled = 0
+    for _ in range(300):
+        k = int(gen.integers(2, 30))
+        probs = gen.dirichlet(np.ones(k) * float(gen.uniform(0.2, 3.0)))
+        total = int(gen.integers(20, 5000))
+        observed = gen.multinomial(total, probs).astype(np.float64)
+        stat, dof, pval = experiment.chi_square_pvalue(observed, probs)
+        seen_pooled += bool((probs * total < 5.0).any())
+        if dof >= 1:
+            assert pval == float(chi2.sf(stat, dof))
+        else:
+            assert pval == 1.0
+    assert seen_pooled > 0  # the pooled-cell branch was exercised
+
+
+def test_cokernel_chain_p_values_skip_the_stats_import():
+    # the p-value step of both cokernel chains needs scipy.special only
+    code = (
+        "import sys\n"
+        "from padicstats.experiment import build_experiment, run_experiment\n"
+        "for name in ('cok_markov', 'cok_joint_chain'):\n"
+        "    reps = run_experiment(build_experiment(name, {'trials': 4096}))\n"
+        "    assert 'dof 0' not in reps[0].details and 'dof' in reps[0].details\n"
+        "assert 'scipy.special' in sys.modules\n"
+        "assert 'scipy.stats' not in sys.modules, 'scipy.stats was imported'\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------

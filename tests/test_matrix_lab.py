@@ -400,6 +400,104 @@ def test_batch_charpoly_exact_at_int64_budget_edge(data):
         batch_charpoly(np.zeros((1, n, n), dtype=np.int64), m + 1)
 
 
+def _largest_prime_for_float64_at_n4():
+    from padicstats.padic_core import is_prime
+
+    p = math.isqrt(2 ** 53 // 4) + 1
+    while not is_prime(p):
+        p -= 1
+    return p
+
+
+@pytest.mark.parametrize("p", [3, 1009, _largest_prime_for_float64_at_n4()])
+def test_float64_mod_inplace_is_exact(p):
+    from padicstats.batched import MAX_FLOAT64_EXACT, float64_mod_inplace
+
+    top = MAX_FLOAT64_EXACT
+    gen = Rng(p).generator()
+    ks = np.concatenate([
+        np.arange(0, 64), gen.integers(0, top // p + 1, 2000),
+        np.arange(top // p - 64, top // p + 1),
+    ])
+    vals = {int(v) for k in ks.tolist() for v in (k * p - 1, k * p, k * p + 1)}
+    vals |= set(range(top - 256, top + 1))  # next to 2^53
+    vals |= set(gen.integers(0, top + 1, 2000).tolist())
+    ints = sorted(v for v in vals if 0 <= v <= top)
+    X = np.array(ints, dtype=np.float64)
+    assert X.astype(np.int64).tolist() == ints  # every input is exact
+    scratch = np.full_like(X, np.nan)
+    out = float64_mod_inplace(X, p, scratch)
+    assert out is X
+    assert X.astype(np.int64).tolist() == [v % p for v in ints]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_batch_charpoly_quad_exact_at_int64_budget_edge(data):
+    from padicstats.batched import (
+        MAX_INT64_PRODUCT,
+        batch_charpoly_quad,
+        check_quad_budget,
+    )
+    from padicstats.padic_core import QuotientRing
+
+    n = data.draw(st.integers(1, 5))
+    c = data.draw(st.integers(0, 40))
+    # the largest modulus check_quad_budget admits for x^2 - c at this n
+    m = math.isqrt(MAX_INT64_PRODUCT // (2 * n * (1 + c))) + 1
+    assert c < m
+    assert 2 * n * (1 + c) * (m - 1) ** 2 <= MAX_INT64_PRODUCT
+    assert 2 * n * (1 + c) * m ** 2 > MAX_INT64_PRODUCT
+    entry = st.one_of(st.integers(m - 2 ** 12, m - 1), st.integers(0, m - 1))
+    row = st.lists(st.tuples(entry, entry), min_size=n, max_size=n)
+    mats = data.draw(st.lists(st.lists(row, min_size=n, max_size=n),
+                              min_size=1, max_size=3))
+    mats.append([[(m - 1, m - 1)] * n for _ in range(n)])  # the worst case
+    arr = np.array(mats, dtype=np.int64)
+    cu, cv = batch_charpoly_quad(arr[..., 0], arr[..., 1], c, m)
+    ring = QuotientRing(m, 1, (-c, 0, 1))  # Z/m[x]/(x^2 - c)
+    for A, u, v in zip(mats, cu.tolist(), cv.tolist()):
+        want = berkowitz_charpoly(
+            A, add=ring.add, mul=ring.mul, neg=ring.neg,
+            zero=ring.zero, one=ring.one,
+        )
+        assert list(zip(u, v)) == want
+    # one past the edge is refused, not wrapped
+    check_quad_budget(n, c, m)
+    with pytest.raises(ValueError, match="too large"):
+        check_quad_budget(n, c, m + 1)
+    zeros = np.zeros((1, n, n), dtype=np.int64)
+    with pytest.raises(ValueError, match="too large"):
+        batch_charpoly_quad(zeros, zeros, c, m + 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_batch_valuation_matches_raw_valuation(data):
+    from padicstats.batched import batch_valuation
+    from padicstats.padic_core import SATURATED, raw_valuation
+
+    p = data.draw(st.sampled_from([2, 3, 5, 7, 1009]))
+    top = 1
+    while p ** (top + 1) <= 2 ** 62:
+        top += 1
+    N = data.draw(st.integers(1, top))
+    m = p ** N
+    # units times p^k, with k up to N + 2 so that some residues saturate
+    planted = st.builds(lambda u, k, t: u * p ** k + t * m,
+                        st.integers(1, 2 ** 20), st.integers(0, N + 2),
+                        st.integers(-4, 4))
+    raw = st.integers(-(2 ** 62), 2 ** 62)
+    vals = data.draw(st.lists(st.one_of(planted, raw), min_size=1, max_size=40))
+    vals = [v for v in vals if abs(v) < 2 ** 63] + [0, m, -m]
+    got = batch_valuation(np.array(vals, dtype=np.int64), p, N)
+    want = []
+    for v in vals:
+        r = raw_valuation(v, p, m)
+        want.append(N if r is SATURATED else r)
+    assert got.tolist() == want
+
+
 def test_rng_streams():
     g1 = Rng(5, stream_id=0).generator()
     g2 = Rng(5, stream_id=0).generator()
