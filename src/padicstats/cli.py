@@ -31,10 +31,12 @@ from .experiment import (
 
 
 def _default_workers() -> int:
+    """PADIC_WORKERS as an integer; make_spec refuses one below 1."""
+    raw = os.environ.get("PADIC_WORKERS", "1")
     try:
-        return max(1, int(os.environ.get("PADIC_WORKERS", "1")))
+        return int(raw)
     except ValueError:
-        return 1
+        raise InvalidSpec(f"PADIC_WORKERS must be an integer, got {raw!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -200,6 +202,8 @@ def _cmd_formula(args, extra) -> int:
     except TypeError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 2
+    except cf.InvalidParams as exc:
+        return _usage_error(exc)
     if isinstance(out, cf.IntervalValue):
         print(f"[{out.lo!r}, {out.hi!r}]")
     else:

@@ -113,6 +113,28 @@ def _qp(a: float, t: float, k=INF) -> float:
     return qpoch(a, t, k).value
 
 
+_MAX_TERMS = 10000
+
+
+def _qseries(term, bound, tol: float, start: float = 0.0, k0: int = 0) -> tuple:
+    """start + term(k0) + term(k0 + 1) + ..., stopped after the first k with
+    bound(k) < tol, where bound(k) is the caller's tail bound after term k.
+    Returns (sum, bound(k)); terms are added in order, one at a time.  The
+    bounds are twice the next term (the tail is at most that geometric
+    sum); 4.0 * x is 2.0 * (2.0 * x) bit for bit, since scaling by 2 is
+    exact."""
+    total = start
+    k = k0
+    while True:
+        total += term(k)
+        b = bound(k)
+        if b < tol:
+            return total, b
+        k += 1
+        if k > _MAX_TERMS:  # pragma: no cover
+            raise DivergentParameters("q-series did not converge")
+
+
 def theta3(z: float, t: float, tol: float = DEFAULT_TOL, form: str = "sum") -> RealValue:
     """Jacobi theta function.
 
@@ -128,28 +150,23 @@ def theta3(z: float, t: float, tol: float = DEFAULT_TOL, form: str = "sum") -> R
         raise InvalidParams("theta3 needs z != 0")
     if form == "product":
         out = 1.0
-        i = 1
-        achieved = 0.0
-        while True:
+        for i in range(1, _MAX_TERMS + 1):
             ti = t ** (i - 0.5)
             out *= (1.0 - t ** i) * (1.0 + ti * z) * (1.0 + ti / z)
             bound = 4.0 * abs(out) * ti * abs(t) ** 0.5 * (1.0 + abs(z) + 1.0 / abs(z))
             if bound < tol:
-                achieved = bound
-                break
-            i += 1
-        return RealValue(out, achieved + 1e-300)
-    out = 1.0
-    k = 1
-    while True:
-        term = t ** (k * k / 2.0) * (z ** k + z ** (-k))
-        out += term
-        nxt = t ** ((k + 1) ** 2 / 2.0) * (abs(z) ** (k + 1) + abs(z) ** (-(k + 1)))
-        if 2.0 * nxt < tol:
-            return RealValue(out, 2.0 * nxt + 1e-300)
-        k += 1
-        if k > 10000:  # pragma: no cover
-            raise DivergentParameters("theta3 sum did not converge")
+                return RealValue(out, bound + 1e-300)
+        raise DivergentParameters("theta3 product did not converge")  # pragma: no cover
+    total, bound = _qseries(
+        lambda k: t ** (k * k / 2.0) * (z ** k + z ** (-k)),
+        lambda k: 2.0 * _theta_tail(t, abs(z), k), tol, start=1.0, k0=1,
+    )
+    return RealValue(total, bound + 1e-300)
+
+
+def _theta_tail(t: float, az: float, k: int) -> float:
+    """Size of the theta term after term k: t^{(k+1)^2/2} (|z|^{k+1} + |z|^{-k-1})."""
+    return t ** ((k + 1) ** 2 / 2.0) * (az ** (k + 1) + az ** (-(k + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -297,31 +314,23 @@ def andrews_gordon_expectation(t: float, m: int, variant: str,
         raise InvalidParams("m must be >= 1")
     if not (0.0 < t < 1.0):
         raise InvalidParams("t must be in (0,1)")
-    total = 0.0
-    k = 0
-    while True:
-        if variant == "SQ_INV":
-            term = (-1.0) ** k * t ** (((2 * m + 1) * k * k + (4 * m + 1) * k) / 2.0) \
-                * (1.0 + t ** (k + 1))
-        elif variant == "INV":
-            term = t ** ((m + 1) * k * k + (2 * m + 1) * k) * (1.0 - t ** (2 * k + 2))
-        else:
-            term = t ** (((2 * m + 1) * k * k + (4 * m + 1) * k) / 2.0) \
-                * (1.0 - t ** (k + 1))
-        total += term
-        nxt = t ** (((2 * m + 1) * (k + 1) ** 2 + (4 * m + 1) * (k + 1)) / 2.0) * 2.0
-        if variant == "INV":
-            nxt = t ** ((m + 1) * (k + 1) ** 2 + (2 * m + 1) * (k + 1)) * 2.0
-        if 2.0 * nxt < tol:
-            break
-        k += 1
     if variant == "SQ_INV":
         pref = (1.0 - t) ** 2
+        term = lambda k: (-1.0) ** k * t ** (((2 * m + 1) * k * k + (4 * m + 1) * k) / 2.0) \
+            * (1.0 + t ** (k + 1))
     elif variant == "INV":
         pref = 1.0 - t
+        term = lambda k: t ** ((m + 1) * k * k + (2 * m + 1) * k) * (1.0 - t ** (2 * k + 2))
     else:
         pref = 1.0 - t ** 2
-    return RealValue(pref * total, 2.0 * nxt * pref + 1e-300)
+        term = lambda k: t ** (((2 * m + 1) * k * k + (4 * m + 1) * k) / 2.0) \
+            * (1.0 - t ** (k + 1))
+    if variant == "INV":
+        bound = lambda k: 4.0 * t ** ((m + 1) * (k + 1) ** 2 + (2 * m + 1) * (k + 1))
+    else:
+        bound = lambda k: 4.0 * t ** (((2 * m + 1) * (k + 1) ** 2 + (4 * m + 1) * (k + 1)) / 2.0)
+    total, b = _qseries(term, bound, tol)
+    return RealValue(pref * total, b * pref + 1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -367,17 +376,13 @@ def pair_corr_zp(p: int, m: int, tol: float = DEFAULT_TOL) -> RealValue:
     if m < 0:
         raise InvalidParams("m must be >= 0")
     t = 1.0 / p
-    total = 0.0
-    k = 0
-    while True:
-        term = (-1.0) ** k * t ** (((2 * m + 1) * k * k + (4 * m + 1) * k) / 2.0) \
-            * (1.0 + t ** (k + 1))
-        total += term
-        nxt = 2.0 * t ** (((2 * m + 1) * (k + 1) ** 2 + (4 * m + 1) * (k + 1)) / 2.0)
-        if 2.0 * nxt < tol:
-            break
-        k += 1
-    return RealValue(t ** m * total, 2.0 * nxt + 1e-300)
+    total, b = _qseries(
+        lambda k: (-1.0) ** k * t ** (((2 * m + 1) * k * k + (4 * m + 1) * k) / 2.0)
+        * (1.0 + t ** (k + 1)),
+        lambda k: 4.0 * t ** (((2 * m + 1) * (k + 1) ** 2 + (4 * m + 1) * (k + 1)) / 2.0),
+        tol,
+    )
+    return RealValue(t ** m * total, b + 1e-300)
 
 
 def pair_corr_theta(p: int, m: int, tol: float = DEFAULT_TOL) -> RealValue:
@@ -390,16 +395,12 @@ def pair_corr_theta(p: int, m: int, tol: float = DEFAULT_TOL) -> RealValue:
         raise InvalidParams("m must be >= 0")
     t = float(p) ** (-(2 * m + 1))
     z = -math.sqrt(p)
-    total = 0.0
-    k = 1
-    while True:
-        term = t ** (k * k / 2.0) * (z ** k + z ** (-k))
-        total -= term
-        nxt = t ** ((k + 1) ** 2 / 2.0) * (abs(z) ** (k + 1) + abs(z) ** (-(k + 1)))
-        if 2.0 * nxt < tol:
-            break
-        k += 1
-    return RealValue(total, 2.0 * nxt + 1e-300)
+    # adding the negated term is subtracting it, bit for bit
+    total, b = _qseries(
+        lambda k: -(t ** (k * k / 2.0) * (z ** k + z ** (-k))),
+        lambda k: 2.0 * _theta_tail(t, abs(z), k), tol, k0=1,
+    )
+    return RealValue(total, b + 1e-300)
 
 
 _QUAD_LABELS = ("UNRAMIFIED", "RAMIFIED")
@@ -431,21 +432,15 @@ def quad_density(p: int, label: str, m: int, tol: float = DEFAULT_TOL) -> RealVa
         pref = t ** m * (1.0 + t - 2.0 * t ** (m + 1)) / (1.0 - t)
     else:
         pref = t * t ** m * (1.0 - t ** (m + 1)) / (1.0 - t)
-    total = 0.0
-    k = 0
-    while True:
-        if label == "UNRAMIFIED":
-            term = t ** (((2 * m + 1) * k * k + (4 * m + 1) * k) / 2.0) \
-                * (1.0 - t ** (k + 1))
-            nxt = t ** (((2 * m + 1) * (k + 1) ** 2 + (4 * m + 1) * (k + 1)) / 2.0)
-        else:
-            term = t ** ((m + 1) * k * k + (2 * m + 1) * k) * (1.0 - t ** (2 * k + 2))
-            nxt = t ** ((m + 1) * (k + 1) ** 2 + (2 * m + 1) * (k + 1))
-        total += term
-        if 2.0 * pref * nxt < tol:
-            break
-        k += 1
-    return RealValue(pref * total, 2.0 * pref * nxt + 1e-300)
+    if label == "UNRAMIFIED":
+        term = lambda k: t ** (((2 * m + 1) * k * k + (4 * m + 1) * k) / 2.0) \
+            * (1.0 - t ** (k + 1))
+        nxt = lambda k: t ** (((2 * m + 1) * (k + 1) ** 2 + (4 * m + 1) * (k + 1)) / 2.0)
+    else:
+        term = lambda k: t ** ((m + 1) * k * k + (2 * m + 1) * k) * (1.0 - t ** (2 * k + 2))
+        nxt = lambda k: t ** ((m + 1) * (k + 1) ** 2 + (2 * m + 1) * (k + 1))
+    total, b = _qseries(term, lambda k: 2.0 * pref * nxt(k), tol)
+    return RealValue(pref * total, b + 1e-300)
 
 
 def quad_det_expectation(p: int, label: str, m: int, tol: float = DEFAULT_TOL) -> RealValue:
@@ -477,24 +472,19 @@ def expected_quad(p: int, label: str, tol: float = DEFAULT_TOL) -> RealValue:
     """
     _check_quad(p, label, 0)
     t = 1.0 / p
-    total = 0.0
-    k = 0
-    while True:
-        if label == "UNRAMIFIED":
-            term = (1.0 - t ** (k + 1)) * (1.0 + t ** (k * k + 2 * k + 3)) \
-                * t ** ((k * k + k) / 2.0) \
-                / ((1.0 - t ** (k * k + 2 * k + 2)) * (1.0 - t ** (k * k + 2 * k + 3)))
-            nxt = 2.0 * t ** (((k + 1) ** 2 + k + 1) / 2.0)
-        else:
-            term = (1.0 - t ** (2 * k + 2)) * t ** (k * k + k) \
-                / ((1.0 - t ** (k * k + 2 * k + 2)) * (1.0 - t ** (k * k + 2 * k + 3)))
-            nxt = 2.0 * t ** ((k + 1) ** 2 + k + 1)
-        total += term
-        if 2.0 * nxt < tol:
-            break
-        k += 1
+    if label == "UNRAMIFIED":
+        term = lambda k: (1.0 - t ** (k + 1)) * (1.0 + t ** (k * k + 2 * k + 3)) \
+            * t ** ((k * k + k) / 2.0) \
+            / ((1.0 - t ** (k * k + 2 * k + 2)) * (1.0 - t ** (k * k + 2 * k + 3)))
+        bound = lambda k: 4.0 * t ** (((k + 1) ** 2 + k + 1) / 2.0)
+    else:
+        term = lambda k: (1.0 - t ** (2 * k + 2)) * t ** (k * k + k) \
+            / ((1.0 - t ** (k * k + 2 * k + 2)) * (1.0 - t ** (k * k + 2 * k + 3)))
+        bound = lambda k: 4.0 * t ** ((k + 1) ** 2 + k + 1)
+    total, b = _qseries(term, bound, tol)
     pref = (1.0 - t) if label == "UNRAMIFIED" else t * (1.0 - t)
-    return RealValue(pref * total, 2.0 * pref * nxt + 1e-300)
+    # pref * 4 t^e equals 2 pref * (2 t^e) bit for bit: scaling by 2 is exact
+    return RealValue(pref * total, pref * b + 1e-300)
 
 
 def coulomb_zp(p: int, n: int, points) -> RealValue:
@@ -551,17 +541,13 @@ def var_zp(p: int, tol: float = DEFAULT_TOL) -> RealValue:
     sum_{k>=0} (-1)^k (1-p^{-1})(1+p^{-k-1}) p^{-(k^2+k)/2} / (1-p^{-k^2-2k-2}).
     """
     t = 1.0 / p
-    total = 0.0
-    k = 0
-    while True:
-        term = (-1.0) ** k * (1.0 - t) * (1.0 + t ** (k + 1)) \
-            * t ** ((k * k + k) / 2.0) / (1.0 - t ** (k * k + 2 * k + 2))
-        total += term
-        nxt = 2.0 * t ** (((k + 1) ** 2 + k + 1) / 2.0)
-        if 2.0 * nxt < tol:
-            break
-        k += 1
-    return RealValue(total, 2.0 * nxt + 1e-300)
+    total, b = _qseries(
+        lambda k: (-1.0) ** k * (1.0 - t) * (1.0 + t ** (k + 1))
+        * t ** ((k * k + k) / 2.0) / (1.0 - t ** (k * k + 2 * k + 2)),
+        lambda k: 4.0 * t ** (((k + 1) ** 2 + k + 1) / 2.0),
+        tol,
+    )
+    return RealValue(total, b + 1e-300)
 
 
 def det_moment(q: int, n: int, k: int) -> RealValue:

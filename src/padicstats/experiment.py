@@ -198,8 +198,8 @@ def compare(report, analytic: AnalyticTarget | None = None) -> Verdict:
     target tolerance (plus slack for limit statements checked at finite
     size); interval targets pass when the 95% confidence interval
     overlaps; exact reports pass only on rational equality, or containment
-    when saturation widened them to an interval.  A discard rate above 5%
-    makes any verdict inconclusive.
+    when saturation widened them to an interval.  A discard rate above 5%,
+    or an estimate that is NaN, makes any verdict inconclusive.
     """
     target = analytic if analytic is not None else report.analytic
     if target is None:
@@ -220,6 +220,8 @@ def compare(report, analytic: AnalyticTarget | None = None) -> Verdict:
             INCONCLUSIVE, None, f"discard rate {report.discard_rate:.3f} > 5%"
         )
     est, se = report.estimate, report.se
+    if math.isnan(est):
+        return Verdict(INCONCLUSIVE, None, "no estimate")
     slack = target.slack()
     if target.comparison == "zero_count":
         ok = est == 0
@@ -351,9 +353,12 @@ def mean_se(sums: float, sumsq: float, used: int) -> tuple:
     return mean, math.sqrt(var / used)
 
 
-def make_estimate_report(spec, estimand, sums, sumsq, used, analytic,
-                         wall_ms, extra_params=None, details="") -> EstimateReport:
-    mean, se = mean_se(sums, sumsq, used)
+def estimate_report(spec, estimand, estimate, se, used, analytic,
+                    extra_params=None, details="") -> EstimateReport:
+    """The finalized report of one estimate: ci is estimate +- 1.96 se and
+    the discard rate is the share of the spec's trials not used.  A count
+    passes se 0 and used = trials; a p-value or TV statistic passes se 0,
+    so its ci is (estimate, estimate)."""
     params = spec.describe()
     if extra_params:
         params.update(extra_params)
@@ -361,16 +366,36 @@ def make_estimate_report(spec, estimand, sums, sumsq, used, analytic,
         name=spec.name,
         params=params,
         estimand=estimand,
-        estimate=mean,
+        estimate=estimate,
         se=se,
-        ci=(mean - 1.96 * se, mean + 1.96 * se),
+        ci=(estimate - 1.96 * se, estimate + 1.96 * se),
         trials=spec.trials,
         used=used,
         discard_rate=1.0 - used / spec.trials if spec.trials else 0.0,
         seed=spec.seed,
-        wall_ms=wall_ms,
+        wall_ms=0.0,  # run_experiment sets the run's wall time
         analytic=analytic,
         details=details,
+    )
+    finalize(rep)
+    return rep
+
+
+def make_estimate_report(spec, estimand, sums, sumsq, used, analytic,
+                         extra_params=None, details="") -> EstimateReport:
+    """The report of a sample mean from its running sums."""
+    mean, se = mean_se(sums, sumsq, used)
+    return estimate_report(spec, estimand, mean, se, used, analytic,
+                           extra_params, details)
+
+
+def exact_report(spec, estimand, lo, hi, enumeration_size, exact,
+                 details="") -> ExactReport:
+    """The finalized report of an enumeration against the rational exact."""
+    rep = ExactReport(
+        name=spec.name, params=spec.describe(), estimand=estimand, lo=lo,
+        hi=hi, enumeration_size=enumeration_size, seed=spec.seed, wall_ms=0.0,
+        analytic=AnalyticTarget(exact=str(exact)), details=details,
     )
     finalize(rep)
     return rep

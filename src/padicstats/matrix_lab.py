@@ -158,11 +158,6 @@ class PadicMatrix:
             return PadicScalar(self.p, self.precision, e)
         return PadicPoly.from_ints(self.p, self.precision, e)
 
-    def to_numpy(self) -> np.ndarray:
-        if not self.is_base:
-            raise ValueError("only base-ring matrices convert to arrays")
-        return np.array(self.entries, dtype=np.int64)
-
 
 def sample_matrix(n: int, p: int, precision: int, mode: str, rng) -> PadicMatrix:
     """Sample an n x n matrix with uniform entries mod p^N.

@@ -4,7 +4,9 @@ Every entry fixes the estimand and desk-scale default parameters (sample
 sizes were chosen empirically for sub-10-minute suite runs, not derived
 from any convergence rate).  Checks of limit statements at finite matrix
 size carry the ASYMPTOTIC flag, which adds the standard slack on top of
-the 3-sigma gate.
+the 3-sigma gate.  Runners build every report through the two
+constructors in ``experiment``: ``estimate_report`` (or
+``make_estimate_report`` for a sample mean) and ``exact_report``.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -34,21 +36,20 @@ from .experiment import (
     ASYMPTOTIC,
     AnalyticTarget,
     BudgetExceeded,
-    EstimateReport,
-    ExactReport,
     ExperimentSpec,
     InvalidSpec,
     chi2_sf,
     chi_square_pvalue,
     check_enumeration_budget,
     contingency_chi2,
-    finalize,
+    estimate_report,
+    exact_report,
     make_estimate_report,
     mean_se,
     run_chunked,
 )
 from .matrix_lab import GL, MAT, smith_parts_quadratic, smith_parts_raw
-from .padic_core import PadicPoly, det_mod, is_prime
+from .padic_core import SATURATED, PadicPoly, det_mod, is_prime, raw_valuation
 from .root_census import (
     QUAD_RAMIFIED,
     QUAD_UNRAMIFIED,
@@ -152,19 +153,19 @@ def _charpoly_det_budget(spec):
     check_quad_budget(spec.n, c, spec.p ** spec.precision)
 
 
-def _poly_batch(gen, size, p, n, N):
-    """Uniform monic degree-n polynomials; coefficients leading-first."""
-    m = p ** N
-    coeffs = gen.integers(0, m, size=(size, n), dtype=np.int64)
-    lead = np.ones((size, 1), dtype=np.int64)
-    return np.concatenate([lead, coeffs[:, ::-1]], axis=1)
+def _points_budget(spec):
+    """Repeated points make the exact laws undefined."""
+    cf._pairwise_min_valuations(spec.p, spec.params["points"])
 
 
-def _charpolys(gen, size, spec):
-    p, n, N = spec.p, spec.n, spec.precision
-    if spec.mode == POLY:
-        return _poly_batch(gen, size, p, n, N)
-    mats = sample_matrices(gen, size, n, p, N, gl=(spec.mode == GL))
+def _charpolys(gen, size, p, n, N, mode):
+    """Charpolys of uniform MAT or GL matrices, or uniform monic POLY
+    polynomials, of degree n mod p^N; coefficients leading-first."""
+    if mode == POLY:
+        coeffs = gen.integers(0, p ** N, size=(size, n), dtype=np.int64)
+        lead = np.ones((size, 1), dtype=np.int64)
+        return np.concatenate([lead, coeffs[:, ::-1]], axis=1)
+    mats = sample_matrices(gen, size, n, p, N, gl=(mode == GL))
     return batch_charpoly(mats, p ** N)
 
 
@@ -175,20 +176,23 @@ def _charpolys(gen, size, spec):
 PAIR_CELLS = 3  # separation valuations m = 0, 1, 2
 
 
-def _zp_chunk(spec, gen, size):
-    p, N = spec.p, spec.precision
-    cps = _charpolys(gen, size, spec)
+def _zp_stats(cps, p, n, N):
+    """Z_p eigenvalue statistics of a batch of degree-n charpolys mod p^N:
+    running sums of the count c and of c (c - 1) over the samples whose
+    roots are certified, the ordered pairs at each separation valuation
+    over those whose pairs are all resolved, and how many have all n roots
+    in Z_p."""
     out = {
         "sum": 0.0, "sumsq": 0.0, "used": 0,
         "var_sum": 0.0, "var_sumsq": 0.0,
-        "pair_sum": np.zeros(PAIR_CELLS), "pair_sumsq": np.zeros(PAIR_CELLS),
         "pair_used": 0,
         "all_in": 0,
     }
-    n = spec.n
-    for i in range(size):
-        coeffs = cps[i].tolist()[::-1]
-        roots, ok = _zp_roots_raw(coeffs, p, N)
+    # pair cells are small even integers: their sums are exact in int and in
+    # float64 alike, so the order in which they are added does not matter
+    pair_sum, pair_sumsq = [0] * PAIR_CELLS, [0] * PAIR_CELLS
+    for row in cps.tolist():
+        roots, ok = _zp_roots_raw(row[::-1], p, N)
         if not ok:
             continue
         c = len(roots)
@@ -200,30 +204,23 @@ def _zp_chunk(spec, gen, size):
         out["var_sumsq"] += v * v
         if c == n:
             out["all_in"] += 1
-        cells = np.zeros(PAIR_CELLS)
-        pair_ok = True
-        for a in range(c):
-            for b in range(a + 1, c):
-                r1, k1 = roots[a]
-                r2, k2 = roots[b]
-                k = min(k1, k2)
-                diff = (r1 - r2) % p ** k
-                if diff == 0:
-                    pair_ok = False
-                    break
-                val = 0
-                while diff % p == 0:
-                    diff //= p
-                    val += 1
-                if val < PAIR_CELLS:
-                    cells[val] += 2  # ordered pairs
-            if not pair_ok:
-                break
-        if pair_ok:
-            out["pair_used"] += 1
-            out["pair_sum"] += cells
-            out["pair_sumsq"] += cells * cells
+        vals = [raw_valuation(r1 - r2, p, p ** min(k1, k2))
+                for (r1, k1), (r2, k2) in combinations(roots, 2)]
+        if SATURATED in vals:
+            continue  # two roots not separated at their precision
+        cells = [2 * vals.count(m) for m in range(PAIR_CELLS)]  # ordered pairs
+        out["pair_used"] += 1
+        for m, x in enumerate(cells):
+            pair_sum[m] += x
+            pair_sumsq[m] += x * x
+    out["pair_sum"] = np.array(pair_sum, dtype=np.float64)
+    out["pair_sumsq"] = np.array(pair_sumsq, dtype=np.float64)
     return out
+
+
+def _zp_chunk(spec, gen, size):
+    p, n, N = spec.p, spec.n, spec.precision
+    return _zp_stats(_charpolys(gen, size, p, n, N, spec.mode), p, n, N)
 
 
 def _run_zp_count(spec):
@@ -236,7 +233,7 @@ def _run_zp_count(spec):
     return [
         make_estimate_report(
             spec, "mean zp_count", stats["sum"], stats["sumsq"], stats["used"],
-            target, 0.0,
+            target,
         )
     ]
 
@@ -247,7 +244,7 @@ def _run_var_zp(spec):
     return [
         make_estimate_report(
             spec, "mean zp_count*(zp_count-1)", stats["var_sum"],
-            stats["var_sumsq"], stats["used"], target, 0.0,
+            stats["var_sumsq"], stats["used"], target,
         )
     ]
 
@@ -264,53 +261,31 @@ def _run_pair_hist(spec):
             make_estimate_report(
                 spec, f"mean ordered pair count at valuation {m}",
                 stats["pair_sum"][m], stats["pair_sumsq"][m],
-                stats["pair_used"], target, 0.0, extra_params={"m": m},
+                stats["pair_used"], target, extra_params={"m": m},
             )
         )
     return reports
 
 
 def _run_gl_support(spec):
-    p, N = spec.p, spec.precision
+    p, n, N = spec.p, spec.n, spec.precision
 
     def chunk(gen, size):
-        cps = _charpolys(gen, size, spec)
-        viol = int((cps[:, -1] % p == 0).sum())
-        out = _zp_chunk_from_cps(spec, cps)
-        out["violations"] = viol
+        cps = _charpolys(gen, size, p, n, N, spec.mode)
+        out = _zp_stats(cps, p, n, N)
+        out["violations"] = int((cps[:, -1] % p == 0).sum())
         return out
 
     stats = run_chunked(spec, chunk)
-    rep_v = EstimateReport(
-        name=spec.name, params=spec.describe(),
-        estimand="eigenvalues with residue 0 (count)",
-        estimate=float(stats["violations"]), se=0.0,
-        ci=(float(stats["violations"]), float(stats["violations"])),
-        trials=spec.trials, used=spec.trials, discard_rate=0.0,
-        seed=spec.seed, wall_ms=0.0,
-        analytic=AnalyticTarget(value=0.0, comparison="zero_count"),
+    rep_v = estimate_report(
+        spec, "eigenvalues with residue 0 (count)", float(stats["violations"]),
+        0.0, spec.trials, AnalyticTarget(value=0.0, comparison="zero_count"),
     )
-    finalize(rep_v)
     rep_z = make_estimate_report(
         spec, "mean zp_count", stats["sum"], stats["sumsq"], stats["used"],
         AnalyticTarget(value=cf.gl_zp_expected(p).value, flags=(ASYMPTOTIC,)),
-        0.0,
     )
     return [rep_v, rep_z]
-
-
-def _zp_chunk_from_cps(spec, cps):
-    p, N = spec.p, spec.precision
-    out = {"sum": 0.0, "sumsq": 0.0, "used": 0}
-    for i in range(cps.shape[0]):
-        roots, ok = _zp_roots_raw(cps[i].tolist()[::-1], p, N)
-        if not ok:
-            continue
-        c = len(roots)
-        out["used"] += 1
-        out["sum"] += c
-        out["sumsq"] += c * c
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +311,7 @@ def _run_det_moment(spec):
     return [
         make_estimate_report(
             spec, f"mean ||det A||^{k}", stats["sum"], stats["sumsq"],
-            stats["used"], target, 0.0,
+            stats["used"], target,
         )
     ]
 
@@ -347,30 +322,13 @@ def _run_det_moment_exact(spec):
         raise BudgetExceeded("exact determinant check is sized for n = 1")
     m = p ** N
     check_enumeration_budget(m)
-    lo = Fraction(0)
-    width = Fraction(0)
-    for a in range(m):
-        if a == 0:
-            width += Fraction(1, p ** N)  # true norm anywhere in [0, p^-N]
-            continue
-        v = 0
-        x = a
-        while x % p == 0:
-            x //= p
-            v += 1
-        lo += Fraction(1, p ** v)
-    lo = lo / m
-    hi = lo + width / m
-    rep = ExactReport(
-        name=spec.name, params=spec.describe(), estimand="E ||det A||, n=1",
-        lo=lo, hi=hi, enumeration_size=m, seed=spec.seed, wall_ms=0.0,
-        analytic=AnalyticTarget(
-            exact=str(Fraction(1, 1) * Fraction(p - 1, p) / Fraction(p * p - 1, p * p))
-        ),
+    lo = sum(Fraction(1, p ** raw_valuation(a, p, m)) for a in range(1, m)) / m
+    hi = lo + Fraction(1, p ** N) / m  # a = 0: true norm anywhere in [0, p^-N]
+    return [exact_report(
+        spec, "E ||det A||, n=1", lo, hi, m,
+        Fraction(p - 1, p) / Fraction(p * p - 1, p * p),
         details=f"interval width {float(hi - lo):.3g}",
-    )
-    finalize(rep)
-    return [rep]
+    )]
 
 
 # ---------------------------------------------------------------------------
@@ -416,22 +374,36 @@ def _run_island_law(spec):
     tv = 0.5 * sum(
         abs(emp[j] - cf.island_law(p, d, j).value) for j in range(ISLAND_MAX_J + 1)
     )
-    rep = EstimateReport(
-        name=spec.name, params=spec.describe(),
-        estimand=f"TV distance of island multiplicity law on 0..{ISLAND_MAX_J}",
-        estimate=float(tv), se=0.0, ci=(float(tv), float(tv)),
-        trials=spec.trials, used=int(total), discard_rate=0.0,
-        seed=spec.seed, wall_ms=0.0,
-        analytic=AnalyticTarget(interval=(0.0, 0.01), flags=(ASYMPTOTIC,)),
+    # every sample lands in the histogram, so used = trials
+    return [estimate_report(
+        spec, f"TV distance of island multiplicity law on 0..{ISLAND_MAX_J}",
+        float(tv), 0.0, int(total),
+        AnalyticTarget(interval=(0.0, 0.01), flags=(ASYMPTOTIC,)),
         details="counts " + ",".join(str(int(x)) for x in hist),
-    )
-    finalize(rep)
-    return [rep]
+    )]
 
 
 # ---------------------------------------------------------------------------
 # Cokernel Markov chains.
 # ---------------------------------------------------------------------------
+
+
+def _two_step_fit_report(spec, estimand, table, mp2, details=""):
+    """Chi-square fit of table[a, b] to two kernel steps from n:
+    probs[a, b] = K1(n, a) K2(a, b), K1 at t = 1/p and K2 under mp2."""
+    n = spec.n
+    mp1 = cf.MarkovParams(t=1.0 / spec.p, u=1.0)
+    probs = np.zeros((n + 1, n + 1))
+    for a in range(n + 1):
+        pa = cf.markov_kernel_prob(mp1, n, a).value
+        for b in range(a + 1):
+            probs[a, b] = pa * cf.markov_kernel_prob(mp2, a, b).value
+    chi2, dof, pval = chi_square_pvalue(table.ravel(), probs.ravel())
+    return estimate_report(
+        spec, estimand, float(pval), 0.0, int(table.sum()),
+        AnalyticTarget(interval=(1e-3, 1.0)),
+        details=f"chi2 {chi2:.2f}, dof {dof}{details}",
+    )
 
 
 def _run_cok_markov(spec):
@@ -450,26 +422,10 @@ def _run_cok_markov(spec):
         return {"table": table}
 
     stats = run_chunked(spec, chunk)
-    table = stats["table"]
-    mp = cf.MarkovParams(t=1.0 / p, u=1.0)
-    probs = np.zeros((n + 1, n + 1))
-    for a in range(n + 1):
-        pa = cf.markov_kernel_prob(mp, n, a).value
-        for b in range(a + 1):
-            probs[a, b] = pa * cf.markov_kernel_prob(mp, a, b).value
-    chi2, dof, pval = chi_square_pvalue(table.ravel(), probs.ravel())
-    used = int(table.sum())
-    rep = EstimateReport(
-        name=spec.name, params=spec.describe(),
-        estimand="chi-square p-value of (l'_1, l'_2) vs kernel transitions",
-        estimate=float(pval), se=0.0, ci=(float(pval), float(pval)),
-        trials=spec.trials, used=used,
-        discard_rate=1.0 - used / spec.trials, seed=spec.seed, wall_ms=0.0,
-        analytic=AnalyticTarget(interval=(1e-3, 1.0)),
-        details=f"chi2 {chi2:.2f}, dof {dof}",
-    )
-    finalize(rep)
-    return [rep]
+    return [_two_step_fit_report(
+        spec, "chi-square p-value of (l'_1, l'_2) vs kernel transitions",
+        stats["table"], cf.MarkovParams(t=1.0 / p, u=1.0),
+    )]
 
 
 def _run_cok_joint_chain(spec):
@@ -510,27 +466,15 @@ def _run_cok_joint_chain(spec):
         chi2 += c
         dof += d
     pval = chi2_sf(chi2, dof) if dof >= 1 else 1.0
-    used = int(table.sum())
-    rep = EstimateReport(
-        name=spec.name, params=spec.describe(),
-        estimand="conditional independence p-value of branch levels given shared state",
-        estimate=pval, se=0.0, ci=(pval, pval),
-        trials=spec.trials, used=used,
-        discard_rate=1.0 - used / spec.trials, seed=spec.seed, wall_ms=0.0,
-        analytic=AnalyticTarget(interval=(1e-3, 1.0)),
+    rep = estimate_report(
+        spec, "conditional independence p-value of branch levels given shared state",
+        pval, 0.0, int(table.sum()), AnalyticTarget(interval=(1e-3, 1.0)),
         details=f"chi2 {chi2:.2f}, dof {dof}, shared-level violations {stats['violations']}",
     )
-    finalize(rep)
-    rep_v = EstimateReport(
-        name=spec.name, params=spec.describe(),
-        estimand="shared-level mismatches (count)",
-        estimate=float(stats["violations"]), se=0.0,
-        ci=(float(stats["violations"]), float(stats["violations"])),
-        trials=spec.trials, used=spec.trials, discard_rate=0.0,
-        seed=spec.seed, wall_ms=0.0,
-        analytic=AnalyticTarget(value=0.0, comparison="zero_count"),
+    rep_v = estimate_report(
+        spec, "shared-level mismatches (count)", float(stats["violations"]),
+        0.0, spec.trials, AnalyticTarget(value=0.0, comparison="zero_count"),
     )
-    finalize(rep_v)
     return [rep, rep_v]
 
 
@@ -581,28 +525,12 @@ def _run_quad_chain(spec):
         return {"table": table, "violations": violations, "used": used}
 
     stats = run_chunked(spec, chunk)
-    table = stats["table"]
-    mp1 = cf.MarkovParams(t=1.0 / p, u=1.0)
     t2 = 1.0 / p if ramified else 1.0 / (p * p)
-    mp2 = cf.MarkovParams(t=t2, u=1.0)
-    probs = np.zeros((n + 1, n + 1))
-    for a in range(n + 1):
-        pa = cf.markov_kernel_prob(mp1, n, a).value
-        for b in range(a + 1):
-            probs[a, b] = pa * cf.markov_kernel_prob(mp2, a, b).value
-    chi2, dof, pval = chi_square_pvalue(table.ravel(), probs.ravel())
-    used = int(table.sum())
-    rep = EstimateReport(
-        name=spec.name, params=spec.describe(),
-        estimand="chi-square p-value of extension cokernel chain vs kernel",
-        estimate=float(pval), se=0.0, ci=(float(pval), float(pval)),
-        trials=spec.trials, used=used,
-        discard_rate=1.0 - used / spec.trials, seed=spec.seed, wall_ms=0.0,
-        analytic=AnalyticTarget(interval=(1e-3, 1.0)),
-        details=f"chi2 {chi2:.2f}, dof {dof}, pairing violations {stats['violations']}",
-    )
-    finalize(rep)
-    return [rep]
+    return [_two_step_fit_report(
+        spec, "chi-square p-value of extension cokernel chain vs kernel",
+        stats["table"], cf.MarkovParams(t=t2, u=1.0),
+        details=f", pairing violations {stats['violations']}",
+    )]
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +547,7 @@ QUAD_CELLS = (
 
 def _census_chunk(spec, gen, size):
     p, n, N = spec.p, spec.n, spec.precision
-    cps = _charpolys(gen, size, spec)
+    cps = _charpolys(gen, size, p, n, N, spec.mode)
     ncell = len(QUAD_CELLS)
     out = {
         "quad_sum": np.zeros(ncell + 2), "quad_sumsq": np.zeros(ncell + 2),
@@ -669,7 +597,7 @@ def _run_quad_census(spec):
             make_estimate_report(
                 spec, f"mean eigenvalue count, {label} depth {m}",
                 stats["quad_sum"][idx], stats["quad_sumsq"][idx],
-                stats["quad_used"], _quad_cell_target(spec.p, label, m), 0.0,
+                stats["quad_used"], _quad_cell_target(spec.p, label, m),
                 extra_params={"label": label, "m": m},
             )
         )
@@ -686,7 +614,7 @@ def _run_expected_quad(spec):
         stats["quad_used"],
         AnalyticTarget(value=cf.expected_quad(p, "UNRAMIFIED").value,
                        flags=(ASYMPTOTIC,)),
-        0.0, extra_params={"label": "UNRAMIFIED"},
+        extra_params={"label": "UNRAMIFIED"},
     )
     rep_r = make_estimate_report(
         spec, "mean eigenvalue count in both ramified quadratic extensions",
@@ -694,7 +622,7 @@ def _run_expected_quad(spec):
         stats["quad_used"],
         AnalyticTarget(value=2.0 * cf.expected_quad(p, "RAMIFIED").value,
                        flags=(ASYMPTOTIC,)),
-        0.0, extra_params={"label": "RAMIFIED"},
+        extra_params={"label": "RAMIFIED"},
     )
     return [rep_u, rep_r]
 
@@ -706,7 +634,6 @@ def _run_higher_cubic(spec):
         spec, "mean eigenvalue count in the unramified cubic extension",
         stats["unram3_sum"], stats["unram3_sumsq"], stats["unram3_used"],
         AnalyticTarget(interval=(iv.lo, iv.hi), flags=(ASYMPTOTIC,)),
-        0.0,
     )
     return [rep]
 
@@ -716,32 +643,31 @@ def _run_higher_cubic(spec):
 # ---------------------------------------------------------------------------
 
 
-def _all_in_chunk(spec, gen, size, mode):
-    p, n, N = spec.p, spec.n, spec.precision
-    if mode == POLY:
-        cps = _poly_batch(gen, size, p, n, N)
-    else:
-        mats = sample_matrices(gen, size, n, p, N)
-        cps = batch_charpoly(mats, p ** N)
-    hits = 0
-    used = 0
-    for i in range(size):
-        roots, ok = _zp_roots_raw(cps[i].tolist()[::-1], p, N)
-        if not ok:
-            continue
-        used += 1
-        if len(roots) == n:
-            hits += 1
-    return hits, used
+def _all_in_stats(gen, size, p, n, N, mode):
+    """(samples with all n roots in Z_p, samples certified) for one batch."""
+    stats = _zp_stats(_charpolys(gen, size, p, n, N, mode), p, n, N)
+    return stats["all_in"], stats["used"]
 
 
 def _run_en_relation(spec):
+    p, n, N = spec.p, spec.n, spec.precision
+
     def chunk(gen, size):
-        mh, mu = _all_in_chunk(spec, gen, size, MAT)
-        ph, pu = _all_in_chunk(spec, gen, size, POLY)
+        mh, mu = _all_in_stats(gen, size, p, n, N, MAT)
+        ph, pu = _all_in_stats(gen, size, p, n, N, POLY)
         return {"mat_hits": mh, "mat_used": mu, "poly_hits": ph, "poly_used": pu}
 
     stats = run_chunked(spec, chunk)
+    target = AnalyticTarget(value=cf.en_relation_constant(p, n).value)
+    used = min(stats["mat_used"], stats["poly_used"])
+    empty = [side for side in ("mat", "poly") if stats[f"{side}_hits"] == 0]
+    if empty:
+        # no all-in sample on a side: the ratio has no estimate
+        return [estimate_report(
+            spec, "P(all eigenvalues in Zp) / P(all roots in Zp)", math.nan,
+            math.nan, used, target,
+            details=f"no all-in samples on the {' and '.join(empty)} side",
+        )]
     px = stats["mat_hits"] / stats["mat_used"]
     py = stats["poly_hits"] / stats["poly_used"]
     ratio = px / py
@@ -749,19 +675,10 @@ def _run_en_relation(spec):
     vx = px * (1 - px) / stats["mat_used"]
     vy = py * (1 - py) / stats["poly_used"]
     se = ratio * math.sqrt(vx / px ** 2 + vy / py ** 2)
-    target = AnalyticTarget(value=cf.en_relation_constant(spec.p, spec.n).value)
-    used = min(stats["mat_used"], stats["poly_used"])
-    rep = EstimateReport(
-        name=spec.name, params=spec.describe(),
-        estimand="P(all eigenvalues in Zp) / P(all roots in Zp)",
-        estimate=ratio, se=se, ci=(ratio - 1.96 * se, ratio + 1.96 * se),
-        trials=spec.trials, used=used,
-        discard_rate=1.0 - used / spec.trials, seed=spec.seed, wall_ms=0.0,
-        analytic=target,
-        details=f"P_mat {px:.4f}, P_poly {py:.4f}",
-    )
-    finalize(rep)
-    return [rep]
+    return [estimate_report(
+        spec, "P(all eigenvalues in Zp) / P(all roots in Zp)", ratio, se,
+        used, target, details=f"P_mat {px:.4f}, P_poly {py:.4f}",
+    )]
 
 
 def _run_en_decay(spec):
@@ -771,11 +688,7 @@ def _run_en_decay(spec):
     def chunk(gen, size):
         out = {}
         for n in sizes:
-            sub = ExperimentSpec(
-                name=spec.name, p=p, n=n, precision=N, mode=MAT,
-                trials=0, seed=spec.seed,
-            )
-            h, u = _all_in_chunk(sub, gen, size, MAT)
+            h, u = _all_in_stats(gen, size, p, n, N, MAT)
             out[f"hits_{n}"] = h
             out[f"used_{n}"] = u
         return out
@@ -784,26 +697,18 @@ def _run_en_decay(spec):
     reports = []
     probs = {}
     for n in sizes:
-        ph = stats[f"hits_{n}"] / stats[f"used_{n}"]
-        se = math.sqrt(ph * (1 - ph) / stats[f"used_{n}"])
-        probs[n] = (ph, se)
+        used = stats[f"used_{n}"] or math.nan  # none certified: NaN, INCONCLUSIVE
+        ph = stats[f"hits_{n}"] / used
+        probs[n] = (ph, math.sqrt(ph * (1 - ph) / used))
     for a, b in zip(sizes, sizes[1:]):
         pa, sa = probs[a]
         pb, sb = probs[b]
-        gap = pa - pb
-        se = math.sqrt(sa * sa + sb * sb)
-        rep = EstimateReport(
-            name=spec.name, params=spec.describe(),
-            estimand=f"P(all in Zp) gap, n={a} minus n={b}",
-            estimate=gap, se=se, ci=(gap - 1.96 * se, gap + 1.96 * se),
-            trials=spec.trials, used=stats[f"used_{a}"],
-            discard_rate=1.0 - stats[f"used_{a}"] / spec.trials,
-            seed=spec.seed, wall_ms=0.0,
-            analytic=AnalyticTarget(value=0.0, comparison="greater"),
+        reports.append(estimate_report(
+            spec, f"P(all in Zp) gap, n={a} minus n={b}", pa - pb,
+            math.sqrt(sa * sa + sb * sb), stats[f"used_{a}"],
+            AnalyticTarget(value=0.0, comparison="greater"),
             details=f"P({a}) = {pa:.4f}, P({b}) = {pb:.4f}",
-        )
-        finalize(rep)
-        reports.append(rep)
+        ))
     return reports
 
 
@@ -846,31 +751,23 @@ def _run_charpoly_det(spec):
     rep1 = make_estimate_report(
         spec, "mean ||det Z(A)||, Z = x^2 - c",
         stats["mat_sum"], stats["mat_sumsq"], stats["mat_used"],
-        AnalyticTarget(value=analytic, flags=(ASYMPTOTIC,)), 0.0,
+        AnalyticTarget(value=analytic, flags=(ASYMPTOTIC,)),
         extra_params={"side": "matrix"},
     )
     rep2 = make_estimate_report(
         spec, "mean ||Nm det(A0 + x A1)||",
         stats["quad_sum"], stats["quad_sumsq"], stats["quad_used"],
-        AnalyticTarget(value=analytic, flags=(ASYMPTOTIC,)), 0.0,
+        AnalyticTarget(value=analytic, flags=(ASYMPTOTIC,)),
         extra_params={"side": "quotient"},
     )
     m1, s1 = mean_se(stats["mat_sum"], stats["mat_sumsq"], stats["mat_used"])
     m2, s2 = mean_se(stats["quad_sum"], stats["quad_sumsq"], stats["quad_used"])
-    diff = m1 - m2
-    se = math.sqrt(s1 * s1 + s2 * s2)
-    used = min(stats["mat_used"], stats["quad_used"])
-    rep3 = EstimateReport(
-        name=spec.name, params=spec.describe(),
-        estimand="difference of the two estimates",
-        estimate=diff, se=se, ci=(diff - 1.96 * se, diff + 1.96 * se),
-        trials=spec.trials, used=used,
-        discard_rate=1.0 - used / spec.trials,
-        seed=spec.seed, wall_ms=0.0,
-        analytic=AnalyticTarget(value=0.0, flags=(ASYMPTOTIC,)),
+    rep3 = estimate_report(
+        spec, "difference of the two estimates", m1 - m2,
+        math.sqrt(s1 * s1 + s2 * s2), min(stats["mat_used"], stats["quad_used"]),
+        AnalyticTarget(value=0.0, flags=(ASYMPTOTIC,)),
         details=f"sides {m1:.5f} vs {m2:.5f}",
     )
-    finalize(rep3)
     return [rep1, rep2, rep3]
 
 
@@ -894,15 +791,7 @@ def _exact_prefactor(p: int, r: int) -> Fraction:
 
 def _exact_pov_value(p: int, points, gl: bool) -> Fraction:
     r = len(points)
-    inv_vand = Fraction(1)
-    for i in range(r):
-        for j in range(i + 1, r):
-            d = points[i] - points[j]
-            v = 0
-            while d % p == 0:
-                d //= p
-                v += 1
-            inv_vand *= p ** v
+    inv_vand = p ** sum(cf._pairwise_min_valuations(p, points))
     const = Fraction(1) if gl else _exact_prefactor(p, r)
     return const * inv_vand / (1 - Fraction(1, p)) ** r
 
@@ -933,18 +822,12 @@ def _run_points_on_variety(spec):
                 break
         if good:
             hits += 1
-    prob = Fraction(hits, total)
-    normalized = prob * p ** (s * r)
-    rep = ExactReport(
-        name=spec.name, params=spec.describe(),
-        estimand=f"p^(s*r) * P(val P_A(x) >= s at all points)",
-        lo=normalized, hi=normalized, enumeration_size=total,
-        seed=spec.seed, wall_ms=0.0,
-        analytic=AnalyticTarget(exact=str(_exact_pov_value(p, points, gl))),
+    normalized = Fraction(hits, total) * p ** (s * r)
+    return [exact_report(
+        spec, "p^(s*r) * P(val P_A(x) >= s at all points)", normalized,
+        normalized, total, _exact_pov_value(p, points, gl),
         details=f"{hits} of {total}",
-    )
-    finalize(rep)
-    return [rep]
+    )]
 
 
 def _run_poly_variety(spec):
@@ -967,25 +850,12 @@ def _run_poly_variety(spec):
                 break
         if good:
             hits += 1
-    prob = Fraction(hits, total)
-    normalized = prob * p ** (s * len(points))
-    want = Fraction(1)
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            d = points[i] - points[j]
-            while d % p == 0:
-                d //= p
-                want *= p
-    rep = ExactReport(
-        name=spec.name, params=spec.describe(),
-        estimand="p^(s*#points) * P(val Y(x) >= s at all points)",
-        lo=normalized, hi=normalized, enumeration_size=total,
-        seed=spec.seed, wall_ms=0.0,
-        analytic=AnalyticTarget(exact=str(want)),
+    normalized = Fraction(hits, total) * p ** (s * len(points))
+    return [exact_report(
+        spec, "p^(s*#points) * P(val Y(x) >= s at all points)", normalized,
+        normalized, total, p ** sum(cf._pairwise_min_valuations(p, points)),
         details=f"{hits} of {total}",
-    )
-    finalize(rep)
-    return [rep]
+    )]
 
 
 def _run_invertible_exact(spec):
@@ -999,19 +869,11 @@ def _run_invertible_exact(spec):
         total += 1
         if _rank_mod_p(A, p) == n:
             hits += 1
-    want = Fraction(1)
-    for k in range(1, n + 1):
-        want *= 1 - Fraction(1, p ** k)
-    rep = ExactReport(
-        name=spec.name, params=spec.describe(),
-        estimand="P(A invertible mod p)",
-        lo=Fraction(hits, total), hi=Fraction(hits, total),
-        enumeration_size=total, seed=spec.seed, wall_ms=0.0,
-        analytic=AnalyticTarget(exact=str(want)),
+    return [exact_report(
+        spec, "P(A invertible mod p)", Fraction(hits, total),
+        Fraction(hits, total), total, _exact_prefactor(p, n),
         details=f"{hits} of {total}",
-    )
-    finalize(rep)
-    return [rep]
+    )]
 
 
 # ---------------------------------------------------------------------------
@@ -1206,6 +1068,7 @@ _register(ExperimentDef(
     suite_variants=(
         {"p": 2, "s": 1, "N": 1}, {"p": 2, "s": 2, "N": 2}, {"p": 3, "s": 1, "N": 1},
     ),
+    budget=_points_budget,
 ))
 
 _register(ExperimentDef(
@@ -1215,6 +1078,7 @@ _register(ExperimentDef(
     defaults=dict(p=3, n=2, N=1, trials=1, mode=GL, s=1, points=(1, 2)),
     runner=_run_points_on_variety,
     min_precision=1,
+    budget=_points_budget,
 ))
 
 _register(ExperimentDef(
@@ -1227,6 +1091,7 @@ _register(ExperimentDef(
     suite_variants=(
         {"p": 2, "s": 1, "N": 1}, {"p": 2, "s": 2, "N": 2}, {"p": 3, "s": 1, "N": 1},
     ),
+    budget=_points_budget,
 ))
 
 _register(ExperimentDef(

@@ -109,10 +109,13 @@ def test_bad_run_parameters_are_usage_errors(argv, capsys):
     ["run", "det_moment", "--seed", str(2 ** 64)],
     ["run", "island_law", "--d", "0"],
     ["suite", "--filter", "det_moment*", "--workers", "0"],
+    ["run", "points_on_variety", "--points", "1,1"],
+    ["run", "poly_variety", "--points", "0,0"],
+    ["run", "points_on_variety_gl", "--points", "1,1"],
 ])
 def test_bad_size_worker_seed_and_degree_are_usage_errors(argv, capsys):
-    # n, workers and d below 1 and seeds outside [0, 2^64) are refused
-    # before sampling, with exit 2 and a usage message
+    # n, workers and d below 1, seeds outside [0, 2^64) and repeated
+    # points are refused before sampling, with exit 2 and a usage message
     assert dispatch(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -144,6 +147,29 @@ def test_workers_env_default(tmp_path, monkeypatch, capsys):
     # worker count affects scheduling only, never the result
     assert d1[0]["estimate"] == d2[0]["estimate"]
     assert d1[0]["se"] == d2[0]["se"]
+
+
+@pytest.mark.parametrize("value", ["abc", "-3"])
+def test_bad_workers_env_is_a_usage_error(value, monkeypatch, capsys):
+    monkeypatch.setenv("PADIC_WORKERS", value)
+    for argv in (["run", "det_moment", "--trials", "2000"],
+                 ["suite", "--filter", "det_moment_exact"]):
+        assert dispatch(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["formula", "pair_corr_zp", "--p", "3", "--m", "-1"],
+    ["formula", "quad_density", "--p", "2", "--label", "RAMIFIED", "--m", "0"],
+    ["formula", "det_moment", "--p", "2", "--n", "0", "--k", "1"],
+])
+def test_bad_formula_parameters_are_usage_errors(argv, capsys):
+    assert dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ")
 
 
 def test_suite_filter(tmp_path, capsys):

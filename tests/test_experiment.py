@@ -103,6 +103,10 @@ def test_compare_rules():
     assert v.status == "PASS"
     v = compare(rep(0.5, 0.001, AnalyticTarget(interval=(0.51, 0.6))))
     assert v.status == "FAIL"
+    # an undefined estimate is never a FAIL
+    for target in (AnalyticTarget(value=1.0), AnalyticTarget(interval=(0.5, 0.6)),
+                   AnalyticTarget(value=0.0, comparison="greater")):
+        assert compare(rep(math.nan, math.nan, target)).status == "INCONCLUSIVE"
 
 
 def test_compare_exact_rules():
@@ -260,6 +264,26 @@ def test_kernel_budgets_accept_their_edge():
     edge = 2 ** 53 // 1008 ** 2
     assert build_experiment("island_law", {"p": 1009, "n": edge}).n == edge
     assert build_experiment("cok_markov", {"N": 63}).precision == 63
+
+
+def test_repeated_points_refused_when_spec_is_built():
+    for name in ("points_on_variety", "points_on_variety_gl", "poly_variety"):
+        with pytest.raises(InvalidSpec, match="distinct"):
+            build_experiment(name, {"points": (1, 3, 1)})
+
+
+def test_en_relation_with_an_empty_side_is_inconclusive():
+    # one trial leaves at least one side without an all-in sample
+    (rep,) = run_experiment(build_experiment("en_relation", {"trials": 1}))
+    assert rep.verdict == "INCONCLUSIVE"
+    assert math.isnan(rep.estimate)
+    assert rep.details.startswith("no all-in samples on the ")
+
+
+def test_en_decay_without_certified_samples_is_inconclusive():
+    # at this seed the one n = 2 sample is not certified
+    reps = run_experiment(build_experiment("en_decay", {"trials": 1, "seed": 169}))
+    assert reps[0].used == 0 and reps[0].verdict == "INCONCLUSIVE"
 
 
 def test_run_parameter_edges_accepted():
