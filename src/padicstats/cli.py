@@ -252,16 +252,13 @@ def _cmd_suite(args) -> int:
     # every spec is built, and so validated, before anything runs
     specs = []
     try:
+        workers = args.workers if args.workers is not None else _default_workers()
         for name in names:
             edef = REGISTRY[name]
             for variant in edef.suite_variants:
-                overrides = dict(variant)
+                overrides = dict(variant, workers=workers)
                 if args.seed is not None:
                     overrides["seed"] = args.seed
-                if args.workers is not None:
-                    overrides["workers"] = args.workers
-                elif "PADIC_WORKERS" in os.environ:
-                    overrides["workers"] = _default_workers()
                 if args.trials is not None and edef.kind == "mc":
                     overrides["trials"] = args.trials
                 specs.append(build_experiment(name, overrides))

@@ -227,9 +227,11 @@ def compare(report, analytic: AnalyticTarget | None = None) -> Verdict:
         ok = est == 0
         return Verdict(PASS if ok else FAIL, None, f"count {est} (must be 0)")
     if target.comparison == "greater":
-        z = (est - target.value) / se if se > 0 else math.inf
-        ok = est - target.value > 3.0 * se
-        return Verdict(PASS if ok else FAIL, z, f"gap {est - target.value:.4g}")
+        gap = est - target.value
+        if se == 0:
+            # a spread of zero (a single sample) supports neither verdict
+            return Verdict(INCONCLUSIVE, None, f"gap {gap:.4g} with zero spread")
+        return Verdict(PASS if gap > 3.0 * se else FAIL, gap / se, f"gap {gap:.4g}")
     if target.interval is not None:
         lo, hi = target.interval
         clo, chi = report.ci

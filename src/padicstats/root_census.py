@@ -1,10 +1,10 @@
 """Root census of characteristic polynomials over Z/p^N.
 
-Pipeline: factor the residue over F_p, lift the coprime grouping by Hensel
-iterations, then resolve each lifted factor: certified roots in Z_p by
-recursive residue refinement, quadratic orbits by root counts plus
-discriminant valuation parity, and repeated-residue factors by root
-counting in the unramified extension of matching residue degree.
+Pipeline: factor the residue over F_p, Hensel-lift the repeated residue
+factors and read the simple ones off the factorization, then resolve each
+lifted factor: certified roots in Z_p by recursive residue refinement,
+quadratic orbits by root counts plus discriminant valuation parity, and
+root counting in the unramified extension of matching residue degree.
 
 Certification is explicit: a sample whose precision budget cannot settle a
 branch is flagged, never silently miscounted, and callers discard flagged
@@ -42,11 +42,8 @@ class UnsupportedPrime(ValueError):
     """Quadratic extension classification supports odd p only."""
 
 
-QP = "Qp"
 QUAD_UNRAMIFIED = "QUAD_UNRAMIFIED"
 QUAD_RAMIFIED = "QUAD_RAMIFIED"
-UNRAMIFIED = "UNRAMIFIED"
-OTHER = "OTHER"
 
 
 @dataclass(frozen=True)
@@ -169,12 +166,11 @@ def _distinct_degree(f, p):
     return out
 
 
-def _equal_degree_split(f, d, p, rng=None):
+def _equal_degree_split(f, d, p):
     """Cantor-Zassenhaus split of a squarefree product of degree-d factors.
 
-    Falls back to a deterministic sweep of trial polynomials when no random
-    stream is supplied or the randomized step stalls, so fixed seeds give
-    reproducible factorizations.
+    The trial polynomials come from a deterministic sweep, so a residue
+    always gets the same factorization.
     """
     n = len(f) - 1
     if n == d:
@@ -197,9 +193,6 @@ def _equal_degree_split(f, d, p, rng=None):
         return None
 
     def candidates():
-        if rng is not None:
-            for _ in range(32):
-                yield [int(x) for x in rng.integers(0, p, size=n)]
         # monomial sweep: over F_2 the trace components of x^j span, so
         # some monomial always splits; over odd p the affine sweep after it
         # nearly always does, and full enumeration guarantees termination
@@ -218,7 +211,7 @@ def _equal_degree_split(f, d, p, rng=None):
         if g is not None:
             part = _fp_monic(g, p)
             rest = poly_divmod(f, part, p)[0]
-            return _equal_degree_split(part, d, p, rng) + _equal_degree_split(rest, d, p, rng)
+            return _equal_degree_split(part, d, p) + _equal_degree_split(rest, d, p)
     raise RuntimeError("equal-degree factorization stalled")  # pragma: no cover
 
 
@@ -241,35 +234,30 @@ class ResidueFactorization:
 FACTOR_CACHE_SIZE = 4096  # residues whose factorizations are kept
 
 
-def factor_mod_p(coeffs, p: int, rng=None) -> ResidueFactorization:
+def factor_mod_p(coeffs, p: int) -> ResidueFactorization:
     """Complete monic irreducible factorization of a nonzero poly over F_p.
 
-    Without a random stream the result depends on the residue alone, so it
-    is cached on (residue, p); a call with ``rng`` bypasses the cache and
-    consumes the stream as an uncached factorization would.
+    The result depends on the residue alone, so it is cached on
+    (residue, p).
     """
     f = tuple(poly_trim([int(c) % p for c in coeffs]))
     if not f:
         raise ValueError("cannot factor the zero polynomial")
-    if rng is None:
-        return _factor_cached(f, p)
-    return _factor(f, p, rng)
+    return _factor(f, p)
 
 
-def _factor(f: tuple, p: int, rng=None) -> ResidueFactorization:
+@lru_cache(maxsize=FACTOR_CACHE_SIZE)
+def _factor(f: tuple, p: int) -> ResidueFactorization:
     found = {}
     for sf, mult in _squarefree_decomposition(f, p):
         for prod, d in _distinct_degree(sf, p):
-            for irr in _equal_degree_split(prod, d, p, rng):
+            for irr in _equal_degree_split(prod, d, p):
                 key = tuple(irr)
                 found[key] = (len(irr) - 1, found.get(key, (0, 0))[1] + mult)
     factors = tuple(
         sorted((k, d, m) for k, (d, m) in found.items())
     )
     return ResidueFactorization(p, factors)
-
-
-_factor_cached = lru_cache(maxsize=FACTOR_CACHE_SIZE)(_factor)
 
 
 # ---------------------------------------------------------------------------
@@ -309,38 +297,35 @@ def _hensel_pair(f, g1, h1, s1, t1, p, target_exp):
     return g, h
 
 
-def _lift_factors(f: PadicPoly, fact: ResidueFactorization) -> list:
-    """Hensel-lift the residue factorization of a monic f.
+def _lift_factors(f: PadicPoly, heads) -> tuple:
+    """Hensel-lift the given residue factors off a monic f.
 
-    Returns one (monic factor, residue degree d, multiplicity) per
-    irreducible residue factor F of ``fact``: the factor reduces to F^mult
-    mod p, and the factors multiply to f exactly mod p^N.
+    ``heads`` holds distinct (F, d, mult) entries of f's residue
+    factorization.  Returns (lifted, cofactor): one (monic factor, d, mult)
+    per entry, the factor reducing to F^mult mod p, and the monic cofactor
+    that completes the product to f exactly mod p^N.
     """
     if not f.monic:
         raise ValueError("hensel lifting needs a monic polynomial")
-    if not fact.factors:
-        return []
     p, N = f.p, f.precision
-    *head, (_, d_last, m_last) = fact.factors
-    out = []
+    lifted = []
     rest = list(f.coeffs)
-    for k, d, m in head:
+    for k, d, m in heads:
         gbar = [1]
         for _ in range(m):
             gbar = poly_mul(gbar, k, p)
         hbar = poly_divmod(poly_trim(c % p for c in rest), gbar, p)[0]
         s, t = poly_bezout(gbar, hbar, p)
         g, rest = _hensel_pair(rest, gbar, hbar, s, t, p, N)
-        out.append((PadicPoly.from_ints(p, N, g), d, m))
-    out.append((PadicPoly.from_ints(p, N, rest), d_last, m_last))
-    return out
+        lifted.append((PadicPoly.from_ints(p, N, g), d, m))
+    return lifted, PadicPoly.from_ints(p, N, rest)
 
 
-def hensel_split(f: PadicPoly, rng=None) -> list:
+def hensel_split(f: PadicPoly) -> list:
     """Split a monic f into monic factors, one per distinct irreducible
     residue factor, with the product reconstituting f exactly mod p^N."""
-    parts = _lift_factors(f, factor_mod_p(f.coeffs, f.p, rng))
-    return [g for g, _, _ in parts] or [f]
+    lifted, cofactor = _lift_factors(f, factor_mod_p(f.coeffs, f.p).factors[:-1])
+    return [g for g, _, _ in lifted] + [cofactor]
 
 
 # ---------------------------------------------------------------------------
@@ -358,27 +343,20 @@ def _taylor_shift(coeffs, a, m):
     return res
 
 
-def _newton_refine(coeffs, dcoeffs, p, N, x0, v2):
-    """Refine a Hensel-certified approximate root to the full precision.
-
-    The derivative has stable valuation v2 near the root; the root is
-    determined mod p^{N - v2}.
-    """
+def _newton_refine(coeffs, dcoeffs, p, N, x0):
+    """Refine a root whose residue x0 has a unit derivative to p^N."""
     modulus = p ** N
-    pv = p ** v2
-    res_mod = p ** (N - v2)
     x = x0 % modulus
     for _ in range(N + 4):
         fx = poly_horner(coeffs, x, modulus)
         if fx == 0:
             break
         fpx = poly_horner(dcoeffs, x, modulus)
-        u = (fpx // pv) % res_mod
-        step = ((fx // pv) * inverse_mod(u, p, res_mod)) % res_mod
+        step = (fx * inverse_mod(fpx, p, modulus)) % modulus
         if step == 0:
             break
         x = (x - step) % modulus
-    return x % res_mod
+    return x
 
 
 def _zp_roots_raw(coeffs, p, N):
@@ -402,7 +380,7 @@ def _zp_roots_raw(coeffs, p, N):
         # a + pZ_p; any weaker certificate can miss a second root hiding
         # deeper in the same class, so everything else recurses
         if fpa % p != 0:
-            root = _newton_refine(coeffs, dcoeffs, p, N, a, 0)
+            root = _newton_refine(coeffs, dcoeffs, p, N, a)
             roots.append((root, N))
             continue
         if N < 2:
@@ -449,10 +427,10 @@ def count_roots_in_zp(f: PadicPoly) -> int:
     return len(zp_roots(f))
 
 
-def island_multiplicities(f: PadicPoly, rng=None) -> dict:
+def island_multiplicities(f: PadicPoly) -> dict:
     """Multiplicity of each irreducible residue factor of a monic f; the
     number of eigenvalues on the island of F is deg(F) * multiplicity."""
-    return {k: m for k, _, m in factor_mod_p(f.coeffs, f.p, rng).factors}
+    return {k: m for k, _, m in factor_mod_p(f.coeffs, f.p).factors}
 
 
 def classify_quadratic(g: PadicPoly) -> ExtensionDescriptor:
@@ -553,7 +531,7 @@ def _unram_roots_raw(coeffs, ring):
         # unit derivative: exactly one root in the residue class (see the
         # base-ring variant for why weaker certificates undercount)
         if ring.val(fpa) == 0:
-            root = _unram_newton(coeffs, dcoeffs, a, 0, ring)
+            root = _unram_newton(coeffs, dcoeffs, a, ring)
             roots.append((root, N))
             continue
         if N < 2:
@@ -588,23 +566,18 @@ def _unram_roots_raw(coeffs, ring):
     return roots, ok
 
 
-def _unram_newton(coeffs, dcoeffs, x0, v2, ring):
-    p, N = ring.p, ring.precision
-    res_mod = p ** (N - v2)
+def _unram_newton(coeffs, dcoeffs, x0, ring):
+    """Refine a root whose residue x0 has a unit derivative to full precision."""
     x = x0
-    for _ in range(N + 4):
+    for _ in range(ring.precision + 4):
         fx = _unram_poly_eval(coeffs, x, ring)
         if all(v == 0 for v in fx):
             break
-        fpx = _unram_poly_eval(dcoeffs, x, ring)
-        sub_ring = QuotientRing(p, N - v2, ring.modpoly)
-        u = tuple(x2 // p ** v2 % sub_ring.modulus for x2 in fpx)
-        fv = tuple(x2 // p ** v2 % sub_ring.modulus for x2 in fx)
-        step = sub_ring.mul(fv, sub_ring.inverse(u))
+        step = ring.mul(fx, ring.inverse(_unram_poly_eval(dcoeffs, x, ring)))
         if all(v == 0 for v in step):
             break
-        x = tuple((a - b) % ring.modulus for a, b in zip(x, step))
-    return tuple(v % res_mod for v in x)
+        x = ring.sub(x, step)
+    return x
 
 
 def unramified_roots(f: PadicPoly, d: int):
@@ -630,7 +603,7 @@ class Census:
     p: int
     precision: int
     degree: int
-    zp_roots: tuple          # (value, known_precision) pairs
+    zp_roots: tuple          # (value, known_precision) pairs, in no set order
     pairwise_valuations: tuple
     quad_orbits: tuple       # (label, m) per certified quadratic orbit
     island_map: dict         # residue factor coeffs -> multiplicity
@@ -649,36 +622,31 @@ class Census:
         return out
 
 
-def census_of_poly(f: PadicPoly, rng=None) -> Census:
+def census_of_poly(f: PadicPoly) -> Census:
     """Resolve a monic polynomial into certified eigenvalue statistics.
 
-    Splits f by residue factors, then per factor: Z_p roots by refinement,
-    quadratic orbits by discriminant parity, repeated-residue factors by
-    root counts in the matching unramified extension.  Unresolvable mass
-    raises no error; it sets component flags so estimators can discard the
-    sample and report the rate.
+    A simple residue factor of degree d >= 2 holds d unramified eigenvalues,
+    and the simple linear ones are the Z_p roots of the unlifted cofactor.
+    Per repeated factor: Z_p roots by refinement, quadratic orbits by
+    discriminant parity, root counts in the matching unramified extension.
+    Unresolvable mass raises no error; it sets component flags so
+    estimators can discard the sample and report the rate.
     """
     p, N = f.p, f.precision
-    fact = factor_mod_p(f.coeffs, p, rng)
-    zp_root_list = []
+    fact = factor_mod_p(f.coeffs, p)
+    lifted, cofactor = _lift_factors(f, [e for e in fact.factors if e[2] > 1])
+    # every residue root of the cofactor is simple, so its roots certify
+    zp_root_list = list(zp_roots(cofactor))
     quad_orbits = []
     unram_counts = {}
     flags = set()
-    for g, d, mult in _lift_factors(f, fact):
-        if mult == 1:
-            if d == 1:
-                try:
-                    rts = zp_roots(g)
-                    zp_root_list.extend(rts)
-                except PrecisionExhausted:
-                    flags.update({"zp", "pairs"})
-            elif d == 2:
+    for _, d, mult in fact.factors:
+        if mult == 1 and d >= 2:
+            if d == 2:
                 # irreducible residue => unramified quadratic at depth 0
                 quad_orbits.append((QUAD_UNRAMIFIED, 0))
-                unram_counts[2] = unram_counts.get(2, 0) + 2
-            else:
-                unram_counts[d] = unram_counts.get(d, 0) + d
-            continue
+            unram_counts[d] = unram_counts.get(d, 0) + d
+    for g, d, _ in lifted:
         # repeated residue factor F^mult
         if d == 1:
             try:
@@ -701,7 +669,8 @@ def census_of_poly(f: PadicPoly, rng=None) -> Census:
                 pass
             elif rem_deg == 2:
                 try:
-                    quad_orbits.append(_classify_from_list(remaining, p, prec_rem))
+                    desc = classify_quadratic(PadicPoly.from_ints(p, prec_rem, remaining))
+                    quad_orbits.append((desc.label, desc.m))
                 except (PrecisionExhausted, UnsupportedPrime):
                     flags.add("quad")
             elif rem_deg == 3:
@@ -720,7 +689,7 @@ def census_of_poly(f: PadicPoly, rng=None) -> Census:
                     flags.add("quad")
                 continue
             if d == 2:
-                pairs = _pair_unram_quadratic(rts, p, N, d)
+                pairs = _pair_unram_quadratic(rts, p)
                 if pairs is None:
                     flags.add("quad")
                 else:
@@ -756,17 +725,6 @@ def census_of_poly(f: PadicPoly, rng=None) -> Census:
     )
 
 
-def _classify_from_list(coeffs, p, N):
-    g = PadicPoly.from_ints(p, N, coeffs)
-    lc = g.coeffs[-1] if g.coeffs else 0
-    if lc != 1:
-        # normalize by the (unit) leading coefficient
-        inv = inverse_mod(lc, p, p ** N)
-        g = PadicPoly.from_ints(p, N, [(c * inv) % p ** N for c in g.coeffs])
-    desc = classify_quadratic(g)
-    return (desc.label, desc.m)
-
-
 def _resolve_unram_pairs(coeffs, p, N, quad_orbits):
     """Count unramified-quadratic conjugate pairs inside a residue-power
     factor of degree >= 4.  Returns False when leftover degree could still
@@ -776,7 +734,7 @@ def _resolve_unram_pairs(coeffs, p, N, quad_orbits):
         rts = unramified_roots(g, 2)
     except PrecisionExhausted:
         return False
-    pairs = _pair_unram_quadratic(rts, p, N, 2)
+    pairs = _pair_unram_quadratic(rts, p)
     if pairs is None:
         return False
     for m in pairs:
@@ -785,11 +743,9 @@ def _resolve_unram_pairs(coeffs, p, N, quad_orbits):
     return leftover < 2
 
 
-def _pair_unram_quadratic(roots, p, N, d):
+def _pair_unram_quadratic(roots, p):
     """Pair conjugate roots in the degree-2 unramified ring and return the
     depth m of each orbit, or None if pairing fails."""
-    if d != 2:
-        return None
     if len(roots) % 2 != 0:
         return None
     w = unramified_modulus(p, 2)
@@ -816,8 +772,8 @@ def _pair_unram_quadratic(roots, p, N, d):
     return ms
 
 
-def eigenvalue_census(A, rng=None) -> Census:
+def eigenvalue_census(A) -> Census:
     """Census of the eigenvalues of a base-ring matrix."""
     from .matrix_lab import charpoly
 
-    return census_of_poly(charpoly(A), rng)
+    return census_of_poly(charpoly(A))

@@ -107,6 +107,10 @@ def test_compare_rules():
     for target in (AnalyticTarget(value=1.0), AnalyticTarget(interval=(0.5, 0.6)),
                    AnalyticTarget(value=0.0, comparison="greater")):
         assert compare(rep(math.nan, math.nan, target)).status == "INCONCLUSIVE"
+    # a greater-than target with zero spread (one sample) is never settled
+    for est in (1.0, 0.0, -1.0):
+        v = compare(rep(est, 0.0, AnalyticTarget(value=0.0, comparison="greater")))
+        assert v.status == "INCONCLUSIVE" and v.z is None
 
 
 def test_compare_exact_rules():
@@ -284,6 +288,13 @@ def test_en_decay_without_certified_samples_is_inconclusive():
     # at this seed the one n = 2 sample is not certified
     reps = run_experiment(build_experiment("en_decay", {"trials": 1, "seed": 169}))
     assert reps[0].used == 0 and reps[0].verdict == "INCONCLUSIVE"
+
+
+def test_en_decay_single_sample_is_inconclusive():
+    # at the default seed every size certifies its one sample, so both gaps
+    # have se 0 and support neither verdict
+    reps = run_experiment(build_experiment("en_decay", {"trials": 1}))
+    assert [(r.se, r.verdict) for r in reps] == [(0.0, "INCONCLUSIVE")] * 2
 
 
 def test_run_parameter_edges_accepted():

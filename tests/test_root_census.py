@@ -76,12 +76,12 @@ def _residues(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_residues(), st.integers(0, 2 ** 32))
-def test_factor_mod_p_cache_matches_uncached(case, seed):
+@given(_residues())
+def test_factor_mod_p_cache_matches_uncached(case):
     p, coeffs = case
     residue = tuple(poly_trim([c % p for c in coeffs]))
     fact = factor_mod_p(coeffs, p)
-    assert fact == root_census._factor(residue, p)
+    assert fact == root_census._factor.__wrapped__(residue, p)
     assert factor_mod_p(coeffs, p) is fact  # the second call is a cache hit
     prod_ = [1]
     for k, d, mult in fact.factors:
@@ -90,14 +90,6 @@ def test_factor_mod_p_cache_matches_uncached(case, seed):
             prod_ = poly_mul(prod_, list(k), p)
     inv = pow(residue[-1], -1, p)
     assert prod_ == [(c * inv) % p for c in residue]
-    # a random stream bypasses the cache and is consumed exactly as an
-    # uncached factorization consumes it
-    info = root_census._factor_cached.cache_info()
-    gen, ref = Rng(seed).generator(), Rng(seed).generator()
-    assert factor_mod_p(coeffs, p, gen) == fact
-    assert root_census._factor(residue, p, ref) == fact
-    assert root_census._factor_cached.cache_info() == info
-    assert gen.integers(0, 2 ** 62) == ref.integers(0, 2 ** 62)
 
 
 def test_factor_mod_p_factors_are_irreducible():
@@ -144,9 +136,10 @@ def test_hensel_split_reconstitutes_random():
         for h in parts[1:]:
             prod_ = prod_ * h
         assert prod_.coeffs == f.coeffs
-        lifted = _lift_factors(f, factor_mod_p(f.coeffs, p))
-        assert [g for g, _, _ in lifted] == parts
-        for h, d, mult in lifted:
+        fact = factor_mod_p(f.coeffs, p)
+        lifted, cofactor = _lift_factors(f, fact.factors[:-1])
+        assert [g for g, _, _ in lifted] + [cofactor] == parts
+        for h, d, mult in lifted + [(cofactor, *fact.factors[-1][1:])]:
             assert h.monic
             ((k, dk, mk),) = factor_mod_p(h.coeffs, p).factors
             assert (dk, mk) == (d, mult)
@@ -312,6 +305,54 @@ def test_census_factors_each_residue_once(monkeypatch):
         calls.clear()
         census_of_poly(f)
         assert len(calls) == 1
+
+
+def test_census_lifts_only_repeated_residue_factors(monkeypatch):
+    calls = []
+    real = root_census._hensel_pair
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(root_census, "_hensel_pair", counting)
+    # squarefree residue x (x - 1) (x^2 + 1) over F_3: nothing is lifted
+    f = poly_from_roots(3, 8, [3, 4]) * PadicPoly.from_ints(3, 8, (1, 0, 1))
+    c = census_of_poly(f)
+    assert calls == []
+    assert c.zp_count == 2 and c.unram_counts == {2: 2}
+    assert c.quad_counts == {(QUAD_UNRAMIFIED, 0): 1} and not c.flags
+    # residue x^2 (x - 1) (x - 2): only the repeated factor x^2 is lifted
+    f = poly_from_roots(3, 8, [0, 9, 1, 2])
+    c = census_of_poly(f)
+    assert len(calls) == 1
+    assert sorted(r for r, _ in c.zp_roots) == [0, 1, 2, 9] and not c.flags
+
+
+@st.composite
+def _planted_roots(draw):
+    """A monic poly over Z/p^N whose roots include several in one residue
+    class, times a random monic cofactor."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    N = draw(st.integers(2, 9))
+    a = draw(st.integers(0, p - 1))
+    deep = draw(st.lists(st.integers(0, p ** (N - 1) - 1), min_size=2, max_size=4))
+    other = draw(st.lists(st.integers(0, p ** N - 1), max_size=2))
+    rest = draw(st.lists(st.integers(0, p ** N - 1), max_size=3))
+    f = poly_from_roots(p, N, [a + p * r for r in deep] + other)
+    return f * PadicPoly.from_ints(p, N, rest + [1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_planted_roots())
+def test_census_roots_match_zp_roots(f):
+    try:
+        want = sorted(zp_roots(f))
+    except PrecisionExhausted:
+        return
+    c = census_of_poly(f)
+    if "zp" not in c.flags:
+        assert sorted(c.zp_roots) == want
 
 
 def test_census_examples():
