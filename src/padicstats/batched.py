@@ -132,6 +132,109 @@ def batch_charpoly_quad(matsU: np.ndarray, matsV: np.ndarray, c: int,
     return cu, cv
 
 
+# ---------------------------------------------------------------------------
+# Polynomial rows mod p^k: (G, len) int64 coefficient arrays, constant term
+# first, one polynomial per row.  Every step adds one product of two
+# residues (below modulus^2) to a residue and reduces at once, so the values
+# stay within modulus + (modulus - 1)^2 < 2^63 whenever
+# check_modulus_budget(n, modulus) holds for some n >= 1.
+# ---------------------------------------------------------------------------
+
+
+def batch_poly_mul(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
+    """Row-wise products: (G, la) x (G, lb) -> (G, la + lb - 1) mod modulus."""
+    G, la = a.shape
+    lb = b.shape[1]
+    out = np.zeros((G, max(la + lb - 1, 0)), dtype=np.int64)
+    for i in range(la):
+        seg = out[:, i:i + lb]
+        seg += a[:, i:i + 1] * b
+        seg %= modulus
+    return out
+
+
+def _widened(a: np.ndarray, width: int) -> np.ndarray:
+    out = np.zeros((a.shape[0], width), dtype=np.int64)
+    out[:, :a.shape[1]] = a
+    return out
+
+
+def batch_poly_add(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
+    """Row-wise a + b mod modulus, zero-padded to the wider operand."""
+    out = _widened(a, max(a.shape[1], b.shape[1]))
+    out[:, :b.shape[1]] += b
+    return out % modulus
+
+
+def batch_poly_sub(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
+    """Row-wise a - b mod modulus, zero-padded to the wider operand."""
+    out = _widened(a, max(a.shape[1], b.shape[1]))
+    out[:, :b.shape[1]] -= b
+    return out % modulus
+
+
+def batch_divmod_monic(a: np.ndarray, b: np.ndarray, modulus: int) -> tuple:
+    """Row-wise quotients and remainders of a (G, la) by monic divisors b
+    (G, db + 1) that all have degree db: (G, max(la - db, 0)), (G, db)."""
+    G, la = a.shape
+    db = b.shape[1] - 1
+    r = _widened(a % modulus, max(la, db))
+    q = np.zeros((G, max(la - db, 0)), dtype=np.int64)
+    for i in range(la - 1, db - 1, -1):
+        c = r[:, i].copy()
+        q[:, i - db] = c
+        seg = r[:, i - db:i + 1]
+        seg -= c[:, None] * b
+        seg %= modulus
+    return q, r[:, :db]
+
+
+def _exact_quotient(a, b, modulus, what):
+    q, rem = batch_divmod_monic(a, b, modulus)
+    if rem.any():  # pragma: no cover
+        raise AssertionError(f"{what} not exact")
+    return q
+
+
+def batch_hensel_lift(f: np.ndarray, g: np.ndarray, h: np.ndarray,
+                      s: np.ndarray, t: np.ndarray, p: int,
+                      target_exp: int) -> tuple:
+    """Quadratic Hensel lifting of f = g h from mod p to mod p^target_exp,
+    row by row (von zur Gathen & Gerhard, Modern Computer Algebra, Alg. 15.10).
+
+    f: (G, n + 1) monic int64 rows; g: (G, dg + 1) and h: (G, dh + 1)
+    monic residues mod p with dg + dh = n; s: (G, dh) and t: (G, dg) with
+    s g + t h = 1 mod p.  Returns the monic lifts (g, h), which are unique,
+    so they equal any other lift of the same residues.  The caller checks
+    check_modulus_budget(n, p^target_exp): every product is then below
+    (p^target_exp)^2 and every intermediate fits int64 (see above).
+    """
+    one = np.ones((f.shape[0], 1), dtype=np.int64)
+    exp = 1
+    while exp < target_exp:
+        exp = min(2 * exp, target_exp)
+        m = p ** exp
+        # the defect vanishes mod the old modulus, so Bezout data there
+        # supports one squared-modulus step; both corrections divide by h
+        e = batch_poly_sub(f, batch_poly_mul(g, h, m), m)
+        dh = batch_divmod_monic(batch_poly_mul(e, s, m), h, m)[1]
+        # e - g dh has degree < n, so the quotient's top (x^dg) entry is 0
+        dg = _exact_quotient(batch_poly_sub(e, batch_poly_mul(g, dh, m), m),
+                             h, m, "hensel correction")
+        g = batch_poly_add(g, dg, m)
+        h = batch_poly_add(h, dh, m)
+        if exp >= target_exp:
+            break
+        # refresh the Bezout data to the new modulus
+        b = batch_poly_sub(batch_poly_add(batch_poly_mul(s, g, m),
+                                          batch_poly_mul(t, h, m), m), one, m)
+        s = batch_poly_sub(
+            s, batch_divmod_monic(batch_poly_mul(s, b, m), h, m)[1], m)
+        t = _exact_quotient(batch_poly_sub(one, batch_poly_mul(s, g, m), m),
+                            h, m, "bezout refresh")
+    return g, h
+
+
 def batch_valuation(vals: np.ndarray, p: int, N: int) -> np.ndarray:
     """Valuations of residues mod p^N; saturated residues report N."""
     vals = vals % (p ** N)

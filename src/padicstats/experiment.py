@@ -199,7 +199,8 @@ def compare(report, analytic: AnalyticTarget | None = None) -> Verdict:
     size); interval targets pass when the 95% confidence interval
     overlaps; exact reports pass only on rational equality, or containment
     when saturation widened them to an interval.  A discard rate above 5%,
-    or an estimate that is NaN, makes any verdict inconclusive.
+    an estimate that is NaN or an infinite standard error (one certified
+    sample) makes any verdict inconclusive.
     """
     target = analytic if analytic is not None else report.analytic
     if target is None:
@@ -226,6 +227,9 @@ def compare(report, analytic: AnalyticTarget | None = None) -> Verdict:
     if target.comparison == "zero_count":
         ok = est == 0
         return Verdict(PASS if ok else FAIL, None, f"count {est} (must be 0)")
+    if math.isinf(se):
+        # one certified sample has no spread, so no gate can settle it
+        return Verdict(INCONCLUSIVE, None, "infinite standard error")
     if target.comparison == "greater":
         gap = est - target.value
         if se == 0:

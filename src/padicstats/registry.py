@@ -54,6 +54,7 @@ from .root_census import (
     QUAD_RAMIFIED,
     QUAD_UNRAMIFIED,
     _zp_roots_raw,
+    census_lifts,
     census_of_poly,
 )
 
@@ -70,7 +71,8 @@ class ExperimentDef:
     min_precision: int = 1
     suite_variants: tuple = ({},)  # override dicts run by the full suite
     # spec -> None; raises ValueError when the batched kernels the runner
-    # calls cannot be exact for these parameters
+    # calls cannot be exact for these parameters, or the runner does not
+    # apply to them (the quadratic experiments at p = 2)
     budget: object = None
     # name of the sample pass this experiment shares with others that run
     # the same chunk function (see experiment.run_chunked)
@@ -79,9 +81,9 @@ class ExperimentDef:
     def make_spec(self, overrides: dict) -> ExperimentSpec:
         """The run request for these overrides.  Unknown keys raise
         KeyError; a non-prime p, n, trials or workers < 1, a seed outside
-        [0, 2^64), an unknown mode or parameters outside the batched
-        kernels' exact range raise InvalidSpec, before anything is
-        sampled."""
+        [0, 2^64), an unknown mode, parameters outside the batched
+        kernels' exact range or p = 2 for a quadratic experiment raise
+        InvalidSpec, before anything is sampled."""
         base = dict(self.defaults)
         known = set(base) | {"p", "n", "N", "trials", "seed", "workers", "mode"}
         for k in overrides:
@@ -151,6 +153,19 @@ def _charpoly_det_budget(spec):
     _charpoly_budget(spec)
     c = spec.params.get("c") or _nonresidue(spec.p)
     check_quad_budget(spec.n, c, spec.p ** spec.precision)
+
+
+def _odd_p_census_budget(spec):
+    """Quadratic orbits are classified at odd p only."""
+    _charpoly_budget(spec)
+    if spec.p == 2:
+        raise ValueError("quadratic classification needs odd p")
+
+
+def _quad_chain_budget(spec):
+    _sampling_budget(spec)
+    if spec.params["label"] != "RAMIFIED":
+        _nonresidue(spec.p)
 
 
 def _points_budget(spec):
@@ -554,10 +569,10 @@ def _census_chunk(spec, gen, size):
         "quad_used": 0,
         "unram3_sum": 0.0, "unram3_sumsq": 0.0, "unram3_used": 0,
     }
+    lifts = census_lifts(cps[:, ::-1], p, N)
     for i in range(size):
-        coeffs = cps[i].tolist()[::-1]
-        f = PadicPoly.from_ints(p, N, coeffs)
-        census = census_of_poly(f)
+        f = PadicPoly.from_ints(p, N, cps[i].tolist()[::-1])
+        census = census_of_poly(f, lifts[i])
         if "quad" not in census.flags:
             cells = np.zeros(ncell + 2)
             for (label, m) in census.quad_orbits:
@@ -982,7 +997,7 @@ _register(ExperimentDef(
     runner=_run_quad_chain,
     min_precision=4,
     suite_variants=({"label": "UNRAMIFIED"}, {"label": "RAMIFIED"}),
-    budget=_sampling_budget,
+    budget=_quad_chain_budget,
 ))
 
 _register(ExperimentDef(
@@ -992,7 +1007,7 @@ _register(ExperimentDef(
     defaults=dict(p=3, n=6, N=12, trials=100_000, mode=MAT),
     runner=_run_quad_census,
     min_precision=8,
-    budget=_charpoly_budget,
+    budget=_odd_p_census_budget,
     shared="census",
 ))
 
@@ -1003,7 +1018,7 @@ _register(ExperimentDef(
     defaults=dict(p=3, n=6, N=12, trials=40_000, mode=MAT),
     runner=_run_expected_quad,
     min_precision=8,
-    budget=_charpoly_budget,
+    budget=_odd_p_census_budget,
     shared="census",
 ))
 

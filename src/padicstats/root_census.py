@@ -6,6 +6,12 @@ lifted factor: certified roots in Z_p by recursive residue refinement,
 quadratic orbits by root counts plus discriminant valuation parity, and
 root counting in the unramified extension of matching residue degree.
 
+The lift runs batched: census_lifts lifts a whole chunk of polys at once
+with the int64 quadratic Hensel kernel of ``batched``, one call per head
+step and lift shape, from start data cached per residue.  Root search in
+an unramified extension screens the residues a with Zech-logarithm tables
+of F_{p^d}, so only the residue roots reach full-precision arithmetic.
+
 Certification is explicit: a sample whose precision budget cannot settle a
 branch is flagged, never silently miscounted, and callers discard flagged
 samples against a reported discard rate.
@@ -16,6 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
+from .batched import batch_hensel_lift, check_modulus_budget
 from .padic_core import (
     PadicPoly,
     QuotientRing,
@@ -261,70 +270,106 @@ def _factor(f: tuple, p: int) -> ResidueFactorization:
 
 
 # ---------------------------------------------------------------------------
-# Hensel lifting of coprime residue factorizations.
+# Hensel lifting of coprime residue factorizations, batched over polys.
 # ---------------------------------------------------------------------------
 
 
-def _hensel_pair(f, g1, h1, s1, t1, p, target_exp):
-    """Quadratic Hensel iteration: lift f = g*h from mod p to mod p^target.
+@lru_cache(maxsize=FACTOR_CACHE_SIZE)
+def _lift_start(residue: tuple, p: int, heads: tuple) -> tuple:
+    """Start data mod p of each head step off a monic residue: (gbar,
+    hbar, s, t) with gbar = F^mult, hbar the residue left after it and
+    s gbar + t hbar = 1, s padded to deg hbar and t to deg gbar entries.
 
-    f, g, h are monic; s, t satisfy s g + t h = 1 at the current modulus.
-    Because the defect e = f - g h vanishes at the current modulus, Bezout
-    data at that modulus already supports one squared-modulus step; both
-    corrections come out as exact divisions by the monic h.
+    They depend on the residue alone, so poly_bezout runs once per residue
+    and not once per sample.
     """
-    g, h, s, t = list(g1), list(h1), list(s1), list(t1)
-    exp = 1
-    while exp < target_exp:
-        exp = min(2 * exp, target_exp)
-        m = p ** exp
-        e = poly_sub(f, poly_mul(g, h, m), m)
-        _, dh = poly_divmod(poly_mul(e, s, m), h, m)
-        dg, rem = poly_divmod(poly_sub(e, poly_mul(g, dh, m), m), h, m)
-        if rem:  # pragma: no cover
-            raise AssertionError("hensel correction not exact")
-        g = poly_add(g, dg, m)
-        h = poly_add(h, dh, m)
-        if exp >= target_exp:
-            break
-        # refresh Bezout data to the new modulus
-        b = poly_sub(poly_add(poly_mul(s, g, m), poly_mul(t, h, m), m), [1], m)
-        _, d = poly_divmod(poly_mul(s, b, m), h, m)
-        s = poly_sub(s, d, m)
-        t, rem = poly_divmod(poly_sub([1], poly_mul(s, g, m), m), h, m)
-        if rem:  # pragma: no cover
-            raise AssertionError("bezout refresh not exact")
-    return g, h
-
-
-def _lift_factors(f: PadicPoly, heads) -> tuple:
-    """Hensel-lift the given residue factors off a monic f.
-
-    ``heads`` holds distinct (F, d, mult) entries of f's residue
-    factorization.  Returns (lifted, cofactor): one (monic factor, d, mult)
-    per entry, the factor reducing to F^mult mod p, and the monic cofactor
-    that completes the product to f exactly mod p^N.
-    """
-    if not f.monic:
-        raise ValueError("hensel lifting needs a monic polynomial")
-    p, N = f.p, f.precision
-    lifted = []
-    rest = list(f.coeffs)
-    for k, d, m in heads:
+    out = []
+    rest = list(residue)
+    for k, _, m in heads:
         gbar = [1]
         for _ in range(m):
             gbar = poly_mul(gbar, k, p)
-        hbar = poly_divmod(poly_trim(c % p for c in rest), gbar, p)[0]
+        hbar = poly_divmod(rest, gbar, p)[0]
         s, t = poly_bezout(gbar, hbar, p)
-        g, rest = _hensel_pair(rest, gbar, hbar, s, t, p, N)
-        lifted.append((PadicPoly.from_ints(p, N, g), d, m))
-    return lifted, PadicPoly.from_ints(p, N, rest)
+        out.append((tuple(gbar), tuple(hbar),
+                    tuple(s) + (0,) * (len(hbar) - 1 - len(s)),
+                    tuple(t) + (0,) * (len(gbar) - 1 - len(t))))
+        rest = hbar
+    return tuple(out)
+
+
+class HenselLifts:
+    """The lifts of a batch, kept as int64 rows (constant term first);
+    ``lifts[i]`` builds the i-th poly's (lifted, cofactor) on demand."""
+
+    def __init__(self, p: int, precision: int, heads: list, factors: list,
+                 cofactors: np.ndarray):
+        self.p, self.precision = p, precision
+        self.heads = heads          # per poly, its lifted (F, d, mult) entries
+        self.factors = factors      # per head step, (B, n + 1) factor rows
+        self.cofactors = cofactors  # (B, n + 1) rows
+
+    def __getitem__(self, i: int) -> tuple:
+        p, N = self.p, self.precision
+        lifted = [(PadicPoly.from_ints(p, N, rows[i].tolist()), d, m)
+                  for rows, (_, d, m) in zip(self.factors, self.heads[i])]
+        return lifted, PadicPoly.from_ints(p, N, self.cofactors[i].tolist())
+
+
+def _lift_factors(polys, p: int, N: int, heads) -> HenselLifts:
+    """Hensel-lift the given residue factors off a batch of monic polys.
+
+    ``polys`` holds equal-length coefficient rows over Z/p^N, constant
+    term first, and heads[i] distinct (F, d, mult) entries of row i's
+    residue factorization.  lifts[i] is (lifted, cofactor): one (monic
+    factor, d, mult) per entry, the factor reducing to F^mult mod p, and
+    the monic cofactor that completes the product to the poly exactly mod
+    p^N.  Each head step lifts its rows with one int64 kernel call per
+    (deg F^mult, deg rest) group; a modulus past that kernel's budget
+    raises ValueError before any work.
+    """
+    check_modulus_budget(max(len(polys[0]) - 1, 1), p ** N)
+    rest = np.array(polys, dtype=np.int64) % p ** N
+    if not (rest[:, -1] == 1).all():
+        raise ValueError("hensel lifting needs monic polynomials")
+    residues, inv = np.unique(rest % p, axis=0, return_inverse=True)
+    residues = [tuple(r) for r in residues.tolist()]
+    starts = [_lift_start(residues[k], p, tuple(hd)) if hd else ()
+              for k, hd in zip(inv.reshape(-1).tolist(), heads)]
+    factors = []
+    for j in range(max(map(len, starts), default=0)):
+        rows = np.zeros_like(rest)
+        groups = {}
+        for i, st in enumerate(starts):
+            if len(st) > j:
+                groups.setdefault((len(st[j][0]), len(st[j][1])), []).append(i)
+        for (lg, lh), idx in groups.items():
+            data = (np.array(col, dtype=np.int64)
+                    for col in zip(*(starts[i][j] for i in idx)))
+            g, h = batch_hensel_lift(rest[idx, :lg + lh - 1], *data, p, N)
+            rows[idx, :lg] = g
+            rest[idx, :lh] = h
+            rest[idx, lh:] = 0
+        factors.append(rows)
+    return HenselLifts(p, N, list(heads), factors, rest)
+
+
+def census_lifts(polys, p: int, N: int) -> HenselLifts:
+    """The lifts census_of_poly reads, for a batch of monic polys given as
+    equal-length coefficient rows (constant term first): the repeated
+    residue factors of each.  Rows with none are not lifted."""
+    polys = np.asarray(polys, dtype=np.int64)
+    residues, inv = np.unique(polys % p, axis=0, return_inverse=True)
+    heads = [tuple(e for e in factor_mod_p(r, p).factors if e[2] > 1)
+             for r in residues.tolist()]
+    return _lift_factors(polys, p, N, [heads[k] for k in inv.reshape(-1).tolist()])
 
 
 def hensel_split(f: PadicPoly) -> list:
     """Split a monic f into monic factors, one per distinct irreducible
     residue factor, with the product reconstituting f exactly mod p^N."""
-    lifted, cofactor = _lift_factors(f, factor_mod_p(f.coeffs, f.p).factors[:-1])
+    heads = factor_mod_p(f.coeffs, f.p).factors[:-1]
+    lifted, cofactor = _lift_factors([f.coeffs], f.p, f.precision, [heads])[0]
     return [g for g, _, _ in lifted] + [cofactor]
 
 
@@ -505,6 +550,76 @@ def _unram_poly_eval(coeffs, x, ring):
     return acc
 
 
+class _ResidueField:
+    """F_q = F_p[x]/(Z mod p), q = p^d, by Zech logarithms (Lidl &
+    Niederreiter, *Finite Fields*, 2.5).
+
+    An element is coded as sum c_j p^j over its coordinates, the order of
+    _decode_residue.  For a primitive g, log[code] is the k with g^k equal
+    to the element (None for 0), and zech[k] is the log of 1 + g^k (None
+    when that is 0), so g^x + g^y = g^(y + zech[x - y]) is one lookup.  Each
+    table has O(q) entries.
+    """
+
+    def __init__(self, p: int, modres: tuple):
+        d = len(modres) - 1
+        q = p ** d
+        self.p, self.q1 = p, q - 1
+        self.weights = [p ** j for j in range(d)]
+        for cand in range(1, q):  # the first primitive element in code order
+            g = _decode_residue(cand, p, d)
+            antilog, e = [], [1]
+            for _ in range(q - 1):
+                antilog.append(self.code(e))
+                e = poly_divmod(poly_mul(e, g, p), modres, p)[1]
+            if len(set(antilog)) == q - 1:
+                break
+        else:
+            raise ValueError(f"{modres} is not irreducible mod {p}")
+        self.log = [None] * q
+        for k, c in enumerate(antilog):
+            self.log[c] = k
+        # 1 + g^k: add one to the constant coordinate
+        self.zech = [self.log[c - c % p + (c + 1) % p] for c in antilog]
+
+    def code(self, c) -> int:
+        return sum((x % self.p) * w for x, w in zip(c, self.weights))
+
+    def logs(self, coeffs) -> list:
+        """The log of each coefficient's residue, None for a zero one."""
+        log = self.log
+        return [log[self.code(c)] for c in coeffs]
+
+    def value(self, logs, code):
+        """A log of f(a), None when f(a) = 0: f given by its coefficient
+        logs, a by its code."""
+        if code == 0:
+            return logs[0] if logs else None
+        alpha, q1, zech = self.log[code], self.q1, self.zech
+        acc = None
+        for lc in reversed(logs):  # Horner: acc <- acc a + c
+            if acc is not None:
+                acc += alpha
+            if lc is None:
+                continue
+            if acc is None:
+                acc = lc
+            else:
+                z = zech[(acc - lc) % q1]
+                acc = None if z is None else lc + z
+        return acc
+
+    def roots(self, logs) -> list:
+        """Codes of the roots in F_q of a residue poly, in code order."""
+        return [code for code in range(self.q1 + 1)
+                if self.value(logs, code) is None]
+
+
+@lru_cache(maxsize=None)
+def _residue_field(p: int, modres: tuple) -> _ResidueField:
+    return _ResidueField(p, modres)
+
+
 def _unram_taylor_shift(coeffs, a, ring):
     res = list(coeffs)
     n = len(res)
@@ -515,22 +630,24 @@ def _unram_taylor_shift(coeffs, a, ring):
 
 
 def _unram_roots_raw(coeffs, ring):
-    """Certified roots of a poly with coefficients in an unramified ring."""
+    """Certified roots of a poly with coefficients in an unramified ring.
+
+    Only the residue of the poly decides which residues a can be roots and
+    which have a unit derivative, so both screens run in F_{p^d}.
+    """
     p, N, d = ring.p, ring.precision, ring.deg
     if all(all(x == 0 for x in c) for c in coeffs):
         return [], False
     dcoeffs = [tuple((i * x) % ring.modulus for x in c) for i, c in enumerate(coeffs)][1:]
+    field = _residue_field(p, tuple(x % p for x in ring.modpoly))
+    dlogs = field.logs(dcoeffs)
     roots = []
     ok = True
-    for code in range(p ** d):
+    for code in field.roots(field.logs(coeffs)):
         a = _decode_residue(code, p, d)
-        fa = _unram_poly_eval(coeffs, a, ring)
-        if ring.val(fa) == 0:
-            continue
-        fpa = _unram_poly_eval(dcoeffs, a, ring)
         # unit derivative: exactly one root in the residue class (see the
         # base-ring variant for why weaker certificates undercount)
-        if ring.val(fpa) == 0:
+        if field.value(dlogs, code) is not None:
             root = _unram_newton(coeffs, dcoeffs, a, ring)
             roots.append((root, N))
             continue
@@ -622,19 +739,23 @@ class Census:
         return out
 
 
-def census_of_poly(f: PadicPoly) -> Census:
+def census_of_poly(f: PadicPoly, lift=None) -> Census:
     """Resolve a monic polynomial into certified eigenvalue statistics.
 
     A simple residue factor of degree d >= 2 holds d unramified eigenvalues,
     and the simple linear ones are the Z_p roots of the unlifted cofactor.
     Per repeated factor: Z_p roots by refinement, quadratic orbits by
     discriminant parity, root counts in the matching unramified extension.
+    ``lift`` is f's entry of census_lifts; without it f is lifted alone.
     Unresolvable mass raises no error; it sets component flags so
     estimators can discard the sample and report the rate.
     """
     p, N = f.p, f.precision
     fact = factor_mod_p(f.coeffs, p)
-    lifted, cofactor = _lift_factors(f, [e for e in fact.factors if e[2] > 1])
+    if lift is None:
+        heads = tuple(e for e in fact.factors if e[2] > 1)
+        lift = _lift_factors([f.coeffs], p, N, [heads])[0]
+    lifted, cofactor = lift
     # every residue root of the cofactor is simple, so its roots certify
     zp_root_list = list(zp_roots(cofactor))
     quad_orbits = []

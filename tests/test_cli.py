@@ -135,6 +135,19 @@ def test_kernel_budget_is_a_usage_error(argv, capsys):
     assert captured.err.startswith("usage error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "quad_census", "--p", "2", "--trials", "200"],
+    ["run", "expected_quad", "--p", "2"],
+    ["run", "quad_chain", "--label", "UNRAMIFIED", "--p", "2"],
+])
+def test_quadratic_experiments_refuse_p_2(argv, capsys):
+    # odd-p only: refused before sampling, not a traceback after it
+    assert dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ")
+
+
 def test_workers_env_default(tmp_path, monkeypatch, capsys):
     out1, out2 = tmp_path / "w1.json", tmp_path / "w4.json"
     args = ["run", "det_moment", "--trials", "2048", "--seed", "3"]

@@ -111,6 +111,19 @@ def test_compare_rules():
     for est in (1.0, 0.0, -1.0):
         v = compare(rep(est, 0.0, AnalyticTarget(value=0.0, comparison="greater")))
         assert v.status == "INCONCLUSIVE" and v.z is None
+    # one certified sample (se = inf) settles neither a point nor an interval
+    for est in (1.0, 2.0, 0.0):
+        for target in (AnalyticTarget(value=1.0), AnalyticTarget(interval=(0.5, 0.6))):
+            v = compare(rep(est, math.inf, target))
+            assert v.status == "INCONCLUSIVE" and v.z is None
+
+
+@pytest.mark.parametrize("name,n_reports", [("E_Zp_count", 1), ("expected_quad", 2)])
+def test_single_sample_runs_are_inconclusive(name, n_reports):
+    reports = run_experiment(build_experiment(name, {"trials": 1}))
+    assert len(reports) == n_reports
+    for r in reports:
+        assert r.se == math.inf and r.verdict == "INCONCLUSIVE"
 
 
 def test_compare_exact_rules():
@@ -255,6 +268,9 @@ def test_report_fields_json_schema():
     ("cok_markov", {"N": 64}),                # sampling mod 2^64
     ("island_law", {"p": 1009, "n": 2 ** 53 // 1008 ** 2 + 1}),  # float64 inexact
     ("island_law", {"p": 2, "n": 64}),        # packed F_2 rows hold 63 bits
+    ("quad_chain", {"p": 2, "label": "UNRAMIFIED"}),  # no quadratic non-residue
+    ("quad_census", {"p": 2}),                # quadratic classes need odd p
+    ("expected_quad", {"p": 2}),
 ])
 def test_kernel_budgets_refused_when_spec_is_built(name, overrides):
     with pytest.raises(InvalidSpec):

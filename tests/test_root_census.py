@@ -7,6 +7,7 @@ from padicstats.matrix_lab import GL, MAT, PadicMatrix, Rng, charpoly, sample_ma
 from padicstats import root_census
 from padicstats.padic_core import (
     PadicPoly,
+    QuotientRing,
     SATURATED,
     inverse_mod,
     poly_from_roots,
@@ -29,8 +30,11 @@ from padicstats.root_census import (
     unramified_modulus,
     unramified_roots,
     zp_roots,
+    _decode_residue,
     _fp_gcd,
     _lift_factors,
+    _residue_field,
+    _unram_poly_eval,
     _zp_roots_raw,
 )
 
@@ -137,13 +141,71 @@ def test_hensel_split_reconstitutes_random():
             prod_ = prod_ * h
         assert prod_.coeffs == f.coeffs
         fact = factor_mod_p(f.coeffs, p)
-        lifted, cofactor = _lift_factors(f, fact.factors[:-1])
+        lifted, cofactor = _lift_factors([f.coeffs], p, N, [fact.factors[:-1]])[0]
         assert [g for g, _, _ in lifted] + [cofactor] == parts
         for h, d, mult in lifted + [(cofactor, *fact.factors[-1][1:])]:
             assert h.monic
             ((k, dk, mk),) = factor_mod_p(h.coeffs, p).factors
             assert (dk, mk) == (d, mult)
             assert h.degree == d * mult
+
+
+@st.composite
+def _lift_batches(draw):
+    """(p, N, polys, heads): equal-degree monic polys over Z/p^N whose
+    residues carry repeated factors, with census-style heads (the repeated
+    factors) or hensel_split-style heads (all but the last) per poly."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    N = draw(st.integers(2, 12))
+    n = draw(st.integers(2, 7))
+    m = p ** N
+    polys, heads = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        k = draw(st.integers(1, min(3, n)))
+        gdeg = draw(st.integers(1, n // k))
+        g = draw(st.lists(st.integers(0, p - 1), min_size=gdeg, max_size=gdeg)) + [1]
+        f = [1]
+        for _ in range(k):
+            f = poly_mul(f, g, m)
+        rdeg = n - len(f) + 1
+        f = poly_mul(f, draw(st.lists(st.integers(0, m - 1), min_size=rdeg,
+                                      max_size=rdeg)) + [1], m)
+        noise = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+        f = [(c + p * e) % m for c, e in zip(f, noise + [0])]
+        factors = factor_mod_p(f, p).factors
+        if draw(st.booleans()):
+            heads.append(tuple(e for e in factors if e[2] > 1))
+        else:
+            heads.append(factors[:-1])
+        polys.append(f)
+    return p, N, polys, heads
+
+
+@settings(max_examples=200, deadline=None)
+@given(_lift_batches())
+def test_batched_lift_is_invariant_to_grouping(case):
+    p, N, polys, heads = case
+    lifts = _lift_factors(polys, p, N, heads)
+    for i, (f, hd) in enumerate(zip(polys, heads)):
+        lifted, cofactor = lifts[i]
+        assert (lifted, cofactor) == _lift_factors([f], p, N, [hd])[0]
+        prod_ = cofactor
+        for (g, d, mult), (k, dk, mk) in zip(lifted, hd):
+            assert (d, mult) == (dk, mk) and g.monic and g.degree == d * mult
+            assert factor_mod_p(g.coeffs, p).factors == ((k, d, mult),)
+            prod_ = prod_ * g
+        assert prod_ == PadicPoly.from_ints(p, N, f)
+
+
+def test_lift_past_the_int64_budget_is_refused():
+    # 2 (101^10 - 1)^2 > 2^62: refused before any lifting
+    f = PadicPoly.from_ints(101, 10, (0, -1, 1))
+    with pytest.raises(ValueError, match="int64"):
+        hensel_split(f)
+    with pytest.raises(ValueError, match="int64"):
+        census_of_poly(f)
+    with pytest.raises(ValueError, match="monic"):
+        hensel_split(PadicPoly.from_ints(3, 4, (0, -1, 3)))
 
 
 def test_count_roots_examples():
@@ -268,6 +330,8 @@ def test_unramified_modulus_is_stable():
     assert len(w) == 4 and w[-1] == 1
     for p in (2, 3, 5):
         assert unramified_modulus(p, 1) == (0, 1)
+    with pytest.raises(ValueError, match="not irreducible"):
+        _residue_field(3, (1, 0, 1, 1))  # x = 1 is a root
 
 
 def test_degree_one_unramified_roots_match_zp_roots():
@@ -286,6 +350,38 @@ def test_degree_one_unramified_roots_match_zp_roots():
             continue
         got = sorted((r, k) for (r,), k in unramified_roots(f, 1))
         assert got == want, (coeffs, p, N)
+
+
+@st.composite
+def _unram_polys(draw):
+    """(p, d, ring, coeffs): a poly over the degree-d unramified ring with
+    planted roots (some sharing a residue) times a random cofactor."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    d = draw(st.sampled_from([1, 2, 3]))
+    N = draw(st.integers(1, 4))
+    ring = QuotientRing(p, N, unramified_modulus(p, d))
+    elem = st.lists(st.integers(0, ring.modulus - 1), min_size=d, max_size=d)
+    coeffs = [ring.coerce(c) for c in draw(st.lists(elem, max_size=3))] + [ring.one]
+    for r in draw(st.lists(elem, max_size=3)):
+        # multiply by (x - r)
+        shifted = [ring.zero] + coeffs
+        scaled = [ring.mul(ring.coerce(r), c) for c in coeffs] + [ring.zero]
+        coeffs = [ring.sub(a, b) for a, b in zip(shifted, scaled)]
+    if draw(st.booleans()):  # a non-monic residue, possibly constant
+        coeffs = [ring.coerce([p * x for x in c]) for c in coeffs[:-1]] + [
+            ring.coerce(draw(elem))]
+    return p, d, ring, coeffs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_unram_polys())
+def test_residue_screen_matches_full_precision_evaluation(case):
+    p, d, ring, coeffs = case
+    field = _residue_field(p, tuple(x % p for x in ring.modpoly))
+    want = [code for code in range(p ** d)
+            if ring.val(_unram_poly_eval(coeffs, _decode_residue(code, p, d),
+                                         ring)) != 0]
+    assert field.roots(field.logs(coeffs)) == want
 
 
 def test_census_factors_each_residue_once(monkeypatch):
@@ -308,25 +404,29 @@ def test_census_factors_each_residue_once(monkeypatch):
 
 
 def test_census_lifts_only_repeated_residue_factors(monkeypatch):
-    calls = []
-    real = root_census._hensel_pair
+    heads = []
+    real = root_census._lift_factors
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
+    def counting(polys, p, N, hds):
+        heads.extend(e for hd in hds for e in hd)
+        return real(polys, p, N, hds)
 
-    monkeypatch.setattr(root_census, "_hensel_pair", counting)
+    monkeypatch.setattr(root_census, "_lift_factors", counting)
     # squarefree residue x (x - 1) (x^2 + 1) over F_3: nothing is lifted
     f = poly_from_roots(3, 8, [3, 4]) * PadicPoly.from_ints(3, 8, (1, 0, 1))
     c = census_of_poly(f)
-    assert calls == []
+    assert heads == []
     assert c.zp_count == 2 and c.unram_counts == {2: 2}
     assert c.quad_counts == {(QUAD_UNRAMIFIED, 0): 1} and not c.flags
     # residue x^2 (x - 1) (x - 2): only the repeated factor x^2 is lifted
     f = poly_from_roots(3, 8, [0, 9, 1, 2])
     c = census_of_poly(f)
-    assert len(calls) == 1
+    assert heads == [((0, 1), 1, 2)]
     assert sorted(r for r, _ in c.zp_roots) == [0, 1, 2, 9] and not c.flags
+    # the chunk-wide lift hands census_of_poly the same lifts
+    lifts = root_census.census_lifts([f.coeffs], 3, 8)
+    assert census_of_poly(f, lifts[0]) == c
+    assert heads[1:] == [((0, 1), 1, 2)]
 
 
 @st.composite
