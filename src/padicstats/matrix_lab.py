@@ -15,7 +15,6 @@ import numpy as np
 from .padic_core import (
     MixedModulus,
     PadicPoly,
-    PadicScalar,
     QuotientRing,
     SATURATED,
     berkowitz_charpoly,
@@ -152,12 +151,6 @@ class PadicMatrix:
     def from_rows(cls, p, precision, rows, quotient=None):
         return cls(p, precision, tuple(tuple(r) for r in rows), quotient)
 
-    def entry(self, i: int, j: int):
-        e = self.entries[i][j]
-        if self.is_base:
-            return PadicScalar(self.p, self.precision, e)
-        return PadicPoly.from_ints(self.p, self.precision, e)
-
 
 def sample_matrix(n: int, p: int, precision: int, mode: str, rng) -> PadicMatrix:
     """Sample an n x n matrix with uniform entries mod p^N.
@@ -237,9 +230,10 @@ def smith_partition(A: PadicMatrix) -> SmithResult:
     """Cokernel partition of a base-ring matrix via Smith normal form.
 
     Pivots on the entry of minimal valuation (row-major tie break), scales
-    by its unit part, eliminates.  Pivots that are zero mod p^N cannot be
-    resolved at this precision: their parts are reported as N and the
-    result is flagged saturated.
+    the pivot row so the pivot is p^v and clears the column below it; the
+    pivot row is never read again, so there is no column sweep.  Pivots
+    that are zero mod p^N cannot be resolved at this precision: their parts
+    are reported as N and the result is flagged saturated.
     """
     if not A.is_base:
         raise ValueError("smith_partition expects a base-ring matrix")
@@ -286,19 +280,15 @@ def smith_parts_raw(mat, p: int, prec: int):
         inv_unit = inverse_mod(unit, p, modulus)
         mat[top] = [(x * inv_unit) % modulus for x in mat[top]]
         pv = p ** best_v
+        # the pivot is now exactly p^v and divides every entry below it, so
+        # the row sweep zeroes column top below the pivot; a column sweep
+        # would change only row top, which no later step reads
         for i in range(top + 1, n):
             c = mat[i][top]
             if c == 0:
                 continue
             f = c // pv
             mat[i] = [(x - f * y) % modulus for x, y in zip(mat[i], mat[top])]
-        for j in range(top + 1, n):
-            c = mat[top][j]
-            if c == 0:
-                continue
-            f = c // pv
-            for i in range(top, n):
-                mat[i][j] = (mat[i][j] - f * mat[i][top]) % modulus
         parts.append(best_v)
     return parts, saturated
 
@@ -387,24 +377,14 @@ def smith_parts_quadratic(rows_u, rows_v, p: int, prec: int, ramified: bool,
         unit = div_uniformizer(pivot, best_v)
         inv_unit = unit_inverse(unit)
         mat[top] = [mul(e, inv_unit) for e in mat[top]]
+        # no column sweep, as in smith_parts_raw (the pivot is now pi^v)
         for i in range(top + 1, n):
             e = mat[i][top]
-            v = val_pi(e)
-            if v is None:
+            if e == (0, 0):
                 continue
             factor = div_uniformizer(e, best_v)
             for j in range(top, n):
                 u2, v2 = mul(factor, mat[top][j])
-                mat[i][j] = ((mat[i][j][0] - u2) % modulus,
-                             (mat[i][j][1] - v2) % modulus)
-        for j in range(top + 1, n):
-            e = mat[top][j]
-            v = val_pi(e)
-            if v is None:
-                continue
-            factor = div_uniformizer(e, best_v)
-            for i in range(top, n):
-                u2, v2 = mul(factor, mat[i][top])
                 mat[i][j] = ((mat[i][j][0] - u2) % modulus,
                              (mat[i][j][1] - v2) % modulus)
         parts.append(best_v)

@@ -404,10 +404,6 @@ class PadicPoly:
         self._check(other)
         return self._make(poly_mul(self.coeffs, other.coeffs, self.modulus))
 
-    def scale(self, c: int) -> "PadicPoly":
-        m = self.modulus
-        return self._make((a * c) % m for a in self.coeffs)
-
     def evaluate(self, a: PadicScalar) -> PadicScalar:
         if self.p != a.p or self.precision != a.precision:
             raise MixedModulus("polynomial and point disagree on (p, N)")

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
 
@@ -56,9 +56,15 @@ from .root_census import (
     _zp_roots_raw,
     census_lifts,
     census_of_poly,
+    pair_valuations,
+    unramified_modulus,
 )
 
 POLY = "POLY"
+ALL_MODES = (MAT, GL, POLY)
+# least value of each integer parameter: island degree d, shared chain level
+# m, variety level s and determinant moment k
+PARAM_FLOORS = {"d": 1, "m": 1, "s": 1, "k": 0}
 
 
 @dataclass(frozen=True)
@@ -77,13 +83,16 @@ class ExperimentDef:
     # name of the sample pass this experiment shares with others that run
     # the same chunk function (see experiment.run_chunked)
     shared: str | None = None
+    # the modes a mode override may pick; () when the runner reads none
+    modes: tuple = ()
 
     def make_spec(self, overrides: dict) -> ExperimentSpec:
         """The run request for these overrides.  Unknown keys raise
         KeyError; a non-prime p, n, trials or workers < 1, a seed outside
-        [0, 2^64), an unknown mode, parameters outside the batched
-        kernels' exact range or p = 2 for a quadratic experiment raise
-        InvalidSpec, before anything is sampled."""
+        [0, 2^64), a mode the runner does not read, parameters outside
+        their domain or the batched kernels' exact range, or p = 2 for a
+        quadratic experiment raise InvalidSpec, before anything is
+        sampled."""
         base = dict(self.defaults)
         known = set(base) | {"p", "n", "N", "trials", "seed", "workers", "mode"}
         for k in overrides:
@@ -117,8 +126,11 @@ class ExperimentDef:
             raise InvalidSpec(f"workers must be >= 1, got {spec.workers}")
         if not 0 <= spec.seed < 2 ** 64:
             raise InvalidSpec(f"seed must lie in [0, 2^64), got {spec.seed}")
-        if spec.mode not in (MAT, GL, POLY):
-            raise InvalidSpec(f"mode must be {MAT}, {GL} or {POLY}, got {spec.mode!r}")
+        if "mode" in overrides and spec.mode not in self.modes:
+            raise InvalidSpec(f"{self.name} does not read mode {spec.mode!r}")
+        for key, low in PARAM_FLOORS.items():
+            if key in params and params[key] < low:
+                raise InvalidSpec(f"{key} must be >= {low}, got {params[key]}")
         if self.budget is not None:
             try:
                 self.budget(spec)
@@ -141,8 +153,6 @@ def _sampling_budget(spec):
 
 
 def _island_budget(spec):
-    if spec.params["d"] < 1:
-        raise ValueError(f"d must be >= 1, got {spec.params['d']}")
     if spec.p != 2:
         check_float64_budget(spec.n, spec.p)
     elif spec.n > 63:
@@ -150,9 +160,12 @@ def _island_budget(spec):
 
 
 def _charpoly_det_budget(spec):
+    """A given c must make x^2 - c irreducible mod p."""
     _charpoly_budget(spec)
-    c = spec.params.get("c") or _nonresidue(spec.p)
-    check_quad_budget(spec.n, c, spec.p ** spec.precision)
+    p, c = spec.p, spec.params["c"]
+    if c is not None and (p == 2 or pow(c, (p - 1) // 2, p) != p - 1):
+        raise ValueError(f"c = {c} is not a quadratic non-residue mod {p}")
+    check_quad_budget(spec.n, c or _nonresidue(p), p ** spec.precision)
 
 
 def _odd_p_census_budget(spec):
@@ -164,7 +177,10 @@ def _odd_p_census_budget(spec):
 
 def _quad_chain_budget(spec):
     _sampling_budget(spec)
-    if spec.params["label"] != "RAMIFIED":
+    label = spec.params["label"]
+    if label not in ("UNRAMIFIED", "RAMIFIED"):
+        raise ValueError(f"label must be UNRAMIFIED or RAMIFIED, got {label!r}")
+    if label == "UNRAMIFIED":
         _nonresidue(spec.p)
 
 
@@ -219,8 +235,7 @@ def _zp_stats(cps, p, n, N):
         out["var_sumsq"] += v * v
         if c == n:
             out["all_in"] += 1
-        vals = [raw_valuation(r1 - r2, p, p ** min(k1, k2))
-                for (r1, k1), (r2, k2) in combinations(roots, 2)]
+        vals = pair_valuations(roots, p)
         if SATURATED in vals:
             continue  # two roots not separated at their precision
         cells = [2 * vals.count(m) for m in range(PAIR_CELLS)]  # ordered pairs
@@ -359,17 +374,9 @@ ISLAND_MAX_J = 6
 ISLAND_CAP_POW = ISLAND_MAX_J.bit_length()
 
 
-def _island_factor(p: int, d: int):
-    from .root_census import unramified_modulus
-
-    if d == 1:
-        return (0, 1)
-    return unramified_modulus(p, d)
-
-
 def _run_island_law(spec):
     p, n, d = spec.p, spec.n, spec.params["d"]
-    coeffs = list(_island_factor(p, d))
+    coeffs = list(unramified_modulus(p, d))
 
     def chunk(gen, size):
         mats = gen.integers(0, p, size=(size, n, n), dtype=np.int64)
@@ -910,6 +917,7 @@ _register(ExperimentDef(
     runner=_run_zp_count,
     min_precision=6,
     budget=_charpoly_budget,
+    modes=ALL_MODES,
 ))
 
 _register(ExperimentDef(
@@ -921,6 +929,7 @@ _register(ExperimentDef(
     min_precision=8,
     budget=_charpoly_budget,
     shared="zp",
+    modes=ALL_MODES,
 ))
 
 _register(ExperimentDef(
@@ -932,6 +941,7 @@ _register(ExperimentDef(
     min_precision=8,
     budget=_charpoly_budget,
     shared="zp",
+    modes=ALL_MODES,
 ))
 
 _register(ExperimentDef(
@@ -1009,6 +1019,7 @@ _register(ExperimentDef(
     min_precision=8,
     budget=_odd_p_census_budget,
     shared="census",
+    modes=ALL_MODES,
 ))
 
 _register(ExperimentDef(
@@ -1020,6 +1031,7 @@ _register(ExperimentDef(
     min_precision=8,
     budget=_odd_p_census_budget,
     shared="census",
+    modes=ALL_MODES,
 ))
 
 _register(ExperimentDef(
@@ -1031,6 +1043,7 @@ _register(ExperimentDef(
     min_precision=8,
     budget=_charpoly_budget,
     shared="census",
+    modes=ALL_MODES,
 ))
 
 _register(ExperimentDef(
@@ -1061,6 +1074,7 @@ _register(ExperimentDef(
     runner=_run_gl_support,
     min_precision=6,
     budget=_charpoly_budget,
+    modes=ALL_MODES,
 ))
 
 _register(ExperimentDef(
@@ -1084,6 +1098,7 @@ _register(ExperimentDef(
         {"p": 2, "s": 1, "N": 1}, {"p": 2, "s": 2, "N": 2}, {"p": 3, "s": 1, "N": 1},
     ),
     budget=_points_budget,
+    modes=(MAT, GL),
 ))
 
 _register(ExperimentDef(
@@ -1094,6 +1109,7 @@ _register(ExperimentDef(
     runner=_run_points_on_variety,
     min_precision=1,
     budget=_points_budget,
+    modes=(MAT, GL),
 ))
 
 _register(ExperimentDef(

@@ -3,7 +3,7 @@
 Pipeline: factor the residue over F_p, Hensel-lift the repeated residue
 factors and read the simple ones off the factorization, then resolve each
 lifted factor: certified roots in Z_p by recursive residue refinement,
-quadratic orbits by root counts plus discriminant valuation parity, and
+quadratic orbits by root counts plus the parity of val(b^2 - 4c), and
 root counting in the unramified extension of matching residue degree.
 
 The lift runs batched: census_lifts lifts a whole chunk of polys at once
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -29,9 +30,7 @@ from .padic_core import (
     PadicPoly,
     QuotientRing,
     SATURATED,
-    discriminant,
     inverse_mod,
-    is_prime,
     poly_add,
     poly_bezout,
     poly_divmod,
@@ -231,13 +230,9 @@ class ResidueFactorization:
     p: int
     factors: tuple
 
-    def __post_init__(self):
-        total = sum(d * m for _, d, m in self.factors)
-        object.__setattr__(self, "_total_degree", total)
-
     @property
     def total_degree(self) -> int:
-        return self._total_degree
+        return sum(d * m for _, d, m in self.factors)
 
 
 FACTOR_CACHE_SIZE = 4096  # residues whose factorizations are kept
@@ -479,7 +474,8 @@ def island_multiplicities(f: PadicPoly) -> dict:
 
 
 def classify_quadratic(g: PadicPoly) -> ExtensionDescriptor:
-    """Sort an irreducible monic quadratic by its discriminant valuation.
+    """Sort an irreducible monic quadratic x^2 + bx + c by the valuation of
+    its discriminant b^2 - 4c.
 
     Even valuation 2m means the roots lie in the unramified quadratic
     extension at depth m; odd valuation 2m+1 means a ramified quadratic at
@@ -489,10 +485,10 @@ def classify_quadratic(g: PadicPoly) -> ExtensionDescriptor:
         raise UnsupportedPrime("quadratic classification needs odd p")
     if g.degree != 2 or not g.monic:
         raise ValueError("expected a monic quadratic")
-    disc = discriminant(g)
-    if disc.is_saturated or disc.valuation >= g.precision - 1:
+    c, b, _ = g.coeffs
+    v = raw_valuation(b * b - 4 * c, g.p, g.modulus)
+    if v is SATURATED or v >= g.precision - 1:
         raise PrecisionExhausted("discriminant valuation not determined")
-    v = disc.valuation
     if v % 2 == 0:
         return ExtensionDescriptor(2, 1, 2, 0, QUAD_UNRAMIFIED, v // 2)
     return ExtensionDescriptor(2, 2, 1, 1, QUAD_RAMIFIED, (v - 1) // 2)
@@ -503,44 +499,16 @@ def classify_quadratic(g: PadicPoly) -> ExtensionDescriptor:
 # basis 1, w, ..., w^{d-1} where w lifts a generator of F_{p^d}.
 # ---------------------------------------------------------------------------
 
-# fixed monic lifts of irreducible polynomials defining the unramified
-# extension of degree d; chosen once so conjugation is reproducible
-_UNRAMIFIED_MODULI = {}
-
-
+@lru_cache(maxsize=None)
 def unramified_modulus(p: int, d: int) -> tuple:
-    """A monic degree-d lift whose residue is irreducible over F_p."""
-    key = (p, d)
-    if key not in _UNRAMIFIED_MODULI:
-        # the first irreducible x^d + c_{d-1} x^{d-1} + ... + c_0 in code order
-        for code in range(p ** d):
-            cand = _decode_residue(code, p, d) + (1,)
-            if _fp_is_irreducible(cand, p):
-                _UNRAMIFIED_MODULI[key] = cand
-                break
-        else:  # pragma: no cover
-            raise RuntimeError("no irreducible polynomial found")
-    return _UNRAMIFIED_MODULI[key]
-
-
-def _fp_is_irreducible(f, p):
-    """Rabin's test: x^(p^d) = x mod f, and x^(p^(d/q)) - x is coprime to
-    f for every prime q dividing d = deg f."""
-    d = len(f) - 1
-    if d < 1:
-        return False
-
-    def frobenius_minus_x(k):
-        # x^(p^k) - x, reduced mod f
-        xpk = _fp_powmod([0, 1], p ** k, f, p)
-        return poly_divmod(poly_sub(xpk, [0, 1], p), f, p)[1]
-
-    if frobenius_minus_x(d):
-        return False
-    return all(
-        len(_fp_gcd(frobenius_minus_x(d // q), f, p)) <= 1
-        for q in range(2, d + 1) if d % q == 0 and is_prime(q)
-    )
+    """The monic degree-d lift defining the unramified extension of degree
+    d: the first x^d + c_{d-1} x^{d-1} + ... + c_0 in code order that is
+    irreducible over F_p, so conjugation is reproducible."""
+    for code in range(p ** d):
+        cand = _decode_residue(code, p, d) + (1,)
+        if factor_mod_p(cand, p).factors == ((cand, d, 1),):
+            return cand
+    raise RuntimeError("no irreducible polynomial found")  # pragma: no cover
 
 
 def _unram_poly_eval(coeffs, x, ring):
@@ -809,41 +777,32 @@ def census_of_poly(f: PadicPoly, lift=None) -> Census:
                 if d == 2:
                     flags.add("quad")
                 continue
-            if d == 2:
-                pairs = _pair_unram_quadratic(rts, p)
-                if pairs is None:
-                    flags.add("quad")
-                else:
-                    for m in pairs:
-                        quad_orbits.append((QUAD_UNRAMIFIED, m))
-                unram_counts[2] = unram_counts.get(2, 0) + len(rts)
-            else:
-                unram_counts[d] = unram_counts.get(d, 0) + len(rts)
+            if d == 2 and _pair_unram_quadratic(rts, p, quad_orbits) is None:
+                flags.add("quad")
+            unram_counts[d] = unram_counts.get(d, 0) + len(rts)
 
-    # pairwise valuations between certified Z_p roots
-    pair_vals = []
-    for i in range(len(zp_root_list)):
-        for j in range(i + 1, len(zp_root_list)):
-            r1, k1 = zp_root_list[i]
-            r2, k2 = zp_root_list[j]
-            k = min(k1, k2)
-            diff = (r1 - r2) % p ** k
-            v = raw_valuation(diff, p, p ** k)
-            if v is SATURATED:
-                flags.add("pairs")
-            else:
-                pair_vals.append(v)
+    pair_vals = pair_valuations(zp_root_list, p)
+    if SATURATED in pair_vals:
+        flags.add("pairs")
     return Census(
         p=p,
         precision=N,
         degree=f.degree,
         zp_roots=tuple(zp_root_list),
-        pairwise_valuations=tuple(sorted(pair_vals)),
+        pairwise_valuations=tuple(sorted(v for v in pair_vals if v is not SATURATED)),
         quad_orbits=tuple(quad_orbits),
         island_map={k: m for k, _, m in fact.factors},
         unram_counts=unram_counts,
         flags=frozenset(flags),
     )
+
+
+def pair_valuations(roots, p) -> list:
+    """The valuation of r1 - r2 for each pair of (root, known precision)
+    entries, at the lesser precision of the two; SATURATED for a pair that
+    is not separated there."""
+    return [raw_valuation(r1 - r2, p, p ** min(k1, k2))
+            for (r1, k1), (r2, k2) in combinations(roots, 2)]
 
 
 def _resolve_unram_pairs(coeffs, p, N, quad_orbits):
@@ -855,18 +814,14 @@ def _resolve_unram_pairs(coeffs, p, N, quad_orbits):
         rts = unramified_roots(g, 2)
     except PrecisionExhausted:
         return False
-    pairs = _pair_unram_quadratic(rts, p)
-    if pairs is None:
-        return False
-    for m in pairs:
-        quad_orbits.append((QUAD_UNRAMIFIED, m))
-    leftover = (len(coeffs) - 1) - 2 * len(pairs)
-    return leftover < 2
+    pairs = _pair_unram_quadratic(rts, p, quad_orbits)
+    return pairs is not None and (len(coeffs) - 1) - 2 * pairs < 2
 
 
-def _pair_unram_quadratic(roots, p):
-    """Pair conjugate roots in the degree-2 unramified ring and return the
-    depth m of each orbit, or None if pairing fails."""
+def _pair_unram_quadratic(roots, p, quad_orbits):
+    """Pair conjugate roots in the degree-2 unramified ring and append one
+    (QUAD_UNRAMIFIED, depth m) orbit per pair to quad_orbits.  Returns the
+    number of pairs, or None (appending nothing) if pairing fails."""
     if len(roots) % 2 != 0:
         return None
     w = unramified_modulus(p, 2)
@@ -890,7 +845,8 @@ def _pair_unram_quadratic(roots, p):
         if mv is SATURATED:
             return None
         ms.append(mv)
-    return ms
+    quad_orbits.extend((QUAD_UNRAMIFIED, m) for m in ms)
+    return len(ms)
 
 
 def eigenvalue_census(A) -> Census:

@@ -112,10 +112,25 @@ def test_bad_run_parameters_are_usage_errors(argv, capsys):
     ["run", "points_on_variety", "--points", "1,1"],
     ["run", "poly_variety", "--points", "0,0"],
     ["run", "points_on_variety_gl", "--points", "1,1"],
+    ["run", "quad_chain", "--label", "FOO", "--trials", "300"],
+    ["run", "quad_chain", "--m", "0"],
+    ["run", "cok_joint_chain", "--m", "0"],
+    ["run", "cok_markov", "--mode", "GL"],
+    ["run", "det_moment", "--mode", "POLY"],
+    ["run", "island_law", "--mode", "GL"],
+    ["run", "points_on_variety", "--mode", "POLY"],
+    ["run", "det_moment", "--k", "-1"],
+    ["run", "points_on_variety", "--s", "0"],
+    ["run", "points_on_variety_gl", "--s", "0"],
+    ["run", "poly_variety", "--s", "0"],
+    ["run", "charpoly_det_identity", "--c", "0"],
+    ["run", "charpoly_det_identity", "--c", "1"],
 ])
 def test_bad_size_worker_seed_and_degree_are_usage_errors(argv, capsys):
-    # n, workers and d below 1, seeds outside [0, 2^64) and repeated
-    # points are refused before sampling, with exit 2 and a usage message
+    # n, workers, d, m and s below 1, k below 0, seeds outside [0, 2^64),
+    # repeated points, a label other than UNRAMIFIED/RAMIFIED, a c that is
+    # a square mod p and a mode the runner does not read are refused before
+    # sampling, with exit 2 and a usage message
     assert dispatch(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

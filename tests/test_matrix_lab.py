@@ -121,14 +121,16 @@ def test_smith_partition_examples():
 
 
 def test_partition_determinant_consistency():
-    # |partition| = val(charpoly at 0) whenever both are determined
+    # |partition| = val(charpoly at 0) whenever both are determined; entries
+    # scaled by random p^k give pivots near saturation
     gen = Rng(9).generator()
     checked = 0
     for _ in range(700):
         n = int(gen.integers(1, 5))
         p = int(gen.choice([2, 3]))
         N = 6
-        A = sample_matrix(n, p, N, MAT, gen)
+        rows = gen.integers(0, p ** N, size=(n, n)) * p ** gen.integers(0, 4, size=(n, n))
+        A = PadicMatrix.from_rows(p, N, rows.tolist())
         res = smith_partition(A)
         cp = charpoly(A)
         c0 = cp.coefficient(0)
@@ -516,8 +518,10 @@ def test_smith_quadratic_block_oracle():
     checked_u = checked_r = 0
     for _ in range(150):
         n = 3
-        U = gen.integers(0, 3 ** N, size=(n, n), dtype=np.int64).tolist()
-        V = gen.integers(0, 3 ** N, size=(n, n), dtype=np.int64).tolist()
+        # entries u + v g scaled by random 3^k give pivots near saturation
+        scale = 3 ** gen.integers(0, N, size=(n, n))
+        U, V = ((gen.integers(0, 3 ** N, size=(n, n), dtype=np.int64) * scale
+                 % 3 ** N).tolist() for _ in range(2))
 
         def block(gamma):
             B = [[0] * (2 * n) for _ in range(2 * n)]

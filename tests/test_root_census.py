@@ -1,7 +1,7 @@
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from padicstats.matrix_lab import GL, MAT, PadicMatrix, Rng, charpoly, sample_matrix
 from padicstats import root_census
@@ -9,6 +9,7 @@ from padicstats.padic_core import (
     PadicPoly,
     QuotientRing,
     SATURATED,
+    discriminant,
     inverse_mod,
     poly_from_roots,
     poly_mul,
@@ -310,6 +311,31 @@ def test_classify_quadratic_root_difference_matches_depth():
     assert raw_valuation(diff_v, 3, 3 ** min(k1, k2)) == 1
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([3, 5, 7]), st.integers(2, 8), st.integers(0, 10 ** 6),
+       st.integers(0, 8), st.integers(0, 10 ** 6), st.integers(0, 8))
+@example(p=3, N=4, b=0, kb=0, c=1, kc=3)  # v = N - 1: not determined
+@example(p=3, N=4, b=0, kb=0, c=1, kc=2)  # v = N - 2: unramified, m = 1
+@example(p=5, N=3, b=1, kb=0, c=0, kc=0)  # v = 0
+@example(p=5, N=3, b=0, kb=0, c=0, kc=0)  # discriminant 0 mod p^N
+def test_classify_quadratic_matches_discriminant(p, N, b, kb, c, kc):
+    # b^2 - 4c classifies x^2 + bx + c exactly as the valuation of the
+    # Sylvester-resultant discriminant does, refusals included
+    m = p ** N
+    g = PadicPoly.from_ints(p, N, (c * p ** kc % m, b * p ** kb % m, 1))
+    disc = discriminant(g)
+    if disc.is_saturated or disc.valuation >= N - 1:
+        with pytest.raises(PrecisionExhausted):
+            classify_quadratic(g)
+        return
+    v = disc.valuation
+    d = classify_quadratic(g)
+    if v % 2 == 0:
+        assert (d.label, d.m) == (QUAD_UNRAMIFIED, v // 2)
+    else:
+        assert (d.label, d.m) == (QUAD_RAMIFIED, (v - 1) // 2)
+
+
 def test_unramified_roots_counts():
     f = PadicPoly.from_ints(5, 6, (-2, 0, 1))
     assert len(unramified_roots(f, 2)) == 2
@@ -326,6 +352,13 @@ def test_unramified_roots_counts():
 
 def test_unramified_modulus_is_stable():
     assert unramified_modulus(3, 2) == unramified_modulus(3, 2)
+    # the first irreducible lift in code order, constant term first
+    pinned = {
+        (2, 2): (1, 1, 1), (2, 3): (1, 1, 0, 1), (3, 2): (1, 0, 1),
+        (3, 3): (1, 2, 0, 1), (5, 2): (2, 0, 1), (5, 3): (1, 1, 0, 1),
+    }
+    for (p, d), w in pinned.items():
+        assert unramified_modulus(p, d) == w
     w = unramified_modulus(2, 3)
     assert len(w) == 4 and w[-1] == 1
     for p in (2, 3, 5):
