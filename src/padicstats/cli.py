@@ -18,9 +18,7 @@ from . import closed_forms as cf
 from .experiment import (
     INCONCLUSIVE,
     PASS,
-    BudgetExceeded,
     InvalidSpec,
-    PrecisionPolicyViolation,
     UnknownExperiment,
     build_experiment,
     list_experiments,
@@ -79,9 +77,6 @@ _OVERRIDE_FLAGS = (
     ("--m", int), ("--k", int), ("--c", int), ("--label", str),
     ("--points", str), ("--mode", str),
 )
-
-# bad run parameters, reported as usage errors (exit 2) rather than tracebacks
-_USAGE_ERRORS = (InvalidSpec, PrecisionPolicyViolation, BudgetExceeded)
 
 
 def _add_override_flags(p: argparse.ArgumentParser):
@@ -226,15 +221,13 @@ def _cmd_run(args, exhaustive: bool) -> int:
     except UnknownExperiment:
         print(f"unknown experiment: {args.experiment}", file=sys.stderr)
         return 2
-    except (KeyError, *_USAGE_ERRORS) as exc:
+    except (KeyError, InvalidSpec) as exc:
+        # bad run parameters: a usage error (exit 2), not a traceback
         return _usage_error(exc)
     if exhaustive and REGISTRY[spec.name].kind != "exact":
         print(f"{spec.name} is not an exhaustive experiment", file=sys.stderr)
         return 2
-    try:
-        reports = run_experiment(spec)
-    except _USAGE_ERRORS as exc:
-        return _usage_error(exc)
+    reports = run_experiment(spec)
     print(f"{spec.name}: {spec.describe()}")
     _print_reports(reports)
     if args.out:
@@ -262,15 +255,12 @@ def _cmd_suite(args) -> int:
                 if args.trials is not None and edef.kind == "mc":
                     overrides["trials"] = args.trials
                 specs.append(build_experiment(name, overrides))
-    except _USAGE_ERRORS as exc:
+    except InvalidSpec as exc:
         return _usage_error(exc)
     all_reports = []
     counts = {PASS: 0, "FAIL": 0, INCONCLUSIVE: 0}
     for spec in specs:
-        try:
-            reports = run_experiment(spec)
-        except _USAGE_ERRORS as exc:
-            return _usage_error(exc)
+        reports = run_experiment(spec)
         _print_reports(reports)
         for r in reports:
             counts[r.verdict] = counts.get(r.verdict, 0) + 1

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .experiment import (
     BudgetExceeded,
     ExperimentSpec,
     InvalidSpec,
+    PrecisionPolicyViolation,
     chi2_sf,
     chi_square_pvalue,
     check_enumeration_budget,
@@ -49,14 +50,13 @@ from .experiment import (
     run_chunked,
 )
 from .matrix_lab import GL, MAT, smith_parts_quadratic, smith_parts_raw
-from .padic_core import SATURATED, PadicPoly, det_mod, is_prime, raw_valuation
+from .padic_core import PadicPoly, det_mod, is_prime, raw_valuation
 from .root_census import (
     QUAD_RAMIFIED,
     QUAD_UNRAMIFIED,
     _zp_roots_raw,
     census_lifts,
     census_of_poly,
-    pair_valuations,
     unramified_modulus,
 )
 
@@ -76,9 +76,9 @@ class ExperimentDef:
     runner: object
     min_precision: int = 1
     suite_variants: tuple = ({},)  # override dicts run by the full suite
-    # spec -> None; raises ValueError when the batched kernels the runner
-    # calls cannot be exact for these parameters, or the runner does not
-    # apply to them (the quadratic experiments at p = 2)
+    # spec -> None; raises ValueError when the runner's batched kernels
+    # cannot be exact, or its enumeration exceeds the budget, for these
+    # parameters, or the runner does not apply to them (p = 2, quadratic)
     budget: object = None
     # name of the sample pass this experiment shares with others that run
     # the same chunk function (see experiment.run_chunked)
@@ -91,8 +91,9 @@ class ExperimentDef:
         KeyError; a non-prime p, n, trials or workers < 1, a seed outside
         [0, 2^64), a mode the runner does not read, parameters outside
         their domain or the batched kernels' exact range, or p = 2 for a
-        quadratic experiment raise InvalidSpec, before anything is
-        sampled."""
+        quadratic experiment raise InvalidSpec (PrecisionPolicyViolation
+        for N below min_precision, BudgetExceeded for an enumeration past
+        its budget), before anything is sampled."""
         base = dict(self.defaults)
         known = set(base) | {"p", "n", "N", "trials", "seed", "workers", "mode"}
         for k in overrides:
@@ -128,12 +129,17 @@ class ExperimentDef:
             raise InvalidSpec(f"seed must lie in [0, 2^64), got {spec.seed}")
         if "mode" in overrides and spec.mode not in self.modes:
             raise InvalidSpec(f"{self.name} does not read mode {spec.mode!r}")
+        if spec.precision < self.min_precision:
+            raise PrecisionPolicyViolation(
+                f"{self.name} needs N >= {self.min_precision}, got {spec.precision}")
         for key, low in PARAM_FLOORS.items():
             if key in params and params[key] < low:
                 raise InvalidSpec(f"{key} must be >= {low}, got {params[key]}")
         if self.budget is not None:
             try:
                 self.budget(spec)
+            except InvalidSpec:
+                raise
             except ValueError as exc:
                 raise InvalidSpec(str(exc)) from None
         return spec
@@ -185,8 +191,21 @@ def _quad_chain_budget(spec):
 
 
 def _points_budget(spec):
-    """Repeated points make the exact laws undefined."""
-    cf._pairwise_min_valuations(spec.p, spec.params["points"])
+    """Repeated points make the exact laws undefined, and the GL law holds
+    at unit points only; the enumeration runs over the r x r matrices, or
+    the degree-n monic polys, mod p^s."""
+    p, points = spec.p, spec.params["points"]
+    cf._pairwise_min_valuations(p, points)
+    if spec.mode == GL and any(x % p == 0 for x in points):
+        raise ValueError(f"GL points must be units mod {p}, got {points}")
+    size = spec.n if spec.mode == POLY else len(points) ** 2
+    check_enumeration_budget(p ** (spec.params["s"] * size))
+
+
+def _det_exact_budget(spec):
+    if spec.n != 1:
+        raise BudgetExceeded("exact determinant check is sized for n = 1")
+    check_enumeration_budget(spec.p ** spec.precision)
 
 
 def _charpolys(gen, size, p, n, N, mode):
@@ -209,14 +228,12 @@ PAIR_CELLS = 3  # separation valuations m = 0, 1, 2
 
 def _zp_stats(cps, p, n, N):
     """Z_p eigenvalue statistics of a batch of degree-n charpolys mod p^N:
-    running sums of the count c and of c (c - 1) over the samples whose
-    roots are certified, the ordered pairs at each separation valuation
-    over those whose pairs are all resolved, and how many have all n roots
-    in Z_p."""
+    over the samples whose roots are certified, running sums of the count
+    c, of c (c - 1) and of the ordered pairs at each separation valuation,
+    and how many have all n roots in Z_p."""
     out = {
         "sum": 0.0, "sumsq": 0.0, "used": 0,
         "var_sum": 0.0, "var_sumsq": 0.0,
-        "pair_used": 0,
         "all_in": 0,
     }
     # pair cells are small even integers: their sums are exact in int and in
@@ -235,12 +252,13 @@ def _zp_stats(cps, p, n, N):
         out["var_sumsq"] += v * v
         if c == n:
             out["all_in"] += 1
-        vals = pair_valuations(roots, p)
-        if SATURATED in vals:
-            continue  # two roots not separated at their precision
-        cells = [2 * vals.count(m) for m in range(PAIR_CELLS)]  # ordered pairs
-        out["pair_used"] += 1
-        for m, x in enumerate(cells):
+        # certified roots are separated at their known precisions: two
+        # roots of one residue disk a + pZ_p differ at 1 + v(r - r'), below
+        # 1 + min(k, k'), so every pair valuation here is finite
+        vals = [raw_valuation(r1 - r2, p, p ** min(k1, k2))
+                for (r1, k1), (r2, k2) in combinations(roots, 2)]
+        for m in range(PAIR_CELLS):
+            x = 2 * vals.count(m)  # ordered pairs
             pair_sum[m] += x
             pair_sumsq[m] += x * x
     out["pair_sum"] = np.array(pair_sum, dtype=np.float64)
@@ -249,8 +267,12 @@ def _zp_stats(cps, p, n, N):
 
 
 def _zp_chunk(spec, gen, size):
+    """_zp_stats of one chunk; violations counts the charpolys with p | f(0)."""
     p, n, N = spec.p, spec.n, spec.precision
-    return _zp_stats(_charpolys(gen, size, p, n, N, spec.mode), p, n, N)
+    cps = _charpolys(gen, size, p, n, N, spec.mode)
+    out = _zp_stats(cps, p, n, N)
+    out["violations"] = int((cps[:, -1] % p == 0).sum())
+    return out
 
 
 def _run_zp_count(spec):
@@ -291,29 +313,21 @@ def _run_pair_hist(spec):
             make_estimate_report(
                 spec, f"mean ordered pair count at valuation {m}",
                 stats["pair_sum"][m], stats["pair_sumsq"][m],
-                stats["pair_used"], target, extra_params={"m": m},
+                stats["used"], target, extra_params={"m": m},
             )
         )
     return reports
 
 
 def _run_gl_support(spec):
-    p, n, N = spec.p, spec.n, spec.precision
-
-    def chunk(gen, size):
-        cps = _charpolys(gen, size, p, n, N, spec.mode)
-        out = _zp_stats(cps, p, n, N)
-        out["violations"] = int((cps[:, -1] % p == 0).sum())
-        return out
-
-    stats = run_chunked(spec, chunk)
+    stats = run_chunked(spec, partial(_zp_chunk, spec))
     rep_v = estimate_report(
         spec, "eigenvalues with residue 0 (count)", float(stats["violations"]),
         0.0, spec.trials, AnalyticTarget(value=0.0, comparison="zero_count"),
     )
     rep_z = make_estimate_report(
         spec, "mean zp_count", stats["sum"], stats["sumsq"], stats["used"],
-        AnalyticTarget(value=cf.gl_zp_expected(p).value, flags=(ASYMPTOTIC,)),
+        AnalyticTarget(value=cf.gl_zp_expected(spec.p).value, flags=(ASYMPTOTIC,)),
     )
     return [rep_v, rep_z]
 
@@ -347,11 +361,8 @@ def _run_det_moment(spec):
 
 
 def _run_det_moment_exact(spec):
-    p, n, N = spec.p, spec.n, spec.precision
-    if n != 1:
-        raise BudgetExceeded("exact determinant check is sized for n = 1")
+    p, N = spec.p, spec.precision
     m = p ** N
-    check_enumeration_budget(m)
     lo = sum(Fraction(1, p ** raw_valuation(a, p, m)) for a in range(1, m)) / m
     hi = lo + Fraction(1, p ** N) / m  # a = 0: true norm anywhere in [0, p^-N]
     return [exact_report(
@@ -581,16 +592,12 @@ def _census_chunk(spec, gen, size):
         f = PadicPoly.from_ints(p, N, cps[i].tolist()[::-1])
         census = census_of_poly(f, lifts[i])
         if "quad" not in census.flags:
-            cells = np.zeros(ncell + 2)
-            for (label, m) in census.quad_orbits:
-                for idx, (cl, cm) in enumerate(QUAD_CELLS):
-                    if (label, m) == (cl, cm):
-                        cells[idx] += 2.0  # two eigenvalues per orbit
-                # aggregates across all depths, by label
-                if label == QUAD_UNRAMIFIED:
-                    cells[ncell] += 2.0
-                else:
-                    cells[ncell + 1] += 2.0
+            orbits = census.quad_orbits
+            labels = [label for label, _ in orbits]
+            # two eigenvalues per orbit: per cell, then over all depths by label
+            cells = 2.0 * np.array([orbits.count(cell) for cell in QUAD_CELLS]
+                                   + [labels.count(QUAD_UNRAMIFIED),
+                                      labels.count(QUAD_RAMIFIED)])
             out["quad_sum"] += cells
             out["quad_sumsq"] += cells * cells
             out["quad_used"] += 1
@@ -824,7 +831,6 @@ def _run_points_on_variety(spec):
     r = len(points)
     gl = spec.mode == GL
     m = p ** s
-    check_enumeration_budget(m ** (r * r))
     hits = 0
     total = 0
     from .matrix_lab import _rank_mod_p
@@ -857,7 +863,6 @@ def _run_poly_variety(spec):
     points = list(spec.params["points"])
     n = spec.n
     m = p ** s
-    check_enumeration_budget(m ** n)
     hits = 0
     total = 0
     for code in product(range(m), repeat=n):
@@ -882,7 +887,6 @@ def _run_poly_variety(spec):
 
 def _run_invertible_exact(spec):
     p, n = spec.p, spec.n
-    check_enumeration_budget(p ** (n * n))
     from .matrix_lab import _rank_mod_p
 
     hits = 0
@@ -965,6 +969,7 @@ _register(ExperimentDef(
     defaults=dict(p=2, n=1, N=8, trials=1, mode=MAT),
     runner=_run_det_moment_exact,
     min_precision=2,
+    budget=_det_exact_budget,
 ))
 
 _register(ExperimentDef(
@@ -1132,4 +1137,5 @@ _register(ExperimentDef(
     defaults=dict(p=2, n=2, N=1, trials=1, mode=MAT),
     runner=_run_invertible_exact,
     min_precision=1,
+    budget=lambda spec: check_enumeration_budget(spec.p ** (spec.n * spec.n)),
 ))

@@ -1,10 +1,11 @@
 """Root census of characteristic polynomials over Z/p^N.
 
-Pipeline: factor the residue over F_p, Hensel-lift the repeated residue
-factors and read the simple ones off the factorization, then resolve each
-lifted factor: certified roots in Z_p by recursive residue refinement,
-quadratic orbits by root counts plus the parity of val(b^2 - 4c), and
-root counting in the unramified extension of matching residue degree.
+Pipeline: factor the residue over F_p, then either certify the roots in
+Z_p by recursive residue refinement (zp_roots, their one producer) or find
+the eigenvalue orbits in extensions (the census): Hensel-lift the repeated
+residue factors, read the simple ones off the factorization, and resolve
+each lifted factor by quadratic orbits (root counts plus the parity of
+val(b^2 - 4c)) and root counts in the unramified extension of its degree.
 
 The lift runs batched: census_lifts lifts a whole chunk of polys at once
 with the int64 quadratic Hensel kernel of ``batched``, one call per head
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 
@@ -295,7 +295,7 @@ def _lift_start(residue: tuple, p: int, heads: tuple) -> tuple:
 
 class HenselLifts:
     """The lifts of a batch, kept as int64 rows (constant term first);
-    ``lifts[i]`` builds the i-th poly's (lifted, cofactor) on demand."""
+    ``lifts[i]`` builds the i-th poly's lifted (F, d, mult) list on demand."""
 
     def __init__(self, p: int, precision: int, heads: list, factors: list,
                  cofactors: np.ndarray):
@@ -304,11 +304,10 @@ class HenselLifts:
         self.factors = factors      # per head step, (B, n + 1) factor rows
         self.cofactors = cofactors  # (B, n + 1) rows
 
-    def __getitem__(self, i: int) -> tuple:
+    def __getitem__(self, i: int) -> list:
         p, N = self.p, self.precision
-        lifted = [(PadicPoly.from_ints(p, N, rows[i].tolist()), d, m)
-                  for rows, (_, d, m) in zip(self.factors, self.heads[i])]
-        return lifted, PadicPoly.from_ints(p, N, self.cofactors[i].tolist())
+        return [(PadicPoly.from_ints(p, N, rows[i].tolist()), d, m)
+                for rows, (_, d, m) in zip(self.factors, self.heads[i])]
 
 
 def _lift_factors(polys, p: int, N: int, heads) -> HenselLifts:
@@ -316,10 +315,10 @@ def _lift_factors(polys, p: int, N: int, heads) -> HenselLifts:
 
     ``polys`` holds equal-length coefficient rows over Z/p^N, constant
     term first, and heads[i] distinct (F, d, mult) entries of row i's
-    residue factorization.  lifts[i] is (lifted, cofactor): one (monic
-    factor, d, mult) per entry, the factor reducing to F^mult mod p, and
-    the monic cofactor that completes the product to the poly exactly mod
-    p^N.  Each head step lifts its rows with one int64 kernel call per
+    residue factorization.  lifts[i] holds one (monic factor, d, mult) per
+    entry, the factor reducing to F^mult mod p; lifts.cofactors[i] is the
+    monic cofactor that completes the product to the poly exactly mod p^N.
+    Each head step lifts its rows with one int64 kernel call per
     (deg F^mult, deg rest) group; a modulus past that kernel's budget
     raises ValueError before any work.
     """
@@ -364,8 +363,9 @@ def hensel_split(f: PadicPoly) -> list:
     """Split a monic f into monic factors, one per distinct irreducible
     residue factor, with the product reconstituting f exactly mod p^N."""
     heads = factor_mod_p(f.coeffs, f.p).factors[:-1]
-    lifted, cofactor = _lift_factors([f.coeffs], f.p, f.precision, [heads])[0]
-    return [g for g, _, _ in lifted] + [cofactor]
+    lifts = _lift_factors([f.coeffs], f.p, f.precision, [heads])
+    cofactor = PadicPoly.from_ints(f.p, f.precision, lifts.cofactors[0].tolist())
+    return [g for g, _, _ in lifts[0]] + [cofactor]
 
 
 # ---------------------------------------------------------------------------
@@ -683,21 +683,15 @@ def unramified_roots(f: PadicPoly, d: int):
 
 @dataclass(frozen=True)
 class Census:
-    """Certified eigenvalue statistics assembled from one polynomial."""
+    """Certified eigenvalue orbits in extensions of one polynomial; its Z_p
+    roots come from zp_roots, its islands from island_multiplicities."""
 
     p: int
     precision: int
     degree: int
-    zp_roots: tuple          # (value, known_precision) pairs, in no set order
-    pairwise_valuations: tuple
     quad_orbits: tuple       # (label, m) per certified quadratic orbit
-    island_map: dict         # residue factor coeffs -> multiplicity
     unram_counts: dict       # residue degree d >= 2 -> certified eigenvalue count
-    flags: frozenset         # subset of {'zp','pairs','quad','unram'}
-
-    @property
-    def zp_count(self) -> int:
-        return len(self.zp_roots)
+    flags: frozenset         # subset of {'quad','unram'}
 
     @property
     def quad_counts(self) -> dict:
@@ -707,25 +701,22 @@ class Census:
         return out
 
 
-def census_of_poly(f: PadicPoly, lift=None) -> Census:
-    """Resolve a monic polynomial into certified eigenvalue statistics.
+def census_of_poly(f: PadicPoly, lifted=None) -> Census:
+    """Resolve a monic polynomial into its certified eigenvalue orbits in
+    extensions; its Z_p roots come from zp_roots.
 
-    A simple residue factor of degree d >= 2 holds d unramified eigenvalues,
-    and the simple linear ones are the Z_p roots of the unlifted cofactor.
-    Per repeated factor: Z_p roots by refinement, quadratic orbits by
-    discriminant parity, root counts in the matching unramified extension.
-    ``lift`` is f's entry of census_lifts; without it f is lifted alone.
-    Unresolvable mass raises no error; it sets component flags so
-    estimators can discard the sample and report the rate.
+    A simple residue factor of degree d >= 2 holds d unramified eigenvalues.
+    Per repeated factor: its Z_p roots are split off, then quadratic orbits
+    by discriminant parity and root counts in the matching unramified
+    extension.  ``lifted`` is f's entry of census_lifts; without it f is
+    lifted alone.  Unresolvable mass raises no error; it sets component
+    flags so estimators can discard the sample and report the rate.
     """
     p, N = f.p, f.precision
     fact = factor_mod_p(f.coeffs, p)
-    if lift is None:
+    if lifted is None:
         heads = tuple(e for e in fact.factors if e[2] > 1)
-        lift = _lift_factors([f.coeffs], p, N, [heads])[0]
-    lifted, cofactor = lift
-    # every residue root of the cofactor is simple, so its roots certify
-    zp_root_list = list(zp_roots(cofactor))
+        lifted = _lift_factors([f.coeffs], p, N, [heads])[0]
     quad_orbits = []
     unram_counts = {}
     flags = set()
@@ -741,9 +732,8 @@ def census_of_poly(f: PadicPoly, lift=None) -> Census:
             try:
                 rts = zp_roots(g)
             except PrecisionExhausted:
-                flags.update({"zp", "pairs", "quad"})
+                flags.add("quad")
                 continue
-            zp_root_list.extend(rts)
             # split the certified roots off; accuracy of the cofactor is
             # limited by the least-known root
             remaining = list(g.coeffs)
@@ -781,28 +771,14 @@ def census_of_poly(f: PadicPoly, lift=None) -> Census:
                 flags.add("quad")
             unram_counts[d] = unram_counts.get(d, 0) + len(rts)
 
-    pair_vals = pair_valuations(zp_root_list, p)
-    if SATURATED in pair_vals:
-        flags.add("pairs")
     return Census(
         p=p,
         precision=N,
         degree=f.degree,
-        zp_roots=tuple(zp_root_list),
-        pairwise_valuations=tuple(sorted(v for v in pair_vals if v is not SATURATED)),
         quad_orbits=tuple(quad_orbits),
-        island_map={k: m for k, _, m in fact.factors},
         unram_counts=unram_counts,
         flags=frozenset(flags),
     )
-
-
-def pair_valuations(roots, p) -> list:
-    """The valuation of r1 - r2 for each pair of (root, known precision)
-    entries, at the lesser precision of the two; SATURATED for a pair that
-    is not separated there."""
-    return [raw_valuation(r1 - r2, p, p ** min(k1, k2))
-            for (r1, k1), (r2, k2) in combinations(roots, 2)]
 
 
 def _resolve_unram_pairs(coeffs, p, N, quad_orbits):
@@ -850,7 +826,8 @@ def _pair_unram_quadratic(roots, p, quad_orbits):
 
 
 def eigenvalue_census(A) -> Census:
-    """Census of the eigenvalues of a base-ring matrix."""
+    """Census of the eigenvalue orbits in extensions of a base-ring matrix;
+    its Z_p eigenvalues come from zp_roots(charpoly(A))."""
     from .matrix_lab import charpoly
 
     return census_of_poly(charpoly(A))

@@ -125,12 +125,19 @@ def test_bad_run_parameters_are_usage_errors(argv, capsys):
     ["run", "poly_variety", "--s", "0"],
     ["run", "charpoly_det_identity", "--c", "0"],
     ["run", "charpoly_det_identity", "--c", "1"],
+    ["run", "points_on_variety", "--mode", "GL"],
+    ["run", "points_on_variety", "--mode", "GL", "--p", "3", "--points", "0,1"],
+    ["run", "points_on_variety_gl", "--points", "3,1"],
+    ["run", "det_moment_exact", "--n", "2"],
+    ["run", "E_Zp_count", "--precision", "2"],
 ])
 def test_bad_size_worker_seed_and_degree_are_usage_errors(argv, capsys):
     # n, workers, d, m and s below 1, k below 0, seeds outside [0, 2^64),
-    # repeated points, a label other than UNRAMIFIED/RAMIFIED, a c that is
-    # a square mod p and a mode the runner does not read are refused before
-    # sampling, with exit 2 and a usage message
+    # repeated points, a GL point divisible by p, a label other than
+    # UNRAMIFIED/RAMIFIED, a c that is a square mod p, a mode the runner
+    # does not read, N below the precision policy and an enumeration past
+    # its budget are refused before sampling, with exit 2 and a usage
+    # message
     assert dispatch(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -64,9 +64,9 @@ def test_build_experiment_defaults_and_overrides():
 
 
 def test_precision_policy_violation():
-    spec = build_experiment("E_Zp_count", {"N": 2, "trials": 10})
+    # refused when the spec is built, before anything runs
     with pytest.raises(PrecisionPolicyViolation):
-        run_monte_carlo(spec)
+        build_experiment("E_Zp_count", {"N": 2, "trials": 10})
 
 
 def test_mode_guards():
@@ -209,9 +209,14 @@ def test_exhaustive_budget():
 
     with pytest.raises(BudgetExceeded):
         check_enumeration_budget(2 ** 30)
-    spec = build_experiment("points_on_variety", {"p": 3, "s": 5, "N": 5})
-    with pytest.raises(BudgetExceeded):
-        run_exhaustive(spec)
+    # each exact experiment's enumeration is sized when the spec is built
+    for name, overrides in (("points_on_variety", {"p": 3, "s": 5, "N": 5}),
+                            ("poly_variety", {"p": 3, "s": 5, "n": 4}),
+                            ("invertible_exact", {"n": 6}),
+                            ("det_moment_exact", {"N": 27}),
+                            ("det_moment_exact", {"n": 2})):
+        with pytest.raises(BudgetExceeded):
+            build_experiment(name, overrides)
 
 
 def test_points_on_variety_matches_enumeration():

@@ -1,4 +1,5 @@
-from itertools import product
+from collections import Counter
+from itertools import combinations, product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -142,7 +143,9 @@ def test_hensel_split_reconstitutes_random():
             prod_ = prod_ * h
         assert prod_.coeffs == f.coeffs
         fact = factor_mod_p(f.coeffs, p)
-        lifted, cofactor = _lift_factors([f.coeffs], p, N, [fact.factors[:-1]])[0]
+        lifts = _lift_factors([f.coeffs], p, N, [fact.factors[:-1]])
+        lifted = lifts[0]
+        cofactor = PadicPoly.from_ints(p, N, lifts.cofactors[0].tolist())
         assert [g for g, _, _ in lifted] + [cofactor] == parts
         for h, d, mult in lifted + [(cofactor, *fact.factors[-1][1:])]:
             assert h.monic
@@ -188,10 +191,11 @@ def test_batched_lift_is_invariant_to_grouping(case):
     p, N, polys, heads = case
     lifts = _lift_factors(polys, p, N, heads)
     for i, (f, hd) in enumerate(zip(polys, heads)):
-        lifted, cofactor = lifts[i]
-        assert (lifted, cofactor) == _lift_factors([f], p, N, [hd])[0]
-        prod_ = cofactor
-        for (g, d, mult), (k, dk, mk) in zip(lifted, hd):
+        alone = _lift_factors([f], p, N, [hd])
+        assert lifts[i] == alone[0]
+        assert lifts.cofactors[i].tolist() == alone.cofactors[0].tolist()
+        prod_ = PadicPoly.from_ints(p, N, lifts.cofactors[i].tolist())
+        for (g, d, mult), (k, dk, mk) in zip(lifts[i], hd):
             assert (d, mult) == (dk, mk) and g.monic and g.degree == d * mult
             assert factor_mod_p(g.coeffs, p).factors == ((k, d, mult),)
             prod_ = prod_ * g
@@ -265,8 +269,8 @@ def test_island_degree_conservation():
         n = int(gen.integers(2, 6))
         p = int(gen.choice([2, 3]))
         A = sample_matrix(n, p, 6, MAT, gen)
-        cen = eigenvalue_census(A)
-        assert sum((len(k) - 1) * m for k, m in cen.island_map.items()) == n
+        islands = island_multiplicities(charpoly(A))
+        assert sum((len(k) - 1) * m for k, m in islands.items()) == n
 
 
 def test_gl_samples_never_touch_the_zero_island():
@@ -449,13 +453,13 @@ def test_census_lifts_only_repeated_residue_factors(monkeypatch):
     f = poly_from_roots(3, 8, [3, 4]) * PadicPoly.from_ints(3, 8, (1, 0, 1))
     c = census_of_poly(f)
     assert heads == []
-    assert c.zp_count == 2 and c.unram_counts == {2: 2}
+    assert c.unram_counts == {2: 2}
     assert c.quad_counts == {(QUAD_UNRAMIFIED, 0): 1} and not c.flags
     # residue x^2 (x - 1) (x - 2): only the repeated factor x^2 is lifted
     f = poly_from_roots(3, 8, [0, 9, 1, 2])
     c = census_of_poly(f)
     assert heads == [((0, 1), 1, 2)]
-    assert sorted(r for r, _ in c.zp_roots) == [0, 1, 2, 9] and not c.flags
+    assert not c.quad_counts and not c.unram_counts and not c.flags
     # the chunk-wide lift hands census_of_poly the same lifts
     lifts = root_census.census_lifts([f.coeffs], 3, 8)
     assert census_of_poly(f, lifts[0]) == c
@@ -478,30 +482,87 @@ def _planted_roots(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_planted_roots())
-def test_census_roots_match_zp_roots(f):
-    try:
-        want = sorted(zp_roots(f))
-    except PrecisionExhausted:
-        return
-    c = census_of_poly(f)
-    if "zp" not in c.flags:
-        assert sorted(c.zp_roots) == want
+@example(poly_from_roots(3, 10, [0, 9, 36]))
+def test_certified_roots_are_separated_at_their_precision(f):
+    # roots of different residues differ by a unit; two roots of one disk
+    # a + pZ_p differ at 1 + v(r - r'), below 1 + min(k, k') by induction,
+    # so every pair valuation the Z_p statistics read is finite
+    roots, _ = _zp_roots_raw(list(f.coeffs), f.p, f.precision)
+    for (r1, k1), (r2, k2) in combinations(roots, 2):
+        assert raw_valuation(r1 - r2, f.p, f.p ** min(k1, k2)) is not SATURATED
+
+
+def test_census_searches_only_lifted_linear_heads(monkeypatch):
+    # Z_p roots are split off each repeated linear residue factor, and the
+    # cofactor's roots are never searched
+    calls = []
+    real = root_census.zp_roots
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(root_census, "zp_roots", counting)
+    gen = Rng(58).generator()
+    searched = 0
+    for _ in range(80):
+        p = int(gen.choice([2, 3, 5]))
+        n = int(gen.integers(2, 7))
+        f = charpoly(sample_matrix(n, p, 8, MAT, gen))
+        heads = [(e,) for e in factor_mod_p(f.coeffs, p).factors
+                 if e[1] == 1 and e[2] > 1]
+        calls.clear()
+        census_of_poly(f)
+        assert [factor_mod_p(g.coeffs, p).factors for g in calls] == heads
+        searched += len(calls)
+    assert searched > 10
+
+
+def test_census_matches_unramified_root_search():
+    # with no flag set, the census's count in the unramified extension of
+    # degree d is the number of its roots there with residue outside F_p,
+    # and at d = 2 its unramified quadratic orbits at depth m are half the
+    # roots whose w-coordinate has valuation m
+    gen = Rng(71).generator()
+    checked = Counter()
+    for _ in range(200):
+        p = int(gen.choice([3, 5]))
+        n = int(gen.integers(2, 7))
+        f = charpoly(sample_matrix(n, p, 8, MAT, gen))
+        c = census_of_poly(f)
+        if c.flags:
+            continue
+        for d in (2, 3):
+            try:
+                roots = unramified_roots(f, d)
+            except PrecisionExhausted:
+                continue
+            outside = [x for x, _ in roots if any(y % p for y in x[1:])]
+            assert c.unram_counts.get(d, 0) == len(outside)
+            if d == 2:
+                depths = Counter(raw_valuation(x[1], p, p ** k) for x, k in roots)
+                depths.pop(SATURATED, None)  # the roots in Z_p
+                assert {m: 2 * k for (label, m), k in c.quad_counts.items()
+                        if label == QUAD_UNRAMIFIED} == dict(depths)
+            checked[d] += 1
+    assert min(checked[2], checked[3]) > 100
 
 
 def test_census_examples():
     A = PadicMatrix.from_rows(3, 6, [[0, 0], [0, 1]])
     c = eigenvalue_census(A)
-    assert c.zp_count == 2 and c.pairwise_valuations == (0,) and not c.flags
+    assert sorted(r for r, _ in zp_roots(charpoly(A))) == [0, 1]
+    assert not c.quad_counts and not c.flags
     A = PadicMatrix.from_rows(5, 6, [[0, 2], [1, 0]])
     c = eigenvalue_census(A)
-    assert c.zp_count == 0
+    assert count_roots_in_zp(charpoly(A)) == 0
     assert c.quad_counts == {(QUAD_UNRAMIFIED, 0): 1}
 
 
 def test_census_depth_one_quadratics():
     f = PadicPoly.from_ints(3, 10, (-18, 0, 1)) * PadicPoly.from_ints(3, 10, (-1, 1))
     c = census_of_poly(f)
-    assert c.zp_count == 1
+    assert count_roots_in_zp(f) == 1
     assert c.quad_counts == {(QUAD_UNRAMIFIED, 1): 1}
     assert not c.flags
     f = PadicPoly.from_ints(3, 10, (-27, 0, 1)) * PadicPoly.from_ints(3, 10, (-1, 1))
@@ -530,7 +591,7 @@ def test_census_flags_unresolvable_ramified_pairs():
 def test_census_cubic_orbits():
     f = PadicPoly.from_ints(3, 12, (-3, 0, 0, 1))  # ramified cubic
     c = census_of_poly(f)
-    assert c.zp_count == 0 and not c.quad_counts
+    assert count_roots_in_zp(f) == 0 and not c.quad_counts
     f = PadicPoly.from_ints(2, 8, (1, 1, 0, 1))  # unramified cubic
     c = census_of_poly(f)
     assert c.unram_counts == {3: 3}
@@ -588,10 +649,3 @@ def test_census_brute_force_equivalence_4096():
             assert (not ok) and flagged, (coeffs, ok, flagged)
             both += 1
     assert agree + both == 4096 and agree > 3000
-
-
-def test_census_pairwise_valuation_precision_flag():
-    # roots closer than the known precision flag the pair statistics
-    f = poly_from_roots(3, 4, [0, 81])  # indistinguishable at N = 4
-    c = census_of_poly(f)
-    assert "pairs" in c.flags or c.pairwise_valuations
