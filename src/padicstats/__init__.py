@@ -59,9 +59,7 @@ from .experiment import (
     build_experiment,
     compare,
     list_experiments,
-    run_exhaustive,
     run_experiment,
-    run_monte_carlo,
 )
 
 __version__ = "0.1.0"

@@ -1,10 +1,11 @@
 """Vectorized kernels for the Monte Carlo engines.
 
 Everything here mirrors an exact single-sample operation elsewhere in the
-package (division-free characteristic polynomials, ranks over F_p, packed
-F_2 linear algebra) and is cross-checked against those implementations in
-the test suite.  int64 arithmetic is safe as long as n * (p^N - 1)^2 fits,
-which callers guarantee by the precision policy.
+package (division-free characteristic polynomials, ranks over F_p, Smith
+forms over Z_p and quadratic rings of integers, packed F_2 linear algebra)
+and is cross-checked against those implementations in the test suite.
+int64 arithmetic is safe as long as n * (p^N - 1)^2 fits, which callers
+guarantee by the precision policy.
 """
 
 from __future__ import annotations
@@ -26,6 +27,12 @@ def check_modulus_budget(n: int, modulus: int):
 def check_quad_budget(n: int, c: int, modulus: int):
     """check_modulus_budget for products in Z/modulus[x]/(x^2 - c)."""
     check_modulus_budget(max(2 * n * (1 + c % modulus), 1), modulus)
+
+
+def check_smith_budget(modulus: int, gamma: int = 0):
+    """check_modulus_budget for the Smith kernels: their products stay below
+    modulus^2 in the base ring and (1 + gamma) modulus^2 in Z[g]/(g^2 - gamma)."""
+    check_modulus_budget(1 + gamma, modulus)
 
 
 def check_float64_budget(n: int, p: int):
@@ -236,20 +243,139 @@ def batch_hensel_lift(f: np.ndarray, g: np.ndarray, h: np.ndarray,
 
 
 def batch_valuation(vals: np.ndarray, p: int, N: int) -> np.ndarray:
-    """Valuations of residues mod p^N; saturated residues report N."""
+    """Valuations of residues mod p^N, counted as the k = 1..N with p^k
+    dividing the residue; saturated residues report N."""
     vals = vals % (p ** N)
     v = np.zeros(vals.shape, dtype=np.int64)
-    sat = vals == 0
-    v[sat] = N
-    work = vals.copy()
-    active = ~sat
+    pk = 1
     for _ in range(N):
-        active = active & (work % p == 0)
-        if not active.any():
+        pk *= p
+        divides = vals % pk == 0
+        if not divides.any():
             break
-        v[active] += 1
-        work[active] //= p
+        v += divides
     return v
+
+
+def _unit_inverses(a: np.ndarray, p: int, modulus: int) -> np.ndarray:
+    """Inverses mod modulus = p^N of the units a (reduced mod modulus): the
+    inverse mod p by Fermat, then Newton steps x <- x (2 - a x), each of
+    which doubles the p-adic precision.  Non-units give some residue."""
+    x = np.ones_like(a)
+    base, e = a % p, p - 2
+    while e:
+        if e & 1:
+            x = x * base % p
+        base = base * base % p
+        e >>= 1
+    prec = 1
+    while p ** prec < modulus:
+        x = x * ((2 - a * x) % modulus) % modulus
+        prec *= 2
+    return x
+
+
+def _pivot_to_corner(block: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """Swap, per sample, row flat // k with row 0 and column flat % k with
+    column 0 of a (B, k, k) block."""
+    B, k, _ = block.shape
+    idx = np.arange(B)
+    rows = np.tile(np.arange(k), (B, 1))
+    cols = rows.copy()
+    rows[idx, flat // k] = 0
+    rows[:, 0] = flat // k
+    cols[idx, flat % k] = 0
+    cols[:, 0] = flat % k
+    return block[idx[:, None, None], rows[:, :, None], cols[:, None, :]]
+
+
+# ---------------------------------------------------------------------------
+# Smith forms: the batched counterparts of matrix_lab.smith_parts_raw and
+# smith_parts_quadratic.  Step top pivots on the first entry of least
+# valuation, in row-major order, of the trailing block, which is the entry
+# the scalar loops pick, so every sample takes the scalar routine's row
+# operations and gets its parts in the same order.  Only the trailing block
+# is carried, since no later step reads the pivot row or column.  Products
+# stay within the bounds check_smith_budget checks.
+# ---------------------------------------------------------------------------
+
+
+def batch_smith_parts(mats: np.ndarray, p: int, N: int) -> tuple:
+    """(parts (B, n), saturated (B,)) of a (B, n, n) int64 batch mod p^N,
+    equal to smith_parts_raw sample by sample.  A trailing block that is
+    zero mod p^N stays zero, so it reports N at this and every later step."""
+    m = p ** N
+    B, n, _ = mats.shape
+    parts = np.empty((B, n), dtype=np.int64)
+    block = mats % m
+    for top in range(n):
+        k = n - top
+        vals = batch_valuation(block, p, N).reshape(B, k * k)
+        flat = vals.argmin(axis=1)
+        v = vals[np.arange(B), flat]
+        parts[:, top] = v
+        if k == 1:
+            break
+        block = _pivot_to_corner(block, flat)
+        pv = p ** v
+        # scale the pivot row so the pivot is p^v, then clear the column
+        inv = _unit_inverses(block[:, 0, 0] // pv, p, m)
+        row = block[:, 0, 1:] * inv[:, None] % m
+        f = block[:, 1:, 0] // pv[:, None]
+        block = (block[:, 1:, 1:] - f[:, :, None] * row[:, None, :]) % m
+    return parts, parts[:, -1] == N
+
+
+def batch_smith_parts_quad(U: np.ndarray, V: np.ndarray, p: int, N: int,
+                           ramified: bool, gamma: int) -> tuple:
+    """(parts (B, n), saturated (B,)) over Z_p[g]/(g^2 - gamma) mod p^N for
+    entries U + V g, equal to smith_parts_quadratic sample by sample: parts
+    in uniformizer units (p unramified, g ramified), capped at N or 2N - 1."""
+    m = p ** N
+    cap = 2 * N - 1 if ramified else N
+    B, n, _ = U.shape
+    cinv = pow(gamma // p, -1, m) if ramified else 1
+    parts = np.empty((B, n), dtype=np.int64)
+    done = np.zeros(B, dtype=bool)
+    U, V = U % m, V % m
+
+    def mul(u1, v1, u2, v2):
+        return (u1 * u2 + gamma * v1 * v2) % m, (u1 * v2 + v1 * u2) % m
+
+    def div_uniformizer(u, v, k):
+        # exact for entries of valuation >= k, as in the scalar routine
+        if not ramified:
+            return u // p ** k, v // p ** k
+        for step in range(int(k.max(initial=0))):
+            # (u + v g)/g = v + (u/p) g / (gamma/p), since g^2 = gamma
+            move = step < k
+            u, v = np.where(move, v, u), np.where(move, (u // p) * cinv % m, v)
+        return u, v
+
+    for top in range(n):
+        k = n - top
+        vu, vv = batch_valuation(U, p, N), batch_valuation(V, p, N)
+        vals = np.minimum(2 * vu, 2 * vv + 1) if ramified else np.minimum(vu, vv)
+        vals = np.minimum(vals, cap).reshape(B, k * k)
+        flat = vals.argmin(axis=1)
+        v = vals[np.arange(B), flat]
+        done |= v >= cap
+        parts[:, top] = np.where(done, cap, v)
+        if k == 1:
+            break
+        U, V = _pivot_to_corner(U, flat), _pivot_to_corner(V, flat)
+        v = np.where(done, 0, v)
+        # scale the pivot row by the inverse of pivot / pi^v, then clear the
+        # column below the pivot
+        pu, pv = div_uniformizer(U[:, 0, 0], V[:, 0, 0], v)
+        inv = _unit_inverses((pu * pu - gamma * pv * pv) % m, p, m)
+        ru, rv = mul(U[:, 0, 1:], V[:, 0, 1:],
+                     (pu * inv % m)[:, None], (-pv * inv % m)[:, None])
+        fu, fv = div_uniformizer(U[:, 1:, 0], V[:, 1:, 0], v[:, None])
+        su, sv = mul(fu[:, :, None], fv[:, :, None], ru[:, None, :], rv[:, None, :])
+        U = (U[:, 1:, 1:] - su) % m
+        V = (V[:, 1:, 1:] - sv) % m
+    return parts, done
 
 
 def batch_rank_mod_p(mats: np.ndarray, p: int) -> np.ndarray:

@@ -49,7 +49,7 @@ class UnknownExperiment(KeyError):
     """No registry entry with that name."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentSpec:
     """A fully populated run request for one named experiment."""
 
@@ -478,38 +478,22 @@ def build_experiment(name: str, overrides: dict | None = None) -> ExperimentSpec
     reg = _registry()
     if name not in reg:
         raise UnknownExperiment(name)
-    edef = reg[name]
-    spec = edef.make_spec(overrides or {})
-    return spec
+    return reg[name].make_spec(overrides or {})
 
 
 def run_experiment(spec: ExperimentSpec) -> list:
+    """The reports of one run, after the checks build_experiment makes, so
+    that a spec built any other way cannot run outside the policy."""
     reg = _registry()
     if spec.name not in reg:
         raise UnknownExperiment(spec.name)
+    reg[spec.name].check(spec)
     t0 = time.monotonic()
     reports = reg[spec.name].runner(spec)
     wall = (time.monotonic() - t0) * 1000.0
     for r in reports:
         r.wall_ms = wall
     return reports
-
-
-def run_monte_carlo(spec: ExperimentSpec) -> list:
-    """Run a Monte Carlo experiment; reports are deterministic in
-    (seed, workers-independent) and discards are reported, never hidden."""
-    reg = _registry()
-    if reg[spec.name].kind != "mc":
-        raise ValueError(f"{spec.name} is not a Monte Carlo experiment")
-    return run_experiment(spec)
-
-
-def run_exhaustive(spec: ExperimentSpec) -> list:
-    """Run an exhaustive-enumeration experiment producing exact rationals."""
-    reg = _registry()
-    if reg[spec.name].kind != "exact":
-        raise ValueError(f"{spec.name} is not an exhaustive experiment")
-    return run_experiment(spec)
 
 
 def check_enumeration_budget(count: int, budget: int = 2 ** 26):

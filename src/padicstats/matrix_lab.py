@@ -245,7 +245,8 @@ def smith_parts_raw(mat, p: int, prec: int):
     """Diagonal valuations of the Smith form of an integer matrix mod p^prec.
 
     Returns (parts, saturated); saturated pivots are reported as prec.
-    The input rows are consumed.
+    The input rows are consumed.  This is the oracle of the batched
+    batched.batch_smith_parts, which the cokernel chains run.
     """
     modulus = p ** prec
     n = len(mat)
@@ -304,7 +305,8 @@ def smith_parts_quadratic(rows_u, rows_v, p: int, prec: int, ramified: bool,
     uniformizer units: the uniformizer is p itself when unramified (parts
     match base-ring levels) and g when ramified (parts count half-levels).
 
-    Returns (parts, saturated).
+    Returns (parts, saturated).  This is the oracle of the batched
+    batched.batch_smith_parts_quad, which quad_chain runs.
     """
     modulus = p ** prec
     n = len(rows_u)

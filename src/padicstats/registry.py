@@ -24,10 +24,13 @@ from .batched import (
     batch_charpoly,
     batch_charpoly_quad,
     batch_det,
+    batch_smith_parts,
+    batch_smith_parts_quad,
     batch_valuation,
     check_float64_budget,
     check_modulus_budget,
     check_quad_budget,
+    check_smith_budget,
     f2_primary_multiplicity,
     fp_primary_multiplicity,
     sample_matrices,
@@ -49,7 +52,7 @@ from .experiment import (
     mean_se,
     run_chunked,
 )
-from .matrix_lab import GL, MAT, smith_parts_quadratic, smith_parts_raw
+from .matrix_lab import GL, MAT
 from .padic_core import PadicPoly, det_mod, is_prime, raw_valuation
 from .root_census import (
     QUAD_RAMIFIED,
@@ -87,13 +90,8 @@ class ExperimentDef:
     modes: tuple = ()
 
     def make_spec(self, overrides: dict) -> ExperimentSpec:
-        """The run request for these overrides.  Unknown keys raise
-        KeyError; a non-prime p, n, trials or workers < 1, a seed outside
-        [0, 2^64), a mode the runner does not read, parameters outside
-        their domain or the batched kernels' exact range, or p = 2 for a
-        quadratic experiment raise InvalidSpec (PrecisionPolicyViolation
-        for N below min_precision, BudgetExceeded for an enumeration past
-        its budget), before anything is sampled."""
+        """The checked run request for these overrides (see check).
+        Unknown keys raise KeyError."""
         base = dict(self.defaults)
         known = set(base) | {"p", "n", "N", "trials", "seed", "workers", "mode"}
         for k in overrides:
@@ -117,6 +115,17 @@ class ExperimentDef:
             params=params,
             shared=self.shared,
         )
+        self.check(spec)
+        return spec
+
+    def check(self, spec: ExperimentSpec) -> None:
+        """Refuse a spec this experiment cannot run exactly, before anything
+        is sampled: a non-prime p, n, trials or workers < 1, a seed outside
+        [0, 2^64), a mode other than the default that the runner does not
+        read, parameters outside their domain or the batched kernels' exact
+        range, or p = 2 for a quadratic experiment raise InvalidSpec
+        (PrecisionPolicyViolation for N below min_precision, BudgetExceeded
+        for an enumeration past its budget)."""
         if not is_prime(spec.p):
             raise InvalidSpec(f"p = {spec.p} is not prime")
         if spec.n < 1:
@@ -127,14 +136,14 @@ class ExperimentDef:
             raise InvalidSpec(f"workers must be >= 1, got {spec.workers}")
         if not 0 <= spec.seed < 2 ** 64:
             raise InvalidSpec(f"seed must lie in [0, 2^64), got {spec.seed}")
-        if "mode" in overrides and spec.mode not in self.modes:
+        if spec.mode != self.defaults.get("mode", MAT) and spec.mode not in self.modes:
             raise InvalidSpec(f"{self.name} does not read mode {spec.mode!r}")
         if spec.precision < self.min_precision:
             raise PrecisionPolicyViolation(
                 f"{self.name} needs N >= {self.min_precision}, got {spec.precision}")
         for key, low in PARAM_FLOORS.items():
-            if key in params and params[key] < low:
-                raise InvalidSpec(f"{key} must be >= {low}, got {params[key]}")
+            if key in spec.params and spec.params[key] < low:
+                raise InvalidSpec(f"{key} must be >= {low}, got {spec.params[key]}")
         if self.budget is not None:
             try:
                 self.budget(spec)
@@ -142,7 +151,6 @@ class ExperimentDef:
                 raise
             except ValueError as exc:
                 raise InvalidSpec(str(exc)) from None
-        return spec
 
 
 def _charpoly_budget(spec):
@@ -181,25 +189,34 @@ def _odd_p_census_budget(spec):
         raise ValueError("quadratic classification needs odd p")
 
 
+def _smith_chain_budget(spec):
+    _sampling_budget(spec)
+    check_smith_budget(spec.p ** spec.precision)
+
+
 def _quad_chain_budget(spec):
     _sampling_budget(spec)
     label = spec.params["label"]
     if label not in ("UNRAMIFIED", "RAMIFIED"):
         raise ValueError(f"label must be UNRAMIFIED or RAMIFIED, got {label!r}")
-    if label == "UNRAMIFIED":
-        _nonresidue(spec.p)
+    check_smith_budget(spec.p ** spec.precision, _chain_gamma(spec))
 
 
 def _points_budget(spec):
-    """Repeated points make the exact laws undefined, and the GL law holds
-    at unit points only; the enumeration runs over the r x r matrices, or
-    the degree-n monic polys, mod p^s."""
-    p, points = spec.p, spec.params["points"]
-    cf._pairwise_min_valuations(p, points)
+    """Repeated points make the exact laws undefined, the GL law holds at
+    unit points only, and the matrix laws hold only for s > 2v, v the
+    largest pairwise valuation of the points (at p = 2, points (0, 2) and
+    s = 1 the enumeration gives 5/2 against 3); the enumeration runs over
+    the r x r matrices, or the degree-n monic polys, mod p^s."""
+    p, points, s = spec.p, spec.params["points"], spec.params["s"]
+    v = max(cf._pairwise_min_valuations(p, points), default=0)
     if spec.mode == GL and any(x % p == 0 for x in points):
         raise ValueError(f"GL points must be units mod {p}, got {points}")
+    if spec.mode != POLY and s <= 2 * v:
+        raise ValueError(f"points {points} agree mod {p}^{v}: the exact "
+                         f"matrix law needs s > {2 * v}, got s = {s}")
     size = spec.n if spec.mode == POLY else len(points) ** 2
-    check_enumeration_budget(p ** (spec.params["s"] * size))
+    check_enumeration_budget(p ** (s * size))
 
 
 def _det_exact_budget(spec):
@@ -439,59 +456,60 @@ def _two_step_fit_report(spec, estimand, table, mp2, details=""):
     )
 
 
-def _run_cok_markov(spec):
+def _level_counts(parts, top):
+    """(B, top) counts of each sample's parts >= j, for j = 1..top."""
+    return (parts[:, :, None] >= np.arange(1, top + 1)).sum(axis=1)
+
+
+def _tally(shape, *cells):
+    """int64 table of the given shape counting the index tuples in cells."""
+    table = np.zeros(shape, dtype=np.int64)
+    np.add.at(table, cells, 1)
+    return table
+
+
+def _cok_markov_chunk(spec, gen, size):
     p, n, N = spec.p, spec.n, spec.precision
+    parts, sat = batch_smith_parts(sample_matrices(gen, size, n, p, N), p, N)
+    lam = _level_counts(parts[~sat], 2)
+    return {"table": _tally((n + 1, n + 1), lam[:, 0], lam[:, 1])}
 
-    def chunk(gen, size):
-        mats = sample_matrices(gen, size, n, p, N)
-        table = np.zeros((n + 1, n + 1), dtype=np.int64)
-        for i in range(size):
-            parts, sat = smith_parts_raw(mats[i].tolist(), p, N)
-            if sat:
-                continue
-            l1 = sum(1 for x in parts if x >= 1)
-            l2 = sum(1 for x in parts if x >= 2)
-            table[l1, l2] += 1
-        return {"table": table}
 
-    stats = run_chunked(spec, chunk)
+def _run_cok_markov(spec):
+    stats = run_chunked(spec, partial(_cok_markov_chunk, spec))
     return [_two_step_fit_report(
         spec, "chi-square p-value of (l'_1, l'_2) vs kernel transitions",
-        stats["table"], cf.MarkovParams(t=1.0 / p, u=1.0),
+        stats["table"], cf.MarkovParams(t=1.0 / spec.p, u=1.0),
     )]
 
 
-def _run_cok_joint_chain(spec):
+def _cok_joint_chain_chunk(spec, gen, size):
+    """Levels 1..m + 1 of A and of A - p^m B: a sample whose first m levels
+    differ is a violation, the others are tallied by (shared level m, level
+    m + 1 of each)."""
     p, n, N = spec.p, spec.n, spec.precision
     m_level = spec.params["m"]
-    x2 = p ** m_level
+    m = p ** N
+    A = gen.integers(0, m, size=(size, n, n), dtype=np.int64)
+    B = gen.integers(0, m, size=(size, n, n), dtype=np.int64)
+    M2 = (A - p ** m_level * B) % m
+    parts, sat = batch_smith_parts(np.concatenate([A, M2]), p, N)
+    lam = _level_counts(parts, m_level + 1)
+    lam1, lam2 = lam[:size], lam[size:]
+    good = ~(sat[:size] | sat[size:])
+    shared = (lam1[:, :m_level] == lam2[:, :m_level]).all(axis=1)
+    keep = good & shared
+    table = _tally((n + 1,) * 3, lam1[keep, m_level - 1], lam1[keep, m_level],
+                   lam2[keep, m_level])
+    return {"table": table, "violations": int((good & ~shared).sum())}
 
-    def chunk(gen, size):
-        m = p ** N
-        A = gen.integers(0, m, size=(size, n, n), dtype=np.int64)
-        B = gen.integers(0, m, size=(size, n, n), dtype=np.int64)
-        M2 = (A - x2 * B) % m
-        table = np.zeros((n + 1, n + 1, n + 1), dtype=np.int64)
-        violations = 0
-        for i in range(size):
-            parts1, sat1 = smith_parts_raw(A[i].tolist(), p, N)
-            parts2, sat2 = smith_parts_raw(M2[i].tolist(), p, N)
-            if sat1 or sat2:
-                continue
-            lam1 = [sum(1 for x in parts1 if x >= j) for j in range(1, m_level + 2)]
-            lam2 = [sum(1 for x in parts2 if x >= j) for j in range(1, m_level + 2)]
-            if lam1[:m_level] != lam2[:m_level]:
-                violations += 1
-                continue
-            a = lam1[m_level - 1]
-            table[a, lam1[m_level], lam2[m_level]] += 1
-        return {"table": table, "violations": violations}
 
-    stats = run_chunked(spec, chunk)
+def _run_cok_joint_chain(spec):
+    stats = run_chunked(spec, partial(_cok_joint_chain_chunk, spec))
     table = stats["table"]
     chi2 = 0.0
     dof = 0
-    for a in range(n + 1):
+    for a in range(spec.n + 1):
         sub = table[a]
         if sub.sum() < 100:
             continue
@@ -518,46 +536,37 @@ def _nonresidue(p: int) -> int:
     raise ValueError("no quadratic non-residue below p (p must be odd)")
 
 
-def _run_quad_chain(spec):
+def _quad_chain_chunk(spec, gen, size):
+    """Uniformizer levels of A - p^m B g over the extension: ramified levels
+    must pair up through the shared prefix (else a violation); the kept
+    samples are tallied by the two levels the extension kernel steps."""
     p, n, N = spec.p, spec.n, spec.precision
     m_level = spec.params["m"]
     ramified = spec.params["label"] == "RAMIFIED"
-    gamma = p if ramified else _nonresidue(p)
-    scale = p ** m_level
+    m = p ** N
+    A = gen.integers(0, m, size=(size, n, n), dtype=np.int64)
+    B = gen.integers(0, m, size=(size, n, n), dtype=np.int64)
+    V = (-p ** m_level * B) % m
+    parts, sat = batch_smith_parts_quad(A, V, p, N, ramified, _chain_gamma(spec))
+    top = 2 * m_level if ramified else m_level
+    lam = _level_counts(parts[~sat], top + 1)
+    ok = np.ones(len(lam), dtype=bool)
+    if ramified:
+        ok = (lam[:, 0:top:2] == lam[:, 1:top:2]).all(axis=1)
+    return {"table": _tally((n + 1, n + 1), lam[ok, top - 1], lam[ok, top]),
+            "violations": int((~ok).sum())}
 
-    def chunk(gen, size):
-        m = p ** N
-        A = gen.integers(0, m, size=(size, n, n), dtype=np.int64)
-        B = gen.integers(0, m, size=(size, n, n), dtype=np.int64)
-        V = (-scale * B) % m
-        table = np.zeros((n + 1, n + 1), dtype=np.int64)
-        violations = 0
-        used = 0
-        for i in range(size):
-            parts, sat = smith_parts_quadratic(
-                A[i].tolist(), V[i].tolist(), p, N, ramified, gamma
-            )
-            if sat:
-                continue
-            lam = [sum(1 for x in parts if x >= j) for j in range(1, 2 * m_level + 2)]
-            if ramified:
-                # levels pair up through the shared prefix
-                bad = any(
-                    lam[2 * j] != lam[2 * j + 1] for j in range(m_level)
-                )
-                if bad:
-                    violations += 1
-                    continue
-                a = lam[2 * m_level - 1]
-                b = lam[2 * m_level]
-            else:
-                a = lam[m_level - 1]
-                b = lam[m_level]
-            used += 1
-            table[a, b] += 1
-        return {"table": table, "violations": violations, "used": used}
 
-    stats = run_chunked(spec, chunk)
+def _chain_gamma(spec):
+    """g^2 = gamma: p for the ramified ring, a non-residue unramified."""
+    p = spec.p
+    return p if spec.params["label"] == "RAMIFIED" else _nonresidue(p)
+
+
+def _run_quad_chain(spec):
+    p = spec.p
+    ramified = spec.params["label"] == "RAMIFIED"
+    stats = run_chunked(spec, partial(_quad_chain_chunk, spec))
     t2 = 1.0 / p if ramified else 1.0 / (p * p)
     return [_two_step_fit_report(
         spec, "chi-square p-value of extension cokernel chain vs kernel",
@@ -990,7 +999,7 @@ _register(ExperimentDef(
     defaults=dict(p=2, n=4, N=8, trials=100_000, mode=MAT),
     runner=_run_cok_markov,
     min_precision=4,
-    budget=_sampling_budget,
+    budget=_smith_chain_budget,
 ))
 
 _register(ExperimentDef(
@@ -1000,7 +1009,7 @@ _register(ExperimentDef(
     defaults=dict(p=2, n=4, N=8, trials=50_000, mode=MAT, m=1),
     runner=_run_cok_joint_chain,
     min_precision=4,
-    budget=_sampling_budget,
+    budget=_smith_chain_budget,
 ))
 
 _register(ExperimentDef(

@@ -130,10 +130,13 @@ def test_bad_run_parameters_are_usage_errors(argv, capsys):
     ["run", "points_on_variety_gl", "--points", "3,1"],
     ["run", "det_moment_exact", "--n", "2"],
     ["run", "E_Zp_count", "--precision", "2"],
+    ["run", "points_on_variety", "--points", "0,2"],
+    ["run", "points_on_variety", "--p", "3", "--points", "0,3"],
 ])
 def test_bad_size_worker_seed_and_degree_are_usage_errors(argv, capsys):
     # n, workers, d, m and s below 1, k below 0, seeds outside [0, 2^64),
-    # repeated points, a GL point divisible by p, a label other than
+    # repeated points, a GL point divisible by p, clustered points at an s
+    # where the exact matrix law fails (s <= 2v), a label other than
     # UNRAMIFIED/RAMIFIED, a c that is a square mod p, a mode the runner
     # does not read, N below the precision policy and an enumeration past
     # its budget are refused before sampling, with exit 2 and a usage
@@ -148,6 +151,8 @@ def test_bad_size_worker_seed_and_degree_are_usage_errors(argv, capsys):
     ["run", "E_Zp_count", "--n", "30", "--precision", "19"],
     ["run", "E_Zp_count", "--precision", "40"],
     ["run", "island_law", "--p", "1009", "--n", str(2 ** 53 // 1008 ** 2 + 1)],
+    ["run", "cok_markov", "--precision", "32"],
+    ["run", "quad_chain", "--label", "RAMIFIED", "--precision", "19"],
 ])
 def test_kernel_budget_is_a_usage_error(argv, capsys):
     # past the batched kernels' exact range: refused before any sampling
@@ -155,6 +160,13 @@ def test_kernel_budget_is_a_usage_error(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("usage error: ")
+
+
+def test_clustered_points_pass_past_twice_their_valuation(capsys):
+    # points (0, 2) agree mod 2, so the exact law needs s >= 3
+    assert dispatch(["run", "points_on_variety", "--points", "0,2", "--s", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "PASS" in out and "[3, 3] (exact)" in out
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -23,9 +24,7 @@ from padicstats.experiment import (
     reports_to_csv,
     reports_to_json,
     run_chunked,
-    run_exhaustive,
     run_experiment,
-    run_monte_carlo,
 )
 from padicstats.matrix_lab import Rng
 from fractions import Fraction
@@ -69,13 +68,16 @@ def test_precision_policy_violation():
         build_experiment("E_Zp_count", {"N": 2, "trials": 10})
 
 
-def test_mode_guards():
-    spec = build_experiment("E_Zp_count", {"trials": 64})
-    with pytest.raises(ValueError):
-        run_exhaustive(spec)
-    spec = build_experiment("points_on_variety")
-    with pytest.raises(ValueError):
-        run_monte_carlo(spec)
+def test_specs_built_without_make_spec_are_checked_when_run():
+    spec = build_experiment("E_Zp_count", {"trials": 256})
+    with pytest.raises(PrecisionPolicyViolation):
+        run_experiment(replace(spec, precision=2))
+    with pytest.raises(FrozenInstanceError):
+        spec.precision = 2
+    # a mode other than the default must be one the runner reads
+    with pytest.raises(InvalidSpec, match="does not read mode"):
+        run_experiment(replace(build_experiment("cok_markov"), mode="GL"))
+    assert build_experiment("cok_markov", {"mode": "MAT"}).mode == "MAT"
 
 
 def test_compare_rules():
@@ -220,14 +222,14 @@ def test_exhaustive_budget():
 
 
 def test_points_on_variety_matches_enumeration():
-    reports = run_exhaustive(build_experiment("points_on_variety"))
+    reports = run_experiment(build_experiment("points_on_variety"))
     r = reports[0]
     assert r.lo == Fraction(3, 2) and r.verdict == "PASS"
     assert "6 of 16" in r.details
 
 
 def test_gl_spot_check_exact():
-    reports = run_exhaustive(build_experiment("points_on_variety_gl"))
+    reports = run_experiment(build_experiment("points_on_variety_gl"))
     r = reports[0]
     assert r.lo == Fraction(9, 4) and r.verdict == "PASS"
 
@@ -248,6 +250,30 @@ def test_quad_chain_pipeline():
         ))[0]
         assert r.verdict == "PASS", (label, r.estimate)
         assert "pairing violations 0" in r.details
+
+
+@pytest.mark.parametrize("name,overrides", [
+    ("cok_markov", {}),
+    ("cok_joint_chain", {}),
+    ("quad_chain", {"label": "UNRAMIFIED"}),
+    ("quad_chain", {"label": "RAMIFIED"}),
+])
+def test_chain_chunks_pickle_with_their_spec(name, overrides):
+    # module-level chunk functions: a pickled (function, spec) pair draws
+    # the same stats, as a worker process would
+    import pickle
+    from functools import partial
+
+    from padicstats import registry
+
+    spec = build_experiment(name, dict(overrides, trials=256))
+    fn = getattr(registry, f"_{name}_chunk")
+    again = pickle.loads(pickle.dumps(partial(fn, spec)))
+    want = fn(spec, Rng(spec.seed, 0).generator(), 256)
+    got = again(Rng(spec.seed, 0).generator(), 256)
+    assert want.keys() == got.keys()
+    for k in want:
+        assert np.array_equal(want[k], got[k])
 
 
 def test_report_fields_json_schema():
@@ -276,6 +302,10 @@ def test_report_fields_json_schema():
     ("quad_chain", {"p": 2, "label": "UNRAMIFIED"}),  # no quadratic non-residue
     ("quad_census", {"p": 2}),                # quadratic classes need odd p
     ("expected_quad", {"p": 2}),
+    ("cok_markov", {"N": 32}),                # Smith products past 2^62
+    ("cok_joint_chain", {"N": 32}),
+    ("quad_chain", {"N": 20}),                # 3 (3^20 - 1)^2 > 2^62
+    ("quad_chain", {"N": 19, "label": "RAMIFIED"}),  # 4 (3^19 - 1)^2 > 2^62
 ])
 def test_kernel_budgets_refused_when_spec_is_built(name, overrides):
     with pytest.raises(InvalidSpec):
@@ -288,7 +318,12 @@ def test_kernel_budgets_accept_their_edge():
     assert build_experiment("en_decay", {"N": 18, "p": 3}).precision == 18
     edge = 2 ** 53 // 1008 ** 2
     assert build_experiment("island_law", {"p": 1009, "n": edge}).n == edge
-    assert build_experiment("cok_markov", {"N": 63}).precision == 63
+    # (2^31 - 1)^2 <= 2^62, 3 (3^19 - 1)^2 <= 2^62 and 4 (3^18 - 1)^2 <= 2^62
+    assert build_experiment("cok_markov", {"N": 31}).precision == 31
+    assert build_experiment("cok_joint_chain", {"N": 31}).precision == 31
+    assert build_experiment("quad_chain", {"N": 19}).precision == 19
+    assert build_experiment(
+        "quad_chain", {"N": 18, "label": "RAMIFIED"}).precision == 18
 
 
 def test_repeated_points_refused_when_spec_is_built():

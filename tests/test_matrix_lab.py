@@ -500,6 +500,93 @@ def test_batch_valuation_matches_raw_valuation(data):
     assert got.tolist() == want
 
 
+def _smith_mats(data, p, N, n):
+    """A batch mod p^N of entries scaled by random p^k, plus an all-zero
+    and a rank-one matrix, so that pivots near and at saturation occur."""
+    m = p ** N
+    entry = st.builds(lambda u, k: u * p ** k % m,
+                      st.integers(0, m - 1), st.integers(0, N))
+    line = st.lists(entry, min_size=n, max_size=n)
+    mats = data.draw(st.lists(st.lists(line, min_size=n, max_size=n),
+                              min_size=1, max_size=8))
+    col, row = data.draw(line), data.draw(line)
+    mats.append([[0] * n for _ in range(n)])
+    mats.append([[c * r % m for r in row] for c in col])
+    return np.array(mats, dtype=np.int64)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_batch_smith_parts_matches_scalar_oracle(data):
+    from padicstats.batched import batch_smith_parts
+
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    N = data.draw(st.integers(1, 8))
+    mats = _smith_mats(data, p, N, data.draw(st.integers(1, 5)))
+    parts, sat = batch_smith_parts(mats, p, N)
+    for A, got, s in zip(mats.tolist(), parts.tolist(), sat.tolist()):
+        assert (got, s) == smith_parts_raw(A, p, N)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_batch_smith_parts_quad_matches_scalar_oracle(data):
+    from padicstats.batched import batch_smith_parts_quad
+
+    p = data.draw(st.sampled_from([3, 5]))
+    N = data.draw(st.integers(1, 8))
+    n = data.draw(st.integers(1, 5))
+    ramified = data.draw(st.booleans())
+    gamma = p if ramified else 2  # 2 is a non-residue mod 3 and mod 5
+    U, V = _smith_mats(data, p, N, n), _smith_mats(data, p, N, n)
+    B = min(len(U), len(V))
+    U, V = U[:B], V[:B]
+    parts, sat = batch_smith_parts_quad(U, V, p, N, ramified, gamma)
+    for u, v, got, s in zip(U.tolist(), V.tolist(), parts.tolist(), sat.tolist()):
+        assert (got, s) == smith_parts_quadratic(u, v, p, N, ramified, gamma)
+
+
+@pytest.mark.parametrize("p,N,ramified,gamma", [
+    (2, 31, None, 0),      # (2^31 - 1)^2 <= 2^62
+    (3, 19, False, 2),     # 3 (3^19 - 1)^2 <= 2^62
+    (3, 18, True, 3),      # 4 (3^18 - 1)^2 <= 2^62
+])
+def test_smith_kernels_exact_at_their_budget_edge(p, N, ramified, gamma):
+    from padicstats.batched import (
+        batch_smith_parts,
+        batch_smith_parts_quad,
+        check_smith_budget,
+    )
+
+    m = p ** N
+    check_smith_budget(m, gamma)
+    with pytest.raises(ValueError, match="too large"):
+        check_smith_budget(p * m, gamma)
+    # entries next to the modulus give the largest products
+    gen = Rng(13).generator()
+    U, V = ((m - 1 - gen.integers(0, 3, size=(64, 3, 3))) * p ** gen.integers(
+        0, 2, size=(64, 3, 3)) % m for _ in range(2))
+    if ramified is None:
+        parts, sat = batch_smith_parts(U, p, N)
+        want = [smith_parts_raw(A, p, N) for A in U.tolist()]
+    else:
+        parts, sat = batch_smith_parts_quad(U, V, p, N, ramified, gamma)
+        want = [smith_parts_quadratic(u, v, p, N, ramified, gamma)
+                for u, v in zip(U.tolist(), V.tolist())]
+    assert list(zip(parts.tolist(), sat.tolist())) == want
+
+
+def test_check_smith_budget_refuses_the_first_modulus_past_its_edge():
+    from padicstats.batched import MAX_INT64_PRODUCT, check_smith_budget
+
+    for gamma in (0, 2, 3, 7):
+        # the largest modulus with (1 + gamma) (modulus - 1)^2 <= 2^62
+        edge = math.isqrt(MAX_INT64_PRODUCT // (1 + gamma)) + 1
+        check_smith_budget(edge, gamma)
+        with pytest.raises(ValueError, match="too large"):
+            check_smith_budget(edge + 1, gamma)
+
+
 def test_rng_streams():
     g1 = Rng(5, stream_id=0).generator()
     g2 = Rng(5, stream_id=0).generator()
