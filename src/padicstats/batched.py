@@ -43,6 +43,12 @@ def check_float64_budget(n: int, p: int):
         )
 
 
+def check_f2_budget(n: int):
+    """Refuse matrices too wide for the packed F_2 kernels' uint64 rows."""
+    if n > 63:
+        raise ValueError(f"packed F_2 kernels support n <= 63, got n={n}")
+
+
 def batch_charpoly(mats: np.ndarray, modulus: int) -> np.ndarray:
     """Characteristic polynomials det(xI - A) of a batch of matrices.
 
@@ -378,19 +384,31 @@ def batch_smith_parts_quad(U: np.ndarray, V: np.ndarray, p: int, N: int,
     return parts, done
 
 
+def _rank_dtype(p: int):
+    """The narrowest signed integer type that holds one elimination step of
+    batch_rank_mod_p: a residue plus a product of residues, (p - 1) p."""
+    for dtype in (np.int8, np.int16, np.int32, np.int64):
+        if (p - 1) * p <= np.iinfo(dtype).max:
+            return dtype
+    raise ValueError(f"p = {p} too large for the F_p rank kernel")
+
+
 def batch_rank_mod_p(mats: np.ndarray, p: int) -> np.ndarray:
     """Ranks over F_p of a batch of square matrices, by vectorized
     elimination with a shared column schedule.
 
     Step col eliminates with the pivot in the rows not yet used as pivots,
     and only in the trailing columns col+1.., since no later step reads
-    column col.  Entries are reduced mod p lazily: each step adds at most
-    (p - 1)^2 to their magnitude, and the trailing block is reduced only
-    when the next update could pass MAX_INT64_PRODUCT.
+    column col.  The elimination runs in _rank_dtype(p), and entries are
+    reduced mod p lazily: each step adds at most (p - 1)^2 to their
+    magnitude, and the trailing block is reduced only when the next update
+    could pass the type's largest value.
     """
+    dtype = _rank_dtype(p)
+    limit = np.iinfo(dtype).max
     # T[b, j, i] = A[b, i, j], so column j of A is the contiguous T[:, j]
     T = np.remainder(mats.transpose(0, 2, 1), p, order="C").astype(
-        np.int64, copy=False)
+        dtype, copy=False)
     B, n, _ = T.shape
     used = np.zeros((B, n), dtype=bool)
     rank = np.zeros(B, dtype=np.int64)
@@ -406,14 +424,10 @@ def batch_rank_mod_p(mats: np.ndarray, p: int) -> np.ndarray:
         used[idx, piv] |= found
         if col == n - 1 or not found.any():
             continue
-        # invert only the pivot values present at this step
-        vals, where = np.unique(colvals[idx, piv][found], return_inverse=True)
-        scale = np.zeros(B, dtype=np.int64)
-        scale[found] = np.array([pow(int(v), -1, p) for v in vals],
-                                dtype=np.int64)[where]
-        factors = np.where(used, 0, (colvals * scale[:, None]) % p)
+        scale = _unit_inverses(colvals[idx, piv], p, p)
+        factors = np.where(used, 0, colvals * scale[:, None] % p)
         rest = T[:, col + 1:]
-        if bound + step > MAX_INT64_PRODUCT:
+        if bound + step > limit:
             rest %= p
             bound = p - 1
         pivrow = rest[idx, :, piv] % p
@@ -431,8 +445,7 @@ def batch_rank_mod_p(mats: np.ndarray, p: int) -> np.ndarray:
 def f2_pack(mats: np.ndarray) -> np.ndarray:
     """(B, n, n) 0/1 matrices -> (B, n) uint64 row bitmasks."""
     B, rows, n = mats.shape
-    if n > 63:
-        raise ValueError("packed F_2 kernels support n <= 63")
+    check_f2_budget(n)
     # bit j of row i is entry (i, j): little-endian bytes of one uint64
     packed = np.zeros((B, rows, 8), dtype=np.uint8)
     packed[:, :, : (n + 7) // 8] = np.packbits(mats, axis=2, bitorder="little")
@@ -455,25 +468,22 @@ def f2_add_identity(A: np.ndarray, n: int) -> np.ndarray:
 
 
 def f2_rank(rows: np.ndarray, n: int) -> np.ndarray:
-    """Batched rank over F_2 of row-packed matrices."""
-    rows = rows.copy()
-    B = rows.shape[0]
-    used = np.zeros((B, n), dtype=bool)
-    rank = np.zeros(B, dtype=np.int64)
-    idx = np.arange(B)
+    """Batched rank over F_2 of row-packed (B, n) matrices.
+
+    Row i, already cleared by the pivots of rows 0..i-1, pivots on its
+    lowest set bit, which is then cleared from rows i+1.. only.  Of the
+    rows i.., row i alone holds its pivot bit, so the nonzero rows left are
+    independent; they span the row space, so they count the rank.
+    """
+    # R[i] holds row i of every matrix, so each step reads contiguous rows
+    R = rows.T.copy()
     one = np.uint64(1)
-    for col in range(n):
-        bit = ((rows >> np.uint64(col)) & one).astype(bool)
-        cand = bit & ~used
-        piv = cand.argmax(axis=1)
-        found = cand[idx, piv]
-        pivot_rows = np.where(found, rows[idx, piv], np.uint64(0))
-        elim = bit & found[:, None]
-        elim[idx, piv] = False
-        rows ^= elim.astype(np.uint64) * pivot_rows[:, None]
-        used[idx, piv] |= found
-        rank += found
-    return rank
+    for i in range(n - 1):
+        piv = R[i]
+        low = piv & (~piv + one)  # the lowest set bit; 0 for a zero row
+        rest = R[i + 1:]
+        rest ^= ((rest & low) != 0) * piv
+    return np.count_nonzero(R, axis=0)
 
 
 def f2_poly_of_matrix(packed: np.ndarray, coeffs, n: int) -> np.ndarray:
@@ -531,23 +541,41 @@ def _fp_poly_power(mats: np.ndarray, low: list, p: int,
                    cap_pow: int) -> np.ndarray:
     """F(A)^(2^cap_pow) mod p in float64, for monic F = x^d + sum low[i] x^i.
 
-    Each product is written to a second buffer and reduced there with its
-    operand as scratch, so no step allocates a full-size array.
+    A product of n x n factors with entries up to a and b has entries up to
+    n a b, so entries are reduced mod p only when the next product could
+    pass MAX_FLOAT64_EXACT; check_float64_budget(n, p) makes a product of
+    reduced factors exact.  Each product is written to a second buffer, and
+    a reduction uses that buffer as scratch, so no step allocates a
+    full-size array.
     """
     n = mats.shape[1]
     A = (mats % p).astype(np.float64)
     diag = np.arange(n)
-    # Horner from A + c_{d-1} I; only the diagonal needs reducing after +c I
+    # Horner from A + c_{d-1} I; the diagonal is reduced after each + c I
     M = A.copy()
     M[:, diag, diag] = (M[:, diag, diag] + low[-1]) % p
     S = np.empty_like(M)
+    top = p - 1  # every entry of M is at most this
+
+    def reduce():
+        float64_mod_inplace(M, p, scratch=S)
+        return p - 1
+
     for c in reversed(low[:-1]):
+        if n * top * (p - 1) > MAX_FLOAT64_EXACT:
+            top = reduce()
         np.matmul(M, A, out=S)
-        M, S = float64_mod_inplace(S, p, scratch=M), M
-        M[:, diag, diag] = (M[:, diag, diag] + c) % p
+        M, S = S, M
+        top *= n * (p - 1)
+        M[:, diag, diag] = (M[:, diag, diag] % p + c) % p
     for _ in range(cap_pow):
+        if n * top * top > MAX_FLOAT64_EXACT:
+            top = reduce()
         np.matmul(M, M, out=S)
-        M, S = float64_mod_inplace(S, p, scratch=M), M
+        M, S = S, M
+        top *= n * top
+    if top >= p:
+        reduce()
     return M
 
 
@@ -566,7 +594,7 @@ def fp_primary_multiplicity(mats: np.ndarray, coeffs, d: int, p: int,
     if cap_pow is None:
         cap_pow = max(1, (max(n // d, 1) - 1).bit_length())
     # the float64 buffers are freed before the elimination runs
-    M = _fp_poly_power(mats, low, p, cap_pow).astype(np.int64)
+    M = _fp_poly_power(mats, low, p, cap_pow).astype(_rank_dtype(p))
     r = batch_rank_mod_p(M, p)
     return (n - r) // d
 

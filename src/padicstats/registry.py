@@ -27,6 +27,7 @@ from .batched import (
     batch_smith_parts,
     batch_smith_parts_quad,
     batch_valuation,
+    check_f2_budget,
     check_float64_budget,
     check_modulus_budget,
     check_quad_budget,
@@ -154,9 +155,12 @@ class ExperimentDef:
 
 
 def _charpoly_budget(spec):
-    """int64 budget of batch_charpoly / batch_det mod p^N at every size run."""
+    """int64 budget of batch_charpoly / batch_det mod p^N at every size run;
+    GL sampling at p = 2 ranks with the packed F_2 kernels."""
     n = max((spec.n, *spec.params.get("sizes", ())))
     check_modulus_budget(n, spec.p ** spec.precision)
+    if spec.mode == GL and spec.p == 2:
+        check_f2_budget(n)
 
 
 def _sampling_budget(spec):
@@ -167,10 +171,10 @@ def _sampling_budget(spec):
 
 
 def _island_budget(spec):
-    if spec.p != 2:
+    if spec.p == 2:
+        check_f2_budget(spec.n)
+    else:
         check_float64_budget(spec.n, spec.p)
-    elif spec.n > 63:
-        raise ValueError("packed F_2 kernels support n <= 63")
 
 
 def _charpoly_det_budget(spec):
@@ -354,20 +358,20 @@ def _run_gl_support(spec):
 # ---------------------------------------------------------------------------
 
 
-def _run_det_moment(spec):
+def _det_moment_chunk(spec, gen, size):
     p, n, N = spec.p, spec.n, spec.precision
-    k = spec.params["k"]
+    mats = sample_matrices(gen, size, n, p, N)
+    dets = batch_det(mats, p ** N)
+    vals = batch_valuation(dets, p, N)
+    good = vals < N
+    x = np.float64(p) ** (-np.float64(spec.params["k"]) * vals[good])
+    return {"sum": float(x.sum()), "sumsq": float((x * x).sum()),
+            "used": int(good.sum())}
 
-    def chunk(gen, size):
-        mats = sample_matrices(gen, size, n, p, N)
-        dets = batch_det(mats, p ** N)
-        vals = batch_valuation(dets, p, N)
-        good = vals < N
-        x = np.float64(p) ** (-np.float64(k) * vals[good])
-        return {"sum": float(x.sum()), "sumsq": float((x * x).sum()),
-                "used": int(good.sum())}
 
-    stats = run_chunked(spec, chunk)
+def _run_det_moment(spec):
+    p, n, k = spec.p, spec.n, spec.params["k"]
+    stats = run_chunked(spec, partial(_det_moment_chunk, spec))
     target = AnalyticTarget(value=cf.det_moment(p, n, k).value, tol=1e-12)
     return [
         make_estimate_report(
@@ -402,22 +406,23 @@ ISLAND_MAX_J = 6
 ISLAND_CAP_POW = ISLAND_MAX_J.bit_length()
 
 
-def _run_island_law(spec):
+def _island_law_chunk(spec, gen, size):
     p, n, d = spec.p, spec.n, spec.params["d"]
     coeffs = list(unramified_modulus(p, d))
+    mats = gen.integers(0, p, size=(size, n, n), dtype=np.int64)
+    if p == 2:
+        mult = f2_primary_multiplicity(mats, coeffs, d, ISLAND_CAP_POW)
+    else:
+        mult = fp_primary_multiplicity(mats, coeffs, d, p, ISLAND_CAP_POW)
+    hist = np.bincount(
+        np.minimum(mult, ISLAND_MAX_J + 1), minlength=ISLAND_MAX_J + 2
+    ).astype(np.float64)
+    return {"hist": hist}
 
-    def chunk(gen, size):
-        mats = gen.integers(0, p, size=(size, n, n), dtype=np.int64)
-        if p == 2:
-            mult = f2_primary_multiplicity(mats, coeffs, d, ISLAND_CAP_POW)
-        else:
-            mult = fp_primary_multiplicity(mats, coeffs, d, p, ISLAND_CAP_POW)
-        hist = np.bincount(
-            np.minimum(mult, ISLAND_MAX_J + 1), minlength=ISLAND_MAX_J + 2
-        ).astype(np.float64)
-        return {"hist": hist}
 
-    stats = run_chunked(spec, chunk)
+def _run_island_law(spec):
+    p, d = spec.p, spec.params["d"]
+    stats = run_chunked(spec, partial(_island_law_chunk, spec))
     hist = stats["hist"]
     total = hist.sum()
     emp = hist / total
@@ -687,15 +692,16 @@ def _all_in_stats(gen, size, p, n, N, mode):
     return stats["all_in"], stats["used"]
 
 
-def _run_en_relation(spec):
+def _en_relation_chunk(spec, gen, size):
     p, n, N = spec.p, spec.n, spec.precision
+    mh, mu = _all_in_stats(gen, size, p, n, N, MAT)
+    ph, pu = _all_in_stats(gen, size, p, n, N, POLY)
+    return {"mat_hits": mh, "mat_used": mu, "poly_hits": ph, "poly_used": pu}
 
-    def chunk(gen, size):
-        mh, mu = _all_in_stats(gen, size, p, n, N, MAT)
-        ph, pu = _all_in_stats(gen, size, p, n, N, POLY)
-        return {"mat_hits": mh, "mat_used": mu, "poly_hits": ph, "poly_used": pu}
 
-    stats = run_chunked(spec, chunk)
+def _run_en_relation(spec):
+    p, n = spec.p, spec.n
+    stats = run_chunked(spec, partial(_en_relation_chunk, spec))
     target = AnalyticTarget(value=cf.en_relation_constant(p, n).value)
     used = min(stats["mat_used"], stats["poly_used"])
     empty = [side for side in ("mat", "poly") if stats[f"{side}_hits"] == 0]
@@ -719,19 +725,18 @@ def _run_en_relation(spec):
     )]
 
 
+def _en_decay_chunk(spec, gen, size):
+    out = {}
+    for n in spec.params["sizes"]:
+        h, u = _all_in_stats(gen, size, spec.p, n, spec.precision, MAT)
+        out[f"hits_{n}"] = h
+        out[f"used_{n}"] = u
+    return out
+
+
 def _run_en_decay(spec):
     sizes = spec.params["sizes"]
-    p, N = spec.p, spec.precision
-
-    def chunk(gen, size):
-        out = {}
-        for n in sizes:
-            h, u = _all_in_stats(gen, size, p, n, N, MAT)
-            out[f"hits_{n}"] = h
-            out[f"used_{n}"] = u
-        return out
-
-    stats = run_chunked(spec, chunk)
+    stats = run_chunked(spec, partial(_en_decay_chunk, spec))
     reports = []
     probs = {}
     for n in sizes:
@@ -755,36 +760,37 @@ def _run_en_decay(spec):
 # ---------------------------------------------------------------------------
 
 
-def _run_charpoly_det(spec):
+def _charpoly_det_identity_chunk(spec, gen, size):
     p, n, N = spec.p, spec.n, spec.precision
     c = spec.params.get("c") or _nonresidue(p)
     m = p ** N
+    mats = sample_matrices(gen, size, n, p, N)
+    za = (np.matmul(mats, mats) - c * np.eye(n, dtype=np.int64)[None]) % m
+    dets = batch_det(za, m)
+    vals = batch_valuation(dets, p, N)
+    good = vals < N
+    x = np.float64(p) ** (-np.float64(vals[good]))
+    a0 = sample_matrices(gen, size, n, p, N)
+    a1 = sample_matrices(gen, size, n, p, N)
+    cu, cv = batch_charpoly_quad(a0, a1, c, m)
+    du, dv = cu[:, -1], cv[:, -1]
+    if n % 2 == 1:
+        du, dv = (-du) % m, (-dv) % m
+    nm = (du * du - c * dv * dv) % m
+    nvals = batch_valuation(nm, p, N)
+    ngood = nvals < N
+    y = np.float64(p) ** (-np.float64(nvals[ngood]))
+    return {
+        "mat_sum": float(x.sum()), "mat_sumsq": float((x * x).sum()),
+        "mat_used": int(good.sum()),
+        "quad_sum": float(y.sum()), "quad_sumsq": float((y * y).sum()),
+        "quad_used": int(ngood.sum()),
+    }
 
-    def chunk(gen, size):
-        mats = sample_matrices(gen, size, n, p, N)
-        za = (np.matmul(mats, mats) - c * np.eye(n, dtype=np.int64)[None]) % m
-        dets = batch_det(za, m)
-        vals = batch_valuation(dets, p, N)
-        good = vals < N
-        x = np.float64(p) ** (-np.float64(vals[good]))
-        a0 = sample_matrices(gen, size, n, p, N)
-        a1 = sample_matrices(gen, size, n, p, N)
-        cu, cv = batch_charpoly_quad(a0, a1, c, m)
-        du, dv = cu[:, -1], cv[:, -1]
-        if n % 2 == 1:
-            du, dv = (-du) % m, (-dv) % m
-        nm = (du * du - c * dv * dv) % m
-        nvals = batch_valuation(nm, p, N)
-        ngood = nvals < N
-        y = np.float64(p) ** (-np.float64(nvals[ngood]))
-        return {
-            "mat_sum": float(x.sum()), "mat_sumsq": float((x * x).sum()),
-            "mat_used": int(good.sum()),
-            "quad_sum": float(y.sum()), "quad_sumsq": float((y * y).sum()),
-            "quad_used": int(ngood.sum()),
-        }
 
-    stats = run_chunked(spec, chunk)
+def _run_charpoly_det(spec):
+    p = spec.p
+    stats = run_chunked(spec, partial(_charpoly_det_identity_chunk, spec))
     analytic = cf.quad_det_expectation(p, "UNRAMIFIED", 0).value
     rep1 = make_estimate_report(
         spec, "mean ||det Z(A)||, Z = x^2 - c",

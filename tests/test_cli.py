@@ -153,9 +153,12 @@ def test_bad_size_worker_seed_and_degree_are_usage_errors(argv, capsys):
     ["run", "island_law", "--p", "1009", "--n", str(2 ** 53 // 1008 ** 2 + 1)],
     ["run", "cok_markov", "--precision", "32"],
     ["run", "quad_chain", "--label", "RAMIFIED", "--precision", "19"],
+    ["run", "gl_support", "--p", "2", "--n", "64", "--trials", "8"],
+    ["run", "E_Zp_count", "--mode", "GL", "--p", "2", "--n", "64", "--trials", "8"],
 ])
 def test_kernel_budget_is_a_usage_error(argv, capsys):
-    # past the batched kernels' exact range: refused before any sampling
+    # past the batched kernels' exact range (GL sampling at p = 2 ranks with
+    # the packed F_2 kernels, n <= 63): refused before any sampling
     assert dispatch(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

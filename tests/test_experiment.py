@@ -257,17 +257,27 @@ def test_quad_chain_pipeline():
     ("cok_joint_chain", {}),
     ("quad_chain", {"label": "UNRAMIFIED"}),
     ("quad_chain", {"label": "RAMIFIED"}),
+    ("island_law", {"d": 1}),
+    ("island_law", {"d": 2}),
+    ("island_law", {"p": 3, "n": 12}),
+    ("det_moment", {}),
+    ("en_relation", {}),
+    ("en_decay", {}),
+    ("charpoly_det_identity", {}),
+    ("E_Zp_count", {"mode": "GL"}),
+    ("quad_census", {}),
 ])
 def test_chain_chunks_pickle_with_their_spec(name, overrides):
-    # module-level chunk functions: a pickled (function, spec) pair draws
-    # the same stats, as a worker process would
+    # every chunk function is module-level: a pickled (function, spec) pair
+    # draws the same stats, as a worker process would
     import pickle
     from functools import partial
 
     from padicstats import registry
 
     spec = build_experiment(name, dict(overrides, trials=256))
-    fn = getattr(registry, f"_{name}_chunk")
+    shared = {"E_Zp_count": "_zp_chunk", "quad_census": "_census_chunk"}
+    fn = getattr(registry, shared.get(name, f"_{name}_chunk"))
     again = pickle.loads(pickle.dumps(partial(fn, spec)))
     want = fn(spec, Rng(spec.seed, 0).generator(), 256)
     got = again(Rng(spec.seed, 0).generator(), 256)

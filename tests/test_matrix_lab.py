@@ -278,8 +278,8 @@ def test_batch_rank_mod_p_matches_scalar_rank(data):
     from padicstats.batched import batch_rank_mod_p
     from padicstats.matrix_lab import _rank_mod_p
 
-    # at p = 2^31 - 1 one update step reaches 2^62, so the trailing block
-    # is reduced before every step
+    # at p = 2^31 - 1 three unreduced update steps would pass 2^63, so the
+    # trailing block is reduced before every other step
     p = data.draw(st.sampled_from([2, 3, 5, 1009, 2 ** 31 - 1]))
     n = data.draw(st.integers(1, 6))
     entry = st.one_of(st.integers(max(0, p - 4), p - 1), st.integers(0, p - 1))
@@ -335,6 +335,135 @@ def test_batch_rank_mod_p_reduces_before_int64_overflow():
     got = batch_rank_mod_p(mats, p)
     assert got.tolist() == [_rank_mod_p(A, p) for A in mats.tolist()]
     assert got.tolist() == [8 + b for b in range(4)] + [16] * 4
+
+
+def _prime_at_most(x):
+    from padicstats.padic_core import is_prime
+
+    while not is_prime(x):
+        x -= 1
+    return x
+
+
+def _prime_above(x):
+    from padicstats.padic_core import is_prime
+
+    x += 1
+    while not is_prime(x):
+        x += 1
+    return x
+
+
+def _rank_type_edges():
+    """For each elimination type t: (the largest p whose steps (p - 1) p fit
+    t, t) and (the next prime, the next wider type)."""
+    edges = []
+    types = [np.int8, np.int16, np.int32, np.int64]
+    for t, wider in zip(types, types[1:] + [None]):
+        top = np.iinfo(t).max
+        p = _prime_at_most((1 + math.isqrt(1 + 4 * top)) // 2)
+        assert (p - 1) * p <= top < p * _prime_above(p)
+        edges += [(p, t), (_prime_above(p), wider)]
+    return edges
+
+
+@pytest.mark.parametrize("p,dtype", _rank_type_edges())
+def test_batch_rank_mod_p_exact_at_each_type_edge(p, dtype):
+    # the largest p of each type takes one unreduced step before it must
+    # reduce, so at n = 12 the lazy reduction fires at every other step; the
+    # next prime's first step would overflow that type, and runs in the next
+    # wider one; past int64 the kernel refuses
+    from padicstats.batched import _rank_dtype, batch_rank_mod_p
+    from padicstats.matrix_lab import _rank_mod_p
+
+    if dtype is None:
+        with pytest.raises(ValueError, match="too large"):
+            batch_rank_mod_p(np.zeros((1, 2, 2), dtype=np.int64), p)
+        return
+    assert _rank_dtype(p) is dtype
+    gen = Rng(p % 1000).generator()
+    mats = p - 1 - gen.integers(0, min(p, 4), size=(8, 12, 12), dtype=np.int64)
+    for b in range(4):  # repeated and negated rows keep the ranks below 12
+        mats[b, 6 + b:] = mats[b, : 6 - b]
+        mats[b, -1] = (p - mats[b, 0]) % p
+    got = batch_rank_mod_p(mats, p)
+    assert got.tolist() == [_rank_mod_p(A, p) for A in mats.tolist()]
+    assert max(got[:4]) < 12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_f2_rank_matches_scalar_rank(data):
+    # planted ranks L R, an all-ones matrix and a full top column, at every
+    # packed width n = 1..63
+    from padicstats.batched import f2_pack, f2_rank
+    from padicstats.matrix_lab import _rank_mod_p
+
+    n = data.draw(st.integers(1, 63))
+    gen = Rng(data.draw(st.integers(0, 2 ** 32 - 1))).generator()
+    mats = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        r = data.draw(st.integers(0, n))
+        L = gen.integers(0, 2, size=(n, r), dtype=np.int64)
+        R = gen.integers(0, 2, size=(r, n), dtype=np.int64)
+        mats.append(L @ R % 2)
+    mats.append(np.ones((n, n), dtype=np.int64))
+    top = mats[0].copy()
+    top[:, n - 1] = 1
+    mats.append(top)
+    arr = np.array(mats)
+    got = f2_rank(f2_pack(arr), n)
+    assert got.tolist() == [_rank_mod_p(A, 2) for A in arr.tolist()]
+
+
+def test_f2_rank_pivots_on_the_top_bit():
+    # at n = 63 column 62 is the top bit of every packed row
+    from padicstats.batched import f2_pack, f2_rank
+    from padicstats.matrix_lab import _rank_mod_p
+
+    n = 63
+    gen = Rng(15).generator()
+    only_top = np.zeros((n, n), dtype=np.int64)
+    only_top[:, 62] = 1
+    last_row = np.zeros((n, n), dtype=np.int64)
+    last_row[62, 62] = 1
+    planted = gen.integers(0, 2, size=(n, 20)) @ gen.integers(0, 2, size=(20, n)) % 2
+    planted[:, 62] = 1
+    mats = np.array([only_top, last_row, np.eye(n, dtype=np.int64),
+                     np.eye(n, dtype=np.int64)[::-1], planted])
+    got = f2_rank(f2_pack(mats), n)
+    assert got.tolist() == [_rank_mod_p(A, 2) for A in mats.tolist()]
+    assert got.tolist()[:4] == [1, 1, 63, 63]
+
+
+def _float64_edge():
+    """A prime p and the largest n that check_float64_budget accepts at p."""
+    p = _prime_at_most(2 ** 25)
+    n = 2 ** 53 // (p - 1) ** 2
+    assert n * (p - 1) ** 2 <= 2 ** 53 < (n + 1) * (p - 1) ** 2
+    return p, n
+
+
+@pytest.mark.parametrize("p,n", [(3, 50), (1009, 60), _float64_edge()])
+def test_fp_poly_power_matches_a_power_reduced_at_every_step(p, n):
+    from padicstats.batched import _fp_poly_power, check_float64_budget
+
+    check_float64_budget(n, p)
+    gen = Rng(16).generator()
+    mats = gen.integers(max(0, p - 2 ** 10), p, size=(6, n, n), dtype=np.int64)
+    for low in ([p - 1], [p - 2, p - 1], [1, 0], [1, 0, p - 1, 1]):
+        # F = x^d + sum low[i] x^i by Horner, then 3 squarings, all in int64
+        # with a reduction after every product
+        M = mats.copy()
+        M[:, range(n), range(n)] = (M[:, range(n), range(n)] + low[-1]) % p
+        for c in reversed(low[:-1]):
+            M = np.matmul(M, mats) % p
+            M[:, range(n), range(n)] = (M[:, range(n), range(n)] + c) % p
+        for _ in range(3):
+            M = np.matmul(M, M) % p
+        got = _fp_poly_power(mats, low, p, 3)
+        assert got.dtype == np.float64
+        assert (got.astype(np.int64) == M).all()
 
 
 def _planted_island_batch(p, seed):

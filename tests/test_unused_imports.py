@@ -1,12 +1,14 @@
-"""No package module imports a name it never uses.
+"""No package module or test file imports a name it never uses.
 
-``__init__.py`` is left out: its imports are the package's public names.
+The package's ``__init__.py`` is left out: its imports are the package's
+public names.
 """
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "padicstats"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "padicstats"
 
 
 def _unused_imports(path: Path) -> list:
@@ -26,5 +28,6 @@ def _unused_imports(path: Path) -> list:
 
 def test_no_unused_imports():
     modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-    assert modules
-    assert [u for p in modules for u in _unused_imports(p)] == []
+    tests = sorted(TESTS.glob("*.py"))
+    assert modules and tests
+    assert [u for p in modules + tests for u in _unused_imports(p)] == []
