@@ -7,31 +7,20 @@ harness comparing simulations against the analytic predictions.
 
 from .padic_core import (
     PadicPoly,
-    PadicScalar,
     SATURATED,
     discriminant,
-    poly_eval,
     resultant,
-    valuation,
 )
 from .matrix_lab import (
     GL,
     MAT,
-    PadicMatrix,
-    Partition,
     Rng,
-    charpoly,
-    det_valuation,
-    sample_matrix,
-    smith_partition,
 )
 from .root_census import (
     Census,
     ExtensionDescriptor,
     ResidueFactorization,
     classify_quadratic,
-    count_roots_in_zp,
-    eigenvalue_census,
     factor_mod_p,
     hensel_split,
     island_multiplicities,
@@ -41,8 +30,6 @@ from .closed_forms import (
     MarkovParams,
     RealValue,
     andrews_gordon_expectation,
-    eval_count,
-    eval_density,
     eval_formula,
     markov_kernel_prob,
     markov_sample_path,

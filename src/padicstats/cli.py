@@ -84,6 +84,15 @@ def _add_override_flags(p: argparse.ArgumentParser):
         p.add_argument(flag, type=typ, default=None)
 
 
+def _parse_points(raw: str) -> tuple:
+    """A --points value: comma-separated integers, else InvalidSpec."""
+    try:
+        return tuple(int(x) for x in raw.split(","))
+    except ValueError:
+        raise InvalidSpec(f"--points must be comma-separated integers, "
+                          f"got {raw!r}") from None
+
+
 def _overrides_from_args(args) -> dict:
     out = {}
     mapping = {
@@ -96,7 +105,7 @@ def _overrides_from_args(args) -> dict:
         if val is not None:
             out[key] = val
     if getattr(args, "points", None) is not None:
-        out["points"] = tuple(int(x) for x in args.points.split(","))
+        out["points"] = _parse_points(args.points)
     if "workers" not in out:
         out["workers"] = _default_workers()
     return out
@@ -116,6 +125,17 @@ def _print_reports(reports):
             f"      {val}  vs  {target}"
             + (f"  (discard {d['discard_rate']:.2%})" if d.get("discard_rate") else "")
         )
+
+
+def _check_out(path):
+    """Refuse an --out path that cannot be opened for writing, before the
+    run (the report is written to it afterwards)."""
+    if path:
+        try:
+            with open(path, "a"):
+                pass
+        except OSError as exc:
+            raise InvalidSpec(f"cannot write --out {path}: {exc.strerror}") from None
 
 
 def _write_out(reports, path, fmt):
@@ -156,8 +176,7 @@ def _cmd_formula(args, extra) -> int:
     if name not in cf.CATALOG:
         print(f"unknown formula: {name}", file=sys.stderr)
         return 2
-    fn = cf.CATALOG[name]
-    sig = inspect.signature(fn)
+    sig = inspect.signature(cf.CATALOG[name])
     params = {}
     if args.tol is not None and "tol" in sig.parameters:
         params["tol"] = args.tol
@@ -177,12 +196,11 @@ def _cmd_formula(args, extra) -> int:
             print(f"missing value for --{key}", file=sys.stderr)
             return 2
         raw = extra[i + 1]
-        ann = sig.parameters[key]
         try:
             if key in ("label", "variant"):
                 val = raw
             elif key == "points":
-                val = tuple(int(x) for x in raw.split(","))
+                val = _parse_points(raw)
             elif "." in raw or "e" in raw.lower():
                 val = float(raw)
             else:
@@ -193,10 +211,7 @@ def _cmd_formula(args, extra) -> int:
         params[key] = val
         i += 2
     try:
-        out = fn(**params)
-    except TypeError as exc:
-        print(f"parameter error: {exc}", file=sys.stderr)
-        return 2
+        out = cf.eval_formula(name, **params)
     except cf.InvalidParams as exc:
         return _usage_error(exc)
     if isinstance(out, cf.IntervalValue):
@@ -218,15 +233,15 @@ def _cmd_run(args, exhaustive: bool) -> int:
 
     try:
         spec = build_experiment(args.experiment, _overrides_from_args(args))
+        if exhaustive and REGISTRY[spec.name].kind != "exact":
+            raise InvalidSpec(f"{spec.name} is not an exhaustive experiment")
+        _check_out(args.out)
     except UnknownExperiment:
         print(f"unknown experiment: {args.experiment}", file=sys.stderr)
         return 2
     except (KeyError, InvalidSpec) as exc:
         # bad run parameters: a usage error (exit 2), not a traceback
         return _usage_error(exc)
-    if exhaustive and REGISTRY[spec.name].kind != "exact":
-        print(f"{spec.name} is not an exhaustive experiment", file=sys.stderr)
-        return 2
     reports = run_experiment(spec)
     print(f"{spec.name}: {spec.describe()}")
     _print_reports(reports)
@@ -255,6 +270,7 @@ def _cmd_suite(args) -> int:
                 if args.trials is not None and edef.kind == "mc":
                     overrides["trials"] = args.trials
                 specs.append(build_experiment(name, overrides))
+        _check_out(args.out)
     except InvalidSpec as exc:
         return _usage_error(exc)
     all_reports = []

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .padic_core import is_prime
+
 INF = math.inf
 
 DEFAULT_TOL = 1e-12
@@ -701,7 +703,7 @@ def gl_zp_expected(p: int) -> RealValue:
     return RealValue(1.0 - 1.0 / p, 0.0)
 
 
-_DENSITY_CATALOG = {
+CATALOG = {
     "one_point_zp": one_point_zp,
     "pair_corr_zp": pair_corr_zp,
     "pair_corr_theta": pair_corr_theta,
@@ -710,9 +712,6 @@ _DENSITY_CATALOG = {
     "points_on_variety_split": points_on_variety_split,
     "poly_variety": poly_variety,
     "generator_density": generator_density,
-}
-
-_COUNT_CATALOG = {
     "var_zp": var_zp,
     "expected_quad": expected_quad,
     "quad_det_expectation": quad_det_expectation,
@@ -729,33 +728,27 @@ _COUNT_CATALOG = {
     "gl_zp_expected": gl_zp_expected,
 }
 
-CATALOG = {**_DENSITY_CATALOG, **_COUNT_CATALOG}
 
-
-def eval_density(name: str, **params):
-    """Evaluate a pointwise density/correlation formula by catalog name."""
-    if name not in _DENSITY_CATALOG:
-        raise UnknownFormula(name)
-    try:
-        return _DENSITY_CATALOG[name](**params)
-    except TypeError as exc:
-        raise InvalidParams(str(exc)) from exc
-
-
-def eval_count(name: str, **params):
-    """Evaluate an expectation/count/bound formula by catalog name."""
-    if name not in _COUNT_CATALOG:
-        raise UnknownFormula(name)
-    try:
-        return _COUNT_CATALOG[name](**params)
-    except TypeError as exc:
-        raise InvalidParams(str(exc)) from exc
+def _is_prime_power(q) -> bool:
+    if not isinstance(q, int) or q < 2:
+        return False
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+    while q % p == 0:
+        q //= p
+    return q == 1
 
 
 def eval_formula(name: str, **params):
-    """Evaluate any catalog entry by name."""
-    if name in _DENSITY_CATALOG:
-        return eval_density(name, **params)
-    if name in _COUNT_CATALOG:
-        return eval_count(name, **params)
-    raise UnknownFormula(name)
+    """Evaluate a catalog entry by name.  A p that is not prime, a q that
+    is not a prime power >= 2, or a parameter the entry does not take
+    raises InvalidParams."""
+    if name not in CATALOG:
+        raise UnknownFormula(name)
+    if "p" in params and not is_prime(params["p"]):
+        raise InvalidParams(f"p = {params['p']} is not prime")
+    if "q" in params and not _is_prime_power(params["q"]):
+        raise InvalidParams(f"q = {params['q']} is not a prime power")
+    try:
+        return CATALOG[name](**params)
+    except TypeError as exc:
+        raise InvalidParams(str(exc)) from exc

@@ -511,10 +511,6 @@ def reports_to_json(reports) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def reports_from_json(text: str) -> list:
-    return json.loads(text)
-
-
 def _flatten_params(params: dict) -> str:
     return ";".join(f"{k}={params[k]}" for k in sorted(params))
 

@@ -1,11 +1,14 @@
-"""Exact arithmetic in Z/p^N with tracked valuations.
+"""Exact arithmetic in Z/p^N: residues, dense polynomials and monic
+quotient rings.
 
 Everything in this module is computed exactly in the finite quotient ring
 Z/p^N.  A residue that vanishes mod p^N carries no finite valuation
 information: its valuation is reported as the ``SATURATED`` marker and
 callers must either raise the working precision or branch.  Division is
 allowed only by units; Z/p^N has zero divisors, so all determinant-style
-computations here are division-free.
+computations here are division-free.  Residues are plain ints and
+polynomials coefficient lists; ``PadicPoly`` only tags a coefficient tuple
+with (p, N) for the root census.
 """
 
 from __future__ import annotations
@@ -14,20 +17,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 
-class MixedModulus(ValueError):
-    """Operands disagree on the prime p or the precision exponent N."""
-
-
 class NonUnitDivision(ArithmeticError):
     """Division in Z/p^N is defined only by units."""
-
-
-class NonUnitLeadingCoefficient(ArithmeticError):
-    """Raised when a discriminant needs a unit leading coefficient."""
-
-
-class SaturatedValue(ArithmeticError):
-    """A zero residue mod p^N has no finite valuation or norm."""
 
 
 class _SaturatedMarker:
@@ -51,7 +42,7 @@ SATURATED = _SaturatedMarker()
 
 
 def is_prime(p: int) -> bool:
-    if p < 2:
+    if not isinstance(p, int) or p < 2:
         return False
     if p < 4:
         return True
@@ -82,93 +73,6 @@ def inverse_mod(value: int, p: int, modulus: int) -> int:
     if value % p == 0:
         raise NonUnitDivision(f"{value} is not a unit mod {p}^N")
     return pow(value, -1, modulus)
-
-
-@dataclass(frozen=True)
-class PadicScalar:
-    """An element of Z/p^N with its p-adic valuation.
-
-    ``value`` is the canonical residue in [0, p^N).  The valuation is an
-    integer v < N with p^v || value, or SATURATED when value = 0 in Z/p^N.
-    """
-
-    p: int
-    precision: int
-    value: int
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
-        if self.precision < 1:
-            raise ValueError("precision exponent must be >= 1")
-        object.__setattr__(self, "value", self.value % self.modulus)
-
-    @cached_property
-    def modulus(self) -> int:
-        return self.p ** self.precision
-
-    @cached_property
-    def valuation(self):
-        return raw_valuation(self.value, self.p, self.modulus)
-
-    @property
-    def is_saturated(self) -> bool:
-        return self.valuation is SATURATED
-
-    @property
-    def is_unit(self) -> bool:
-        return self.value % self.p != 0
-
-    def norm(self) -> float:
-        """p-adic norm p^{-val}.  Undefined (raises) for saturated residues."""
-        if self.is_saturated:
-            raise SaturatedValue("norm undefined: residue is 0 mod p^N")
-        return float(self.p) ** (-self.valuation)
-
-    def unit_part(self) -> "PadicScalar":
-        """The unit u with value = u * p^val.  Raises for saturated residues."""
-        if self.is_saturated:
-            raise SaturatedValue("no unit part: residue is 0 mod p^N")
-        return self._make(self.value // (self.p ** self.valuation))
-
-    def _check(self, other: "PadicScalar"):
-        if self.p != other.p or self.precision != other.precision:
-            raise MixedModulus(
-                f"(p={self.p}, N={self.precision}) vs (p={other.p}, N={other.precision})"
-            )
-
-    def _make(self, value: int) -> "PadicScalar":
-        return PadicScalar(self.p, self.precision, value % self.modulus)
-
-    def __add__(self, other: "PadicScalar") -> "PadicScalar":
-        self._check(other)
-        return self._make(self.value + other.value)
-
-    def __sub__(self, other: "PadicScalar") -> "PadicScalar":
-        self._check(other)
-        return self._make(self.value - other.value)
-
-    def __mul__(self, other: "PadicScalar") -> "PadicScalar":
-        self._check(other)
-        return self._make(self.value * other.value)
-
-    def __neg__(self) -> "PadicScalar":
-        return self._make(-self.value)
-
-    def inverse(self) -> "PadicScalar":
-        return self._make(inverse_mod(self.value, self.p, self.modulus))
-
-    def __truediv__(self, other: "PadicScalar") -> "PadicScalar":
-        self._check(other)
-        return self * other.inverse()
-
-    def __repr__(self):
-        return f"PadicScalar(p={self.p}, N={self.precision}, value={self.value})"
-
-
-def valuation(a: PadicScalar):
-    """p-adic valuation of ``a``; SATURATED iff a = 0 in Z/p^N."""
-    return a.valuation
 
 
 # ---------------------------------------------------------------------------
@@ -360,106 +264,26 @@ class PadicPoly:
         return len(self.coeffs) - 1
 
     @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
     def monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def coefficient(self, i: int) -> PadicScalar:
-        v = self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-        return PadicScalar(self.p, self.precision, v)
-
-    def leading_coefficient(self) -> PadicScalar:
-        if self.is_zero:
-            return PadicScalar(self.p, self.precision, 0)
-        return PadicScalar(self.p, self.precision, self.coeffs[-1])
-
-    def residue(self) -> tuple:
-        """Coefficients of the reduction mod p, trailing zeros trimmed."""
-        return tuple(poly_trim(c % self.p for c in self.coeffs))
-
-    def _check(self, other):
-        if self.p != other.p or self.precision != other.precision:
-            raise MixedModulus(
-                f"(p={self.p}, N={self.precision}) vs (p={other.p}, N={other.precision})"
-            )
-
-    def _make(self, coeffs) -> "PadicPoly":
-        return PadicPoly(self.p, self.precision, tuple(coeffs))
-
-    def __add__(self, other: "PadicPoly") -> "PadicPoly":
-        self._check(other)
-        return self._make(poly_add(self.coeffs, other.coeffs, self.modulus))
-
-    def __sub__(self, other: "PadicPoly") -> "PadicPoly":
-        self._check(other)
-        return self._make(poly_sub(self.coeffs, other.coeffs, self.modulus))
-
-    def __neg__(self) -> "PadicPoly":
-        return self._make(-c % self.modulus for c in self.coeffs)
-
-    def __mul__(self, other: "PadicPoly") -> "PadicPoly":
-        self._check(other)
-        return self._make(poly_mul(self.coeffs, other.coeffs, self.modulus))
-
-    def evaluate(self, a: PadicScalar) -> PadicScalar:
-        if self.p != a.p or self.precision != a.precision:
-            raise MixedModulus("polynomial and point disagree on (p, N)")
-        return PadicScalar(self.p, self.precision, self.evaluate_int(a.value))
-
-    def evaluate_int(self, x: int) -> int:
-        return poly_horner(self.coeffs, x, self.modulus)
-
-    def derivative(self) -> "PadicPoly":
-        m = self.modulus
-        return self._make((i * c) % m for i, c in enumerate(self.coeffs) if i >= 1)
-
-    def divmod_monic(self, other: "PadicPoly"):
-        """Exact division with remainder by a monic divisor."""
-        self._check(other)
-        if not other.monic:
-            raise NonUnitLeadingCoefficient("divisor must be monic")
-        quot, rem = poly_divmod(self.coeffs, other.coeffs, self.modulus)
-        return self._make(quot), self._make(rem)
 
     def __repr__(self):
         return f"PadicPoly(p={self.p}, N={self.precision}, coeffs={self.coeffs})"
 
 
-def poly_eval(f: PadicPoly, a: PadicScalar) -> PadicScalar:
-    """Exact Horner evaluation of f at a in Z/p^N."""
-    return f.evaluate(a)
-
-
-def x_minus(p: int, precision: int, a: int) -> PadicPoly:
-    """The linear polynomial x - a over Z/p^N."""
-    return PadicPoly.from_ints(p, precision, (-a, 1))
-
-
-def poly_from_roots(p: int, precision: int, roots) -> PadicPoly:
-    out = PadicPoly.from_ints(p, precision, (1,))
-    for r in roots:
-        out = out * x_minus(p, precision, r)
-    return out
-
-
-def resultant(f: PadicPoly, g: PadicPoly) -> PadicScalar:
-    """Resultant of f and g in Z/p^N via the Sylvester determinant.
-
-    Computed division-free; the norm of the result measures the p-adic
-    distance between the root sets of f and g.
+def resultant(f: PadicPoly, g: PadicPoly) -> int:
+    """Resultant of f and g over Z/p^N: the residue mod p^N of their
+    Sylvester determinant, computed division-free.  Its valuation measures
+    the p-adic distance between the root sets of f and g.
     """
-    f._check(g)
-    p, prec, m = f.p, f.precision, f.modulus
-    if f.is_zero or g.is_zero:
-        return PadicScalar(p, prec, 0)
+    m = f.modulus
+    if not f.coeffs or not g.coeffs:
+        return 0
     d1, d2 = f.degree, g.degree
     if d1 == 0:
-        return PadicScalar(p, prec, pow(f.coeffs[0], d2, m))
+        return pow(f.coeffs[0], d2, m)
     if d2 == 0:
-        return PadicScalar(p, prec, pow(g.coeffs[0], d1, m))
+        return pow(g.coeffs[0], d1, m)
     size = d1 + d2
     fc = list(reversed(f.coeffs))
     gc = list(reversed(g.coeffs))
@@ -468,21 +292,20 @@ def resultant(f: PadicPoly, g: PadicPoly) -> PadicScalar:
         rows.append([0] * i + fc + [0] * (size - d1 - 1 - i))
     for i in range(d1):
         rows.append([0] * i + gc + [0] * (size - d2 - 1 - i))
-    return PadicScalar(p, prec, det_mod(rows, m))
+    return det_mod(rows, m)
 
 
-def discriminant(f: PadicPoly) -> PadicScalar:
-    """Discriminant (-1)^{d(d-1)/2} Res(f, f') / lc(f)."""
+def discriminant(f: PadicPoly) -> int:
+    """Discriminant (-1)^{d(d-1)/2} Res(f, f') / lc(f) as a residue mod
+    p^N.  A leading coefficient that is not a unit raises NonUnitDivision."""
     if f.degree < 1:
         raise ValueError("discriminant needs degree >= 1")
-    lc = f.leading_coefficient()
-    if not lc.is_unit:
-        raise NonUnitLeadingCoefficient("leading coefficient must be a unit")
-    res = resultant(f, f.derivative())
+    m = f.modulus
+    inv = inverse_mod(f.coeffs[-1], f.p, m)
+    deriv = PadicPoly(f.p, f.precision, tuple(i * c for i, c in enumerate(f.coeffs))[1:])
     d = f.degree
     sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    out = res * lc.inverse()
-    return out if sign == 1 else -out
+    return sign * resultant(f, deriv) * inv % m
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +371,3 @@ class QuotientRing:
         for _ in range(max(1, (self.precision - 1).bit_length() + 1)):
             x = self.mul(x, self.sub(two, self.mul(a, x)))
         return x
-
-    def to_poly(self, a) -> PadicPoly:
-        return PadicPoly.from_ints(self.p, self.precision, a)

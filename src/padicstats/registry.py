@@ -210,15 +210,23 @@ def _points_budget(spec):
     """Repeated points make the exact laws undefined, the GL law holds at
     unit points only, and the matrix laws hold only for s > 2v, v the
     largest pairwise valuation of the points (at p = 2, points (0, 2) and
-    s = 1 the enumeration gives 5/2 against 3); the enumeration runs over
-    the r x r matrices, or the degree-n monic polys, mod p^s."""
+    s = 1 the enumeration gives 5/2 against 3).  The polynomial law holds
+    only for at most n points and s >= V, V = sum of the pairwise
+    valuations (at p = 2, n = 3, points (0, 4) and s = 1 it gives 2
+    against 4); both rules are read off enumerations.  The enumeration
+    runs over the r x r matrices, or the degree-n monic polys, mod p^s."""
     p, points, s = spec.p, spec.params["points"], spec.params["s"]
-    v = max(cf._pairwise_min_valuations(p, points), default=0)
+    vals = cf._pairwise_min_valuations(p, points)
+    v = max(vals, default=0)
     if spec.mode == GL and any(x % p == 0 for x in points):
         raise ValueError(f"GL points must be units mod {p}, got {points}")
     if spec.mode != POLY and s <= 2 * v:
         raise ValueError(f"points {points} agree mod {p}^{v}: the exact "
                          f"matrix law needs s > {2 * v}, got s = {s}")
+    if spec.mode == POLY and (len(points) > spec.n or s < sum(vals)):
+        raise ValueError(f"the exact polynomial law needs at most n = "
+                         f"{spec.n} points and s >= {sum(vals)}, got "
+                         f"{len(points)} points and s = {s}")
     size = spec.n if spec.mode == POLY else len(points) ** 2
     check_enumeration_budget(p ** (s * size))
 

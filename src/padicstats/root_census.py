@@ -462,11 +462,6 @@ def zp_roots(f: PadicPoly):
     return roots
 
 
-def count_roots_in_zp(f: PadicPoly) -> int:
-    """The number of roots of a monic f in Z_p, each Hensel-certified."""
-    return len(zp_roots(f))
-
-
 def island_multiplicities(f: PadicPoly) -> dict:
     """Multiplicity of each irreducible residue factor of a monic f; the
     number of eigenvalues on the island of F is deg(F) * multiplicity."""
@@ -683,8 +678,10 @@ def unramified_roots(f: PadicPoly, d: int):
 
 @dataclass(frozen=True)
 class Census:
-    """Certified eigenvalue orbits in extensions of one polynomial; its Z_p
-    roots come from zp_roots, its islands from island_multiplicities."""
+    """Certified eigenvalue orbits in extensions of one polynomial.  Its
+    Z_p roots come from zp_roots (registry._zp_stats for a whole chunk),
+    and the island counts of the matrix laws from the batched primary
+    multiplicities."""
 
     p: int
     precision: int
@@ -823,11 +820,3 @@ def _pair_unram_quadratic(roots, p, quad_orbits):
         ms.append(mv)
     quad_orbits.extend((QUAD_UNRAMIFIED, m) for m in ms)
     return len(ms)
-
-
-def eigenvalue_census(A) -> Census:
-    """Census of the eigenvalue orbits in extensions of a base-ring matrix;
-    its Z_p eigenvalues come from zp_roots(charpoly(A))."""
-    from .matrix_lab import charpoly
-
-    return census_of_poly(charpoly(A))

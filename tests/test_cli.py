@@ -1,8 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from padicstats.cli import dispatch
+
+# a path below a regular file: opening it for writing always fails
+UNWRITABLE = str(Path(__file__) / "r.json")
 
 
 def test_list(capsys):
@@ -92,6 +96,13 @@ def test_unknown_arguments_error():
     ["enumerate", "det_moment_exact", "--n", "2"],
     ["run", "det_moment", "--tol", "0.5"],
     ["suite", "--filter", "det_moment*", "--trials", "0"],
+    ["run", "points_on_variety", "--points", "abc"],
+    ["run", "points_on_variety", "--points", "0,1,"],
+    ["enumerate", "poly_variety", "--p", "3", "--n", "2", "--points", "0,1,2"],
+    ["enumerate", "poly_variety", "--p", "2", "--n", "3", "--points", "0,4"],
+    ["run", "det_moment_exact", "--out", UNWRITABLE],
+    ["enumerate", "poly_variety", "--out", UNWRITABLE],
+    ["suite", "--filter", "det_moment_exact", "--out", UNWRITABLE],
 ])
 def test_bad_run_parameters_are_usage_errors(argv, capsys):
     # rejected with exit 2 and a message, before any report is printed
@@ -214,6 +225,10 @@ def test_bad_workers_env_is_a_usage_error(value, monkeypatch, capsys):
     ["formula", "pair_corr_zp", "--p", "3", "--m", "-1"],
     ["formula", "quad_density", "--p", "2", "--label", "RAMIFIED", "--m", "0"],
     ["formula", "det_moment", "--p", "2", "--n", "0", "--k", "1"],
+    ["formula", "det_moment", "--p", "1", "--n", "1", "--k", "1"],
+    ["formula", "det_moment", "--p", "0", "--n", "1", "--k", "1"],
+    ["formula", "island_law", "--p", "4", "--d", "1", "--j", "0"],
+    ["formula", "pair_corr_zp", "--p", "6", "--m", "1"],
 ])
 def test_bad_formula_parameters_are_usage_errors(argv, capsys):
     assert dispatch(argv) == 2

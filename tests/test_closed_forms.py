@@ -12,8 +12,7 @@ from padicstats.closed_forms import (
     SingularConvention,
     UnknownFormula,
     andrews_gordon_expectation,
-    eval_count,
-    eval_density,
+    eval_formula,
     markov_kernel_prob,
     markov_matrix_m,
     markov_sample_path,
@@ -239,36 +238,46 @@ def test_pair_corr_theta_identity():
 
 
 def test_one_point_and_catalog_values():
-    assert eval_density("one_point_zp").value == 1.0
-    assert eval_density("poly_variety", p=2, points=(0, 1)).value == 1.0
-    v = eval_density("points_on_variety_split", p=2, r=2, points=(0, 1))
+    assert eval_formula("one_point_zp").value == 1.0
+    assert eval_formula("poly_variety", p=2, points=(0, 1)).value == 1.0
+    v = eval_formula("points_on_variety_split", p=2, r=2, points=(0, 1))
     assert v.value == pytest.approx(1.5)
-    assert eval_count("det_moment", q=2, n=1, k=1).value == pytest.approx(2 / 3)
-    assert eval_count("orbital_quadratic", p=3, label="UNRAMIFIED", m=1).value == 5
-    assert eval_count("orbital_quadratic", p=3, label="RAMIFIED", m=1).value == 4
-    assert eval_count("orbital_quadratic", p=5, label="UNRAMIFIED", m=0).value == 1
-    il = eval_count("island_law", p=2, d=1, j=0)
+    assert eval_formula("det_moment", q=2, n=1, k=1).value == pytest.approx(2 / 3)
+    assert eval_formula("orbital_quadratic", p=3, label="UNRAMIFIED", m=1).value == 5
+    assert eval_formula("orbital_quadratic", p=3, label="RAMIFIED", m=1).value == 4
+    assert eval_formula("orbital_quadratic", p=5, label="UNRAMIFIED", m=0).value == 1
+    il = eval_formula("island_law", p=2, d=1, j=0)
     assert abs(il.value - qpoch(0.5, 0.5).value) < 1e-12
-    assert eval_count("en_relation_constant", p=3, n=2).value == pytest.approx(4 / 3)
+    assert eval_formula("en_relation_constant", p=3, n=2).value == pytest.approx(4 / 3)
     with pytest.raises(UnknownFormula):
-        eval_density("missing_entry")
+        eval_formula("missing_entry")
     with pytest.raises(InvalidParams):
-        eval_density("poly_variety", p=2, points=(0, 0))
+        eval_formula("poly_variety", p=2, points=(0, 0))
     with pytest.raises(InvalidParams):
-        eval_count("det_moment", q=2, wrong=1)
+        eval_formula("det_moment", q=2, wrong=1)
+    # p must be prime and q a prime power >= 2
+    assert eval_formula("det_moment", q=4, n=1, k=1).value == pytest.approx(0.8)
+    for params in (dict(q=1), dict(q=0), dict(q=6)):
+        with pytest.raises(InvalidParams):
+            eval_formula("det_moment", n=1, k=1, **params)
+    for name, params in (("island_law", dict(p=4, d=1, j=0)),
+                         ("pair_corr_zp", dict(p=6, m=1)),
+                         ("pair_corr_zp", dict(p=2.0, m=1))):
+        with pytest.raises(InvalidParams, match="not prime"):
+            eval_formula(name, **params)
 
 
 def test_coulomb_and_variety_normalizations():
     # n = 2 at p = 2: constant (1-1/2)(1-1/4)/(1-1/2)^2 = 3/2
-    v = eval_density("coulomb_zp", p=2, n=2, points=(0, 1))
+    v = eval_formula("coulomb_zp", p=2, n=2, points=(0, 1))
     assert v.value == pytest.approx(1.5)
     # distance shrinks the density
-    v2 = eval_density("coulomb_zp", p=2, n=2, points=(0, 2))
+    v2 = eval_formula("coulomb_zp", p=2, n=2, points=(0, 2))
     assert v2.value == pytest.approx(0.75)
-    gl = eval_density("points_on_variety_split", p=3, r=2, points=(1, 2), gl=True)
+    gl = eval_formula("points_on_variety_split", p=3, r=2, points=(1, 2), gl=True)
     assert gl.value == pytest.approx(9 / 4)
     with pytest.raises(InvalidParams):
-        eval_density("points_on_variety_split", p=3, r=2, points=(0, 1), gl=True)
+        eval_formula("points_on_variety_split", p=3, r=2, points=(0, 1), gl=True)
 
 
 def test_var_zp_against_pair_density_sum():

@@ -20,7 +20,6 @@ from padicstats.experiment import (
     build_experiment,
     compare,
     list_experiments,
-    reports_from_json,
     reports_to_csv,
     reports_to_json,
     run_chunked,
@@ -165,7 +164,7 @@ def test_worker_invariance_census_pipeline():
 def test_json_round_trip_and_csv():
     reports = run_experiment(build_experiment("det_moment", {"trials": 2000}))
     text = reports_to_json(reports)
-    parsed = reports_from_json(text)
+    parsed = json.loads(text)
     assert json.dumps(parsed, sort_keys=True, indent=2) + "\n" == text
     csv = reports_to_csv(reports)
     lines = csv.strip().split("\n")
@@ -340,6 +339,13 @@ def test_repeated_points_refused_when_spec_is_built():
     for name in ("points_on_variety", "points_on_variety_gl", "poly_variety"):
         with pytest.raises(InvalidSpec, match="distinct"):
             build_experiment(name, {"points": (1, 3, 1)})
+
+
+def test_non_integer_p_refused_when_spec_is_built():
+    # 2.5 < 4 once passed the prime test, and the run died with TypeError
+    for p in (2.5, 3.0):
+        with pytest.raises(InvalidSpec, match="not prime"):
+            build_experiment("det_moment_exact", {"p": p})
 
 
 def test_en_relation_with_an_empty_side_is_inconclusive():

@@ -1,26 +1,20 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from padicstats.matrix_lab import (
-    GL,
-    MAT,
-    PadicMatrix,
-    Partition,
-    Rng,
-    SaturatedDeterminant,
-    charpoly,
-    charpoly_coefficients,
-    determinant,
-    det_valuation,
-    sample_matrix,
-    smith_partition,
-    smith_parts_quadratic,
-    smith_parts_raw,
+from padicstats.batched import (
+    batch_charpoly,
+    batch_charpoly_quad,
+    batch_det,
+    batch_smith_parts,
+    batch_valuation,
+    sample_matrices,
 )
-from padicstats.padic_core import PadicPoly, berkowitz_charpoly, poly_from_roots
+from padicstats.matrix_lab import Rng, smith_parts_quadratic, smith_parts_raw
+from padicstats.padic_core import berkowitz_charpoly, poly_mul
 
 
 def _cofactor_det(rows, m):
@@ -56,35 +50,32 @@ def _matmul_mod(a, b, m):
     ]
 
 
-def test_partition_basics():
-    lam = Partition((3, 1, 1, 0, 0))
-    assert lam.parts == (3, 1, 1)
-    assert lam.size == 5
-    assert lam.conjugate_rank(1) == 3
-    assert lam.conjugate_rank(2) == 1
-    assert lam.conjugate().parts == (3, 1, 1)
-    assert Partition(()).conjugate().parts == ()
-    with pytest.raises(ValueError):
-        Partition((1, 2))
+def _charpoly(A, m):
+    """det(xI - A) mod m, constant term first, by batch_charpoly."""
+    return batch_charpoly(np.array([A], dtype=np.int64), m)[0][::-1].tolist()
+
+
+def _partition(A, p, N):
+    """(cokernel partition, saturated) of one matrix by batch_smith_parts:
+    the parts, largest first, with zeros dropped."""
+    parts, sat = batch_smith_parts(np.array([A], dtype=np.int64), p, N)
+    return tuple(sorted((x for x in parts[0].tolist() if x), reverse=True)), bool(sat[0])
 
 
 def test_charpoly_examples():
-    A = PadicMatrix.from_rows(5, 3, [[0, 1], [1, 0]])
-    assert charpoly(A).coeffs == ((-1) % 125, 0, 1)
-    diag = PadicMatrix.from_rows(3, 3, [[2, 0, 0], [0, 5, 0], [0, 0, 1]])
-    assert charpoly(diag).coeffs == poly_from_roots(3, 3, [2, 5, 1]).coeffs
+    assert _charpoly([[0, 1], [1, 0]], 125) == [(-1) % 125, 0, 1]
+    roots = reduce(lambda f, r: poly_mul(f, [-r, 1], 27), (2, 5, 1), [1])
+    assert _charpoly([[2, 0, 0], [0, 5, 0], [0, 0, 1]], 27) == roots
 
 
 def test_charpoly_constant_term_is_det_cofactor_oracle():
     gen = Rng(42).generator()
     for _ in range(50):
         rows = [[int(x) for x in gen.integers(0, 27, size=3)] for _ in range(3)]
-        A = PadicMatrix.from_rows(3, 3, rows)
-        cp = charpoly(A)
+        cp = _charpoly(rows, 27)
         det = _cofactor_det(rows, 27)
-        c0 = cp.coeffs[0] if cp.coeffs else 0
-        assert determinant(A) == det
-        assert c0 == (-det) % 27  # (-1)^n c_0 = det, n = 3
+        assert batch_det(np.array([rows]), 27).tolist() == [det]
+        assert cp[0] == (-det) % 27  # (-1)^n c_0 = det, n = 3
 
 
 def test_conjugation_invariance():
@@ -95,29 +86,20 @@ def test_conjugation_invariance():
         p = int(gen.choice([2, 3, 5]))
         N = 3
         m = p ** N
-        A = sample_matrix(n, p, N, MAT, gen)
-        T = sample_matrix(n, p, N, GL, gen)
-        t_rows = [list(r) for r in T.entries]
-        tinv = _invert_mod(t_rows, m)
-        b = _matmul_mod(_matmul_mod(t_rows, [list(r) for r in A.entries], m), tinv, m)
-        assert charpoly(PadicMatrix.from_rows(p, N, b)).coeffs == charpoly(A).coeffs
+        A = sample_matrices(gen, 1, n, p, N)[0].tolist()
+        T = sample_matrices(gen, 1, n, p, N, gl=True)[0].tolist()
+        b = _matmul_mod(_matmul_mod(T, A, m), _invert_mod(T, m), m)
+        assert _charpoly(b, m) == _charpoly(A, m)
         cases += 1
 
 
 def test_smith_partition_examples():
-    A = PadicMatrix.from_rows(3, 4, [[3, 0], [0, 1]])
-    res = smith_partition(A)
-    assert res.partition.parts == (1,) and not res.saturated
-    A = PadicMatrix.from_rows(3, 4, [[9, 0, 0], [0, 3, 0], [0, 0, 1]])
-    assert smith_partition(A).partition.parts == (2, 1)
-    A = PadicMatrix.from_rows(2, 3, [[2, 0], [0, 2]])
-    res = smith_partition(A)
-    assert res.partition.parts == (1, 1)
-    assert res.partition.conjugate_rank(1) == 2
-    assert res.partition.conjugate_rank(2) == 0
-    zero = PadicMatrix.from_rows(2, 2, [[0, 0], [0, 0]])
-    res = smith_partition(zero)
-    assert res.saturated and res.partition.parts == (2, 2)
+    assert _partition([[3, 0], [0, 1]], 3, 4) == ((1,), False)
+    assert _partition([[9, 0, 0], [0, 3, 0], [0, 0, 1]], 3, 4) == ((2, 1), False)
+    parts, sat = _partition([[2, 0], [0, 2]], 2, 3)
+    assert parts == (1, 1) and not sat
+    assert sum(x >= 1 for x in parts) == 2 and sum(x >= 2 for x in parts) == 0
+    assert _partition([[0, 0], [0, 0]], 2, 2) == ((2, 2), True)
 
 
 def test_partition_determinant_consistency():
@@ -130,56 +112,32 @@ def test_partition_determinant_consistency():
         p = int(gen.choice([2, 3]))
         N = 6
         rows = gen.integers(0, p ** N, size=(n, n)) * p ** gen.integers(0, 4, size=(n, n))
-        A = PadicMatrix.from_rows(p, N, rows.tolist())
-        res = smith_partition(A)
-        cp = charpoly(A)
-        c0 = cp.coefficient(0)
-        if res.saturated or c0.is_saturated:
+        parts, sat = _partition(rows % p ** N, p, N)
+        det = batch_det(rows[None] % p ** N, p ** N)
+        if sat or det[0] == 0:
             continue
-        assert res.partition.size == c0.valuation
-        assert det_valuation(A) == c0.valuation
+        assert sum(parts) == batch_valuation(det, p, N)[0]
         checked += 1
     assert checked >= 500
 
 
-def test_det_valuation_base_and_saturation():
-    A = PadicMatrix.from_rows(3, 4, [[3, 1], [0, 1]])
-    assert det_valuation(A) == 1
-    zero = PadicMatrix.from_rows(2, 2, [[0, 0], [0, 0]])
-    with pytest.raises(SaturatedDeterminant):
-        det_valuation(zero)
-
-
-def test_det_valuation_quotient_ring():
-    # 1x1 matrix [x] over Z/5^3[x]/(x^2 - 2): norm of det is Res(Z, x) = -2
-    Z = PadicPoly.from_ints(5, 3, (-2, 0, 1))
-    A = PadicMatrix.from_rows(5, 3, [[(0, 1)]], quotient=Z)
-    assert det_valuation(A) == 0
-    # [x] with Z = x^2 - 5: Res = -5, valuation 1
-    Z = PadicPoly.from_ints(5, 3, (-5, 0, 1))
-    A = PadicMatrix.from_rows(5, 3, [[(0, 1)]], quotient=Z)
-    assert det_valuation(A) == 1
-
-
 def test_quotient_charpoly_against_padicpoly_arithmetic():
     # the quotient-ring characteristic polynomial of diag(x, x) is (y - x)^2
-    Z = PadicPoly.from_ints(3, 4, (-2, 0, 1))
-    A = PadicMatrix.from_rows(3, 4, [[(0, 1), (0, 0)], [(0, 0), (0, 1)]], quotient=Z)
-    coeffs = charpoly_coefficients(A)
+    U = np.zeros((1, 2, 2), dtype=np.int64)
+    V = np.eye(2, dtype=np.int64)[None]
+    cu, cv = batch_charpoly_quad(U, V, 2, 81)
     # y^2 - 2x y + x^2 with x^2 = 2
-    assert coeffs[0] == (1, 0)
-    assert coeffs[1] == (0, (-2) % 81)
-    assert coeffs[2] == (2, 0)
+    assert list(zip(cu[0].tolist(), cv[0].tolist())) == [(1, 0), (0, (-2) % 81), (2, 0)]
 
 
 def test_sampling_determinism_and_gl():
-    a = sample_matrix(2, 2, 3, MAT, Rng(7))
-    b = sample_matrix(2, 2, 3, MAT, Rng(7))
-    assert a.entries == b.entries
-    c = sample_matrix(2, 2, 3, MAT, Rng(8))
-    assert a.entries != c.entries
-    g = sample_matrix(1, 2, 1, GL, Rng(9))
-    assert g.entries == ((1,),)
+    a = sample_matrices(Rng(7).generator(), 1, 2, 2, 3)
+    b = sample_matrices(Rng(7).generator(), 1, 2, 2, 3)
+    assert (a == b).all()
+    c = sample_matrices(Rng(8).generator(), 1, 2, 2, 3)
+    assert (a != c).any()
+    g = sample_matrices(Rng(9).generator(), 1, 1, 2, 1, gl=True)
+    assert g.tolist() == [[[1]]]
 
 
 def test_gl_acceptance_rate():
@@ -774,11 +732,8 @@ def test_cokernel_markov_law_smoke():
 
     gen = Rng(55).generator()
     p, n, N, trials = 2, 3, 6, 30_000
-    counts = np.zeros(n + 1)
-    for _ in range(trials):
-        A = sample_matrix(n, p, N, MAT, gen)
-        res = smith_partition(A)
-        counts[res.partition.conjugate_rank(1)] += 1
+    parts, _ = batch_smith_parts(sample_matrices(gen, trials, n, p, N), p, N)
+    counts = np.bincount((parts >= 1).sum(axis=1), minlength=n + 1)
     mp = cf.MarkovParams(t=0.5, u=1.0)
     for a in range(n + 1):
         want = cf.markov_kernel_prob(mp, n, a).value

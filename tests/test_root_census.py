@@ -1,10 +1,13 @@
 from collections import Counter
+from functools import reduce
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from padicstats.matrix_lab import GL, MAT, PadicMatrix, Rng, charpoly, sample_matrix
+from padicstats.batched import batch_charpoly, sample_matrices
+from padicstats.matrix_lab import Rng
 from padicstats import root_census
 from padicstats.padic_core import (
     PadicPoly,
@@ -12,7 +15,6 @@ from padicstats.padic_core import (
     SATURATED,
     discriminant,
     inverse_mod,
-    poly_from_roots,
     poly_mul,
     poly_trim,
     raw_valuation,
@@ -24,8 +26,6 @@ from padicstats.root_census import (
     UnsupportedPrime,
     census_of_poly,
     classify_quadratic,
-    count_roots_in_zp,
-    eigenvalue_census,
     factor_mod_p,
     hensel_split,
     island_multiplicities,
@@ -39,6 +39,25 @@ from padicstats.root_census import (
     _unram_poly_eval,
     _zp_roots_raw,
 )
+
+
+def _poly(p, N, *factors):
+    """The product of coefficient lists (constant term first) over Z/p^N."""
+    return PadicPoly(p, N, tuple(reduce(lambda a, b: poly_mul(a, b, p ** N), factors, [1])))
+
+
+def _from_roots(p, N, roots):
+    return _poly(p, N, *([-r, 1] for r in roots))
+
+
+def _charpoly(A, p, N):
+    """det(xI - A) over Z/p^N by batch_charpoly."""
+    row = batch_charpoly(np.array([A], dtype=np.int64) % p ** N, p ** N)[0]
+    return PadicPoly(p, N, tuple(row[::-1].tolist()))
+
+
+def _sampled_charpoly(gen, n, p, N, gl=False):
+    return _charpoly(sample_matrices(gen, 1, n, p, N, gl)[0], p, N)
 
 
 def test_factor_mod_p_examples():
@@ -122,8 +141,7 @@ def test_hensel_split_examples():
     assert sorted(h.coeffs for h in parts) == [(0, 1), (80, 1)]
     g = PadicPoly.from_ints(5, 3, (2, 3, 1))
     parts = hensel_split(g)
-    prod_ = parts[0] * parts[1]
-    assert prod_.coeffs == g.coeffs
+    assert _poly(5, 3, *(h.coeffs for h in parts)) == g
     assert sorted(h.coeffs for h in parts) == [(1, 1), (2, 1)]
     g = PadicPoly.from_ints(3, 4, (1, 0, 1))
     assert [h.coeffs for h in hensel_split(g)] == [g.coeffs]
@@ -138,10 +156,7 @@ def test_hensel_split_reconstitutes_random():
         coeffs = [int(x) for x in gen.integers(0, p ** N, size=deg)] + [1]
         f = PadicPoly.from_ints(p, N, coeffs)
         parts = hensel_split(f)
-        prod_ = parts[0]
-        for h in parts[1:]:
-            prod_ = prod_ * h
-        assert prod_.coeffs == f.coeffs
+        assert _poly(p, N, *(h.coeffs for h in parts)) == f
         fact = factor_mod_p(f.coeffs, p)
         lifts = _lift_factors([f.coeffs], p, N, [fact.factors[:-1]])
         lifted = lifts[0]
@@ -194,12 +209,11 @@ def test_batched_lift_is_invariant_to_grouping(case):
         alone = _lift_factors([f], p, N, [hd])
         assert lifts[i] == alone[0]
         assert lifts.cofactors[i].tolist() == alone.cofactors[0].tolist()
-        prod_ = PadicPoly.from_ints(p, N, lifts.cofactors[i].tolist())
         for (g, d, mult), (k, dk, mk) in zip(lifts[i], hd):
             assert (d, mult) == (dk, mk) and g.monic and g.degree == d * mult
             assert factor_mod_p(g.coeffs, p).factors == ((k, d, mult),)
-            prod_ = prod_ * g
-        assert prod_ == PadicPoly.from_ints(p, N, f)
+        factors = [g.coeffs for g, _, _ in lifts[i]]
+        assert _poly(p, N, lifts.cofactors[i].tolist(), *factors) == _poly(p, N, f)
 
 
 def test_lift_past_the_int64_budget_is_refused():
@@ -214,20 +228,19 @@ def test_lift_past_the_int64_budget_is_refused():
 
 
 def test_count_roots_examples():
-    assert count_roots_in_zp(PadicPoly.from_ints(3, 6, (0, -1, 1))) == 2
-    assert count_roots_in_zp(PadicPoly.from_ints(3, 6, (-3, 0, 1))) == 0
+    assert len(zp_roots(PadicPoly.from_ints(3, 6, (0, -1, 1)))) == 2
+    assert len(zp_roots(PadicPoly.from_ints(3, 6, (-3, 0, 1)))) == 0
     f = PadicPoly.from_ints(5, 6, (-6, 0, 1))
-    assert count_roots_in_zp(f) == 2
+    assert len(zp_roots(f)) == 2
     for r, k in zp_roots(f):
         assert (r * r - 6) % 5 ** k == 0
 
 
 def test_count_roots_same_class_regressions():
     # two roots hiding in one residue class at unequal depths
-    assert count_roots_in_zp(PadicPoly.from_ints(3, 10, (0, -9, 1))) == 2
-    assert count_roots_in_zp(PadicPoly.from_ints(3, 10, (0, -36, 0, 1))) == 3
-    f = poly_from_roots(5, 12, [1, 26, 126])
-    assert count_roots_in_zp(f) == 3
+    assert len(zp_roots(PadicPoly.from_ints(3, 10, (0, -9, 1)))) == 2
+    assert len(zp_roots(PadicPoly.from_ints(3, 10, (0, -36, 0, 1)))) == 3
+    assert len(zp_roots(_from_roots(5, 12, [1, 26, 126]))) == 3
 
 
 def test_count_roots_additivity():
@@ -240,11 +253,12 @@ def test_count_roots_additivity():
         c2 = [int(x) for x in gen.integers(0, p ** N, size=2)] + [1]
         f1 = PadicPoly.from_ints(p, N, c1)
         f2 = PadicPoly.from_ints(p, N, c2)
-        r1, r2 = list(f1.residue()), list(f2.residue())
+        r1, r2 = (poly_trim(c % p for c in f.coeffs) for f in (f1, f2))
         if len(_fp_gcd(r1, r2, p)) > 1:
             continue
         try:
-            assert count_roots_in_zp(f1 * f2) == count_roots_in_zp(f1) + count_roots_in_zp(f2)
+            both = len(zp_roots(_poly(p, N, c1, c2)))
+            assert both == len(zp_roots(f1)) + len(zp_roots(f2))
         except PrecisionExhausted:
             continue
         checked += 1
@@ -253,11 +267,11 @@ def test_count_roots_additivity():
 def test_precision_exhausted_on_true_double_root():
     f = PadicPoly.from_ints(3, 6, (0, 0, 1))  # x^2
     with pytest.raises(PrecisionExhausted):
-        count_roots_in_zp(f)
+        zp_roots(f)
 
 
 def test_island_multiplicities():
-    f = poly_from_roots(3, 3, [0, 3, 4])
+    f = _from_roots(3, 3, [0, 3, 4])
     assert island_multiplicities(f) == {(0, 1): 2, (2, 1): 1}
     f = PadicPoly.from_ints(3, 3, (1, 0, 0, 1))  # residue x^3 + 1 = (x+1)^3
     assert island_multiplicities(f) == {(1, 1): 3}
@@ -268,8 +282,7 @@ def test_island_degree_conservation():
     for _ in range(150):
         n = int(gen.integers(2, 6))
         p = int(gen.choice([2, 3]))
-        A = sample_matrix(n, p, 6, MAT, gen)
-        islands = island_multiplicities(charpoly(A))
+        islands = island_multiplicities(_sampled_charpoly(gen, n, p, 6))
         assert sum((len(k) - 1) * m for k, m in islands.items()) == n
 
 
@@ -278,8 +291,7 @@ def test_gl_samples_never_touch_the_zero_island():
     for _ in range(300):
         n = int(gen.integers(1, 5))
         p = int(gen.choice([2, 3]))
-        A = sample_matrix(n, p, 4, GL, gen)
-        f = charpoly(A)
+        f = _sampled_charpoly(gen, n, p, 4, gl=True)
         assert (0, 1) not in island_multiplicities(f)
 
 
@@ -327,12 +339,11 @@ def test_classify_quadratic_matches_discriminant(p, N, b, kb, c, kc):
     # Sylvester-resultant discriminant does, refusals included
     m = p ** N
     g = PadicPoly.from_ints(p, N, (c * p ** kc % m, b * p ** kb % m, 1))
-    disc = discriminant(g)
-    if disc.is_saturated or disc.valuation >= N - 1:
+    v = raw_valuation(discriminant(g), p, m)
+    if v is SATURATED or v >= N - 1:
         with pytest.raises(PrecisionExhausted):
             classify_quadratic(g)
         return
-    v = disc.valuation
     d = classify_quadratic(g)
     if v % 2 == 0:
         assert (d.label, d.m) == (QUAD_UNRAMIFIED, v // 2)
@@ -350,7 +361,7 @@ def test_unramified_roots_counts():
     f = PadicPoly.from_ints(5, 6, (-5, 0, 1))
     assert len(unramified_roots(f, 2)) == 0
     # quartic with two conjugate pairs on the same island
-    f = PadicPoly.from_ints(5, 10, (-2, 0, 1)) * PadicPoly.from_ints(5, 10, (-27, 0, 1))
+    f = _poly(5, 10, (-2, 0, 1), (-27, 0, 1))
     assert len(unramified_roots(f, 2)) == 4
 
 
@@ -434,7 +445,7 @@ def test_census_factors_each_residue_once(monkeypatch):
     for _ in range(60):
         p = int(gen.choice([2, 3, 5]))
         n = int(gen.integers(2, 7))
-        f = charpoly(sample_matrix(n, p, 8, MAT, gen))
+        f = _sampled_charpoly(gen, n, p, 8)
         calls.clear()
         census_of_poly(f)
         assert len(calls) == 1
@@ -450,13 +461,13 @@ def test_census_lifts_only_repeated_residue_factors(monkeypatch):
 
     monkeypatch.setattr(root_census, "_lift_factors", counting)
     # squarefree residue x (x - 1) (x^2 + 1) over F_3: nothing is lifted
-    f = poly_from_roots(3, 8, [3, 4]) * PadicPoly.from_ints(3, 8, (1, 0, 1))
+    f = _poly(3, 8, (-3, 1), (-4, 1), (1, 0, 1))
     c = census_of_poly(f)
     assert heads == []
     assert c.unram_counts == {2: 2}
     assert c.quad_counts == {(QUAD_UNRAMIFIED, 0): 1} and not c.flags
     # residue x^2 (x - 1) (x - 2): only the repeated factor x^2 is lifted
-    f = poly_from_roots(3, 8, [0, 9, 1, 2])
+    f = _from_roots(3, 8, [0, 9, 1, 2])
     c = census_of_poly(f)
     assert heads == [((0, 1), 1, 2)]
     assert not c.quad_counts and not c.unram_counts and not c.flags
@@ -476,13 +487,12 @@ def _planted_roots(draw):
     deep = draw(st.lists(st.integers(0, p ** (N - 1) - 1), min_size=2, max_size=4))
     other = draw(st.lists(st.integers(0, p ** N - 1), max_size=2))
     rest = draw(st.lists(st.integers(0, p ** N - 1), max_size=3))
-    f = poly_from_roots(p, N, [a + p * r for r in deep] + other)
-    return f * PadicPoly.from_ints(p, N, rest + [1])
+    return _poly(p, N, *([-x, 1] for x in [a + p * r for r in deep] + other), rest + [1])
 
 
 @settings(max_examples=300, deadline=None)
 @given(_planted_roots())
-@example(poly_from_roots(3, 10, [0, 9, 36]))
+@example(_from_roots(3, 10, [0, 9, 36]))
 def test_certified_roots_are_separated_at_their_precision(f):
     # roots of different residues differ by a unit; two roots of one disk
     # a + pZ_p differ at 1 + v(r - r'), below 1 + min(k, k') by induction,
@@ -508,7 +518,7 @@ def test_census_searches_only_lifted_linear_heads(monkeypatch):
     for _ in range(80):
         p = int(gen.choice([2, 3, 5]))
         n = int(gen.integers(2, 7))
-        f = charpoly(sample_matrix(n, p, 8, MAT, gen))
+        f = _sampled_charpoly(gen, n, p, 8)
         heads = [(e,) for e in factor_mod_p(f.coeffs, p).factors
                  if e[1] == 1 and e[2] > 1]
         calls.clear()
@@ -528,7 +538,7 @@ def test_census_matches_unramified_root_search():
     for _ in range(200):
         p = int(gen.choice([3, 5]))
         n = int(gen.integers(2, 7))
-        f = charpoly(sample_matrix(n, p, 8, MAT, gen))
+        f = _sampled_charpoly(gen, n, p, 8)
         c = census_of_poly(f)
         if c.flags:
             continue
@@ -549,40 +559,40 @@ def test_census_matches_unramified_root_search():
 
 
 def test_census_examples():
-    A = PadicMatrix.from_rows(3, 6, [[0, 0], [0, 1]])
-    c = eigenvalue_census(A)
-    assert sorted(r for r, _ in zp_roots(charpoly(A))) == [0, 1]
+    f = _charpoly([[0, 0], [0, 1]], 3, 6)
+    c = census_of_poly(f)
+    assert sorted(r for r, _ in zp_roots(f)) == [0, 1]
     assert not c.quad_counts and not c.flags
-    A = PadicMatrix.from_rows(5, 6, [[0, 2], [1, 0]])
-    c = eigenvalue_census(A)
-    assert count_roots_in_zp(charpoly(A)) == 0
+    f = _charpoly([[0, 2], [1, 0]], 5, 6)
+    c = census_of_poly(f)
+    assert len(zp_roots(f)) == 0
     assert c.quad_counts == {(QUAD_UNRAMIFIED, 0): 1}
 
 
 def test_census_depth_one_quadratics():
-    f = PadicPoly.from_ints(3, 10, (-18, 0, 1)) * PadicPoly.from_ints(3, 10, (-1, 1))
+    f = _poly(3, 10, (-18, 0, 1), (-1, 1))
     c = census_of_poly(f)
-    assert count_roots_in_zp(f) == 1
+    assert len(zp_roots(f)) == 1
     assert c.quad_counts == {(QUAD_UNRAMIFIED, 1): 1}
     assert not c.flags
-    f = PadicPoly.from_ints(3, 10, (-27, 0, 1)) * PadicPoly.from_ints(3, 10, (-1, 1))
+    f = _poly(3, 10, (-27, 0, 1), (-1, 1))
     c = census_of_poly(f)
     assert c.quad_counts == {(QUAD_RAMIFIED, 1): 1}
 
 
 def test_census_resolves_shared_island_pairs():
-    f = PadicPoly.from_ints(3, 12, (-18, 0, 1)) * PadicPoly.from_ints(3, 12, (-180, 0, 1))
+    f = _poly(3, 12, (-18, 0, 1), (-180, 0, 1))
     c = census_of_poly(f)
     assert c.quad_counts == {(QUAD_UNRAMIFIED, 1): 2}
     assert not c.flags
-    f = PadicPoly.from_ints(5, 10, (-2, 0, 1)) * PadicPoly.from_ints(5, 10, (-27, 0, 1))
+    f = _poly(5, 10, (-2, 0, 1), (-27, 0, 1))
     c = census_of_poly(f)
     assert c.quad_counts == {(QUAD_UNRAMIFIED, 0): 2}
     assert c.unram_counts.get(2) == 4
 
 
 def test_census_flags_unresolvable_ramified_pairs():
-    f = PadicPoly.from_ints(3, 12, (-3, 0, 1)) * PadicPoly.from_ints(3, 12, (-12, 0, 1))
+    f = _poly(3, 12, (-3, 0, 1), (-12, 0, 1))
     c = census_of_poly(f)
     assert "quad" in c.flags
     assert c.quad_counts == {}
@@ -591,7 +601,7 @@ def test_census_flags_unresolvable_ramified_pairs():
 def test_census_cubic_orbits():
     f = PadicPoly.from_ints(3, 12, (-3, 0, 0, 1))  # ramified cubic
     c = census_of_poly(f)
-    assert count_roots_in_zp(f) == 0 and not c.quad_counts
+    assert len(zp_roots(f)) == 0 and not c.quad_counts
     f = PadicPoly.from_ints(2, 8, (1, 1, 0, 1))  # unramified cubic
     c = census_of_poly(f)
     assert c.unram_counts == {3: 3}
@@ -637,9 +647,9 @@ def test_census_brute_force_equivalence_4096():
         return len(found), flagged
 
     agree = both = 0
-    for code in product(range(m), repeat=4):
-        A = PadicMatrix.from_rows(p, N, [[code[0], code[1]], [code[2], code[3]]])
-        coeffs = list(charpoly(A).coeffs)
+    mats = np.array(list(product(range(m), repeat=4)), dtype=np.int64).reshape(-1, 2, 2)
+    for row in batch_charpoly(mats, m):
+        coeffs = poly_trim(row[::-1].tolist())
         roots, ok = _zp_roots_raw(coeffs, p, N)
         count, flagged = oracle(coeffs)
         if ok and not flagged:
