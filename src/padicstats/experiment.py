@@ -12,6 +12,8 @@ undetermined.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import threading
@@ -516,9 +518,12 @@ def _flatten_params(params: dict) -> str:
 
 
 def reports_to_csv(reports) -> str:
-    lines = [
-        "experiment,params,estimand,estimate,se,ci_lo,ci_hi,analytic,verdict,z,seed"
-    ]
+    """One row per report under a fixed header; a field holding a comma or
+    a quote (a tuple parameter, an estimand) is quoted."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["experiment", "params", "estimand", "estimate", "se",
+                     "ci_lo", "ci_hi", "analytic", "verdict", "z", "seed"])
     for r in reports:
         d = r.to_dict()
         if "estimate" in d:
@@ -537,22 +542,8 @@ def reports_to_csv(reports) -> str:
         else:
             a = ""
         z = d.get("z")
-        lines.append(
-            ",".join(
-                str(x)
-                for x in (
-                    d["name"],
-                    _flatten_params(d["params"]),
-                    d["estimand"],
-                    est,
-                    se,
-                    ci_lo,
-                    ci_hi,
-                    a,
-                    d["verdict"],
-                    "" if z is None else z,
-                    d["seed"],
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+        writer.writerow([
+            d["name"], _flatten_params(d["params"]), d["estimand"], est, se,
+            ci_lo, ci_hi, a, d["verdict"], "" if z is None else z, d["seed"],
+        ])
+    return out.getvalue()

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .batched import (
     batch_charpoly,
     batch_charpoly_quad,
     batch_det,
+    batch_rank_mod_p,
     batch_smith_parts,
     batch_smith_parts_quad,
     batch_valuation,
@@ -54,7 +55,7 @@ from .experiment import (
     run_chunked,
 )
 from .matrix_lab import GL, MAT
-from .padic_core import PadicPoly, det_mod, is_prime, raw_valuation
+from .padic_core import PadicPoly, is_prime, raw_valuation
 from .root_census import (
     QUAD_RAMIFIED,
     QUAD_UNRAMIFIED,
@@ -207,10 +208,11 @@ def _quad_chain_budget(spec):
 
 
 def _points_budget(spec):
-    """Repeated points make the exact laws undefined, the GL law holds at
-    unit points only, and the matrix laws hold only for s > 2v, v the
-    largest pairwise valuation of the points (at p = 2, points (0, 2) and
-    s = 1 the enumeration gives 5/2 against 3).  The polynomial law holds
+    """Repeated points make the exact laws undefined, the matrix laws at r
+    points run on r x r matrices (n = r), the GL law holds at unit points
+    only, and the matrix laws hold only for s > 2v, v the largest pairwise
+    valuation of the points (at p = 2, points (0, 2) and s = 1 the
+    enumeration gives 5/2 against 3).  The polynomial law holds
     only for at most n points and s >= V, V = sum of the pairwise
     valuations (at p = 2, n = 3, points (0, 4) and s = 1 it gives 2
     against 4); both rules are read off enumerations.  The enumeration
@@ -218,6 +220,9 @@ def _points_budget(spec):
     p, points, s = spec.p, spec.params["points"], spec.params["s"]
     vals = cf._pairwise_min_valuations(p, points)
     v = max(vals, default=0)
+    if spec.mode != POLY and spec.n != len(points):
+        raise ValueError(f"the matrix law at {len(points)} points runs on "
+                         f"n = {len(points)}, got n = {spec.n}")
     if spec.mode == GL and any(x % p == 0 for x in points):
         raise ValueError(f"GL points must be units mod {p}, got {points}")
     if spec.mode != POLY and s <= 2 * v:
@@ -392,8 +397,12 @@ def _run_det_moment(spec):
 def _run_det_moment_exact(spec):
     p, N = spec.p, spec.precision
     m = p ** N
-    lo = sum(Fraction(1, p ** raw_valuation(a, p, m)) for a in range(1, m)) / m
-    hi = lo + Fraction(1, p ** N) / m  # a = 0: true norm anywhere in [0, p^-N]
+    counts = np.zeros(N + 1, dtype=np.int64)  # residues a mod p^N by v(a)
+    for block in _digit_blocks(m, 1):
+        counts += np.bincount(batch_valuation(block[:, 0], p, N), minlength=N + 1)
+    # a = 0 alone reports v = N: its true norm lies anywhere in [0, p^-N]
+    lo = sum(Fraction(int(c), p ** v) for v, c in enumerate(counts[:N])) / m
+    hi = lo + Fraction(1, p ** N) / m
     return [exact_report(
         spec, "E ||det A||, n=1", lo, hi, m,
         Fraction(p - 1, p) / Fraction(p * p - 1, p * p),
@@ -828,10 +837,18 @@ def _run_charpoly_det(spec):
 # ---------------------------------------------------------------------------
 
 
-def _iter_matrices(p, s, n):
-    m = p ** s
-    for code in product(range(m), repeat=n * n):
-        yield [list(code[i * n : (i + 1) * n]) for i in range(n)]
+ENUM_BLOCK = 2 ** 16  # most codes _digit_blocks yields at once
+
+
+def _digit_blocks(base, width):
+    """Every width-digit vector in base `base`, most significant digit
+    first, in code order, as (B, width) int64 blocks of at most ENUM_BLOCK
+    rows.  check_enumeration_budget keeps base^width within int64."""
+    total = base ** width
+    weights = base ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    for start in range(0, total, ENUM_BLOCK):
+        codes = np.arange(start, min(start + ENUM_BLOCK, total), dtype=np.int64)
+        yield codes[:, None] // weights % base
 
 
 def _exact_prefactor(p: int, r: int) -> Fraction:
@@ -849,30 +866,24 @@ def _exact_pov_value(p: int, points, gl: bool) -> Fraction:
 
 
 def _run_points_on_variety(spec):
+    """Counts the r x r matrices A mod p^s (invertible mod p in GL mode)
+    with det(x I - A) = 0 mod p^s at every point x; each point is reduced
+    mod p^s before it meets int64."""
     p, s = spec.p, spec.params["s"]
-    points = list(spec.params["points"])
+    points = spec.params["points"]
     r = len(points)
     gl = spec.mode == GL
     m = p ** s
-    hits = 0
-    total = 0
-    from .matrix_lab import _rank_mod_p
-
-    for A in _iter_matrices(p, s, r):
-        if gl and _rank_mod_p(A, p) < r:
-            continue
-        total += 1
-        good = True
+    eye = np.eye(r, dtype=np.int64)
+    hits = total = 0
+    for block in _digit_blocks(m, r * r):
+        A = block.reshape(-1, r, r)
+        if gl:
+            A = A[batch_rank_mod_p(A, p) == r]
+        total += len(A)
         for x in points:
-            rows = [
-                [((x if i == j else 0) - A[i][j]) % m for j in range(r)]
-                for i in range(r)
-            ]
-            if det_mod(rows, m) != 0:
-                good = False
-                break
-        if good:
-            hits += 1
+            A = A[batch_det((x % m * eye - A) % m, m) == 0]
+        hits += len(A)
     normalized = Fraction(hits, total) * p ** (s * r)
     return [exact_report(
         spec, "p^(s*r) * P(val P_A(x) >= s at all points)", normalized,
@@ -882,24 +893,21 @@ def _run_points_on_variety(spec):
 
 
 def _run_poly_variety(spec):
+    """Counts the monic x^n + c_{n-1} x^{n-1} + ... + c_0 mod p^s, digits
+    (c_0, .., c_{n-1}), that vanish mod p^s at every point (by Horner)."""
     p, s = spec.p, spec.params["s"]
-    points = list(spec.params["points"])
+    points = spec.params["points"]
     n = spec.n
     m = p ** s
     hits = 0
-    total = 0
-    for code in product(range(m), repeat=n):
-        total += 1
-        good = True
+    for block in _digit_blocks(m, n):
         for x in points:
-            acc = 1
-            for c in reversed(code):
-                acc = (acc * x + c) % m
-            if acc != 0:
-                good = False
-                break
-        if good:
-            hits += 1
+            acc = np.ones(len(block), dtype=np.int64)
+            for j in range(n - 1, -1, -1):
+                acc = (acc * (x % m) + block[:, j]) % m
+            block = block[acc == 0]
+        hits += len(block)
+    total = m ** n
     normalized = Fraction(hits, total) * p ** (s * len(points))
     return [exact_report(
         spec, "p^(s*#points) * P(val Y(x) >= s at all points)", normalized,
@@ -910,14 +918,9 @@ def _run_poly_variety(spec):
 
 def _run_invertible_exact(spec):
     p, n = spec.p, spec.n
-    from .matrix_lab import _rank_mod_p
-
-    hits = 0
-    total = 0
-    for A in _iter_matrices(p, 1, n):
-        total += 1
-        if _rank_mod_p(A, p) == n:
-            hits += 1
+    hits = sum(int((batch_rank_mod_p(block.reshape(-1, n, n), p) == n).sum())
+               for block in _digit_blocks(p, n * n))
+    total = p ** (n * n)
     return [exact_report(
         spec, "P(A invertible mod p)", Fraction(hits, total),
         Fraction(hits, total), total, _exact_prefactor(p, n),

@@ -143,10 +143,13 @@ def test_bad_run_parameters_are_usage_errors(argv, capsys):
     ["run", "E_Zp_count", "--precision", "2"],
     ["run", "points_on_variety", "--points", "0,2"],
     ["run", "points_on_variety", "--p", "3", "--points", "0,3"],
+    ["run", "points_on_variety", "--p", "3", "--points", "0,1,2"],
+    ["run", "points_on_variety", "--n", "7"],
 ])
 def test_bad_size_worker_seed_and_degree_are_usage_errors(argv, capsys):
     # n, workers, d, m and s below 1, k below 0, seeds outside [0, 2^64),
-    # repeated points, a GL point divisible by p, clustered points at an s
+    # repeated points, an n other than the number of points of a matrix
+    # law, a GL point divisible by p, clustered points at an s
     # where the exact matrix law fails (s <= 2v), a label other than
     # UNRAMIFIED/RAMIFIED, a c that is a square mod p, a mode the runner
     # does not read, N below the precision policy and an enumeration past
@@ -181,6 +184,14 @@ def test_clustered_points_pass_past_twice_their_valuation(capsys):
     assert dispatch(["run", "points_on_variety", "--points", "0,2", "--s", "3"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "[3, 3] (exact)" in out
+
+
+def test_points_past_int64_are_reduced_before_enumeration(capsys):
+    # 2^70 + 1 = 1 mod 2: the law at points (0, 1) holds
+    argv = ["run", "points_on_variety", "--points", "0,1180591620717411303425"]
+    assert dispatch(argv) == 0
+    out = capsys.readouterr().out
+    assert "PASS" in out and "[3/2, 3/2] (exact)" in out
 
 
 @pytest.mark.parametrize("argv", [

@@ -25,6 +25,7 @@ ALLOWED = {
     "markov_spectral": "Markov machinery of acceptance criterion 5",
     "markov_t_moment": "closed-form moments of the Markov chain (test_closed_forms)",
     "markov_sample_path": "Markov path sampler (test_closed_forms)",
+    "_rank_mod_p": "scalar oracle of batch_rank_mod_p",
 }
 
 

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -173,6 +175,17 @@ def test_json_round_trip_and_csv():
     assert "det_moment" in lines[1]
 
 
+def test_csv_rows_match_the_header_width():
+    # tuple parameters (points, sizes) and the en_decay estimands hold commas
+    reports = (run_experiment(build_experiment("en_decay", {"trials": 300}))
+               + run_experiment(build_experiment("points_on_variety")))
+    rows = list(csv.reader(io.StringIO(reports_to_csv(reports))))
+    assert len(rows) == 1 + len(reports)
+    assert {len(row) for row in rows} == {len(rows[0])}
+    assert rows[1][2] == "P(all in Zp) gap, n=2 minus n=3"
+    assert "points=(0, 1);" in rows[-1][1]
+
+
 def test_exhaustive_mc_agreement_coverage():
     """Three-sigma Monte Carlo gates cover the exact enumeration value with
     at least 99% frequency: verified exactly over the binomial law and
@@ -231,6 +244,21 @@ def test_gl_spot_check_exact():
     reports = run_experiment(build_experiment("points_on_variety_gl"))
     r = reports[0]
     assert r.lo == Fraction(9, 4) and r.verdict == "PASS"
+
+
+@pytest.mark.parametrize("name, overrides, value, details", [
+    # the law at r = 3
+    ("points_on_variety", {"p": 3, "n": 3, "points": (0, 1, 2)},
+     Fraction(52, 27), "1404 of 19683"),
+    # a clustered pair at s = 2v + 1: 3^12 matrices, several blocks
+    ("points_on_variety", {"p": 3, "points": (0, 3), "s": 3},
+     Fraction(4), "2916 of 531441"),
+    ("invertible_exact", {"p": 3, "n": 3}, Fraction(416, 729), "11232 of 19683"),
+], ids=["three_points", "clustered_pair", "invertible_3x3"])
+def test_exact_enumerations_at_larger_sizes(name, overrides, value, details):
+    (r,) = run_experiment(build_experiment(name, overrides))
+    assert r.lo == r.hi == value and r.verdict == "PASS"
+    assert r.details == details
 
 
 def test_joint_chain_pipeline():
