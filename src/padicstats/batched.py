@@ -438,27 +438,57 @@ def batch_rank_mod_p(mats: np.ndarray, p: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Packed F_2 linear algebra: each matrix is a (n,) array of uint64 row
-# bitmasks, batched as (B, n).  Valid for n <= 63.
+# bitmasks, batched as (B, n).  Valid for n <= 63.  Products are 4-bit
+# Four-Russians products (M4RM: Albrecht, Bard & Hart, "Algorithm 910:
+# M4RI", ACM TOMS 37, 2010), and the p = 2 island law draws its matrices
+# straight as bits (sample_f2_matrices), so they stay in bits from the
+# draw to the rank.
 # ---------------------------------------------------------------------------
 
 
 def f2_pack(mats: np.ndarray) -> np.ndarray:
-    """(B, n, n) 0/1 matrices -> (B, n) uint64 row bitmasks."""
+    """(B, n, n) matrices over F_2 -> (B, n) uint64 row bitmasks; an entry
+    is 1 when it is nonzero, so pass residues mod 2 or booleans."""
     B, rows, n = mats.shape
     check_f2_budget(n)
-    # bit j of row i is entry (i, j): little-endian bytes of one uint64
+    # bit j of row i is entry (i, j): little-endian bytes of one uint64;
+    # packbits runs fastest on one-byte booleans
     packed = np.zeros((B, rows, 8), dtype=np.uint8)
-    packed[:, :, : (n + 7) // 8] = np.packbits(mats, axis=2, bitorder="little")
+    packed[:, :, : (n + 7) // 8] = np.packbits(
+        mats.astype(bool, copy=False), axis=2, bitorder="little")
     return packed.view("<u8")[:, :, 0].astype(np.uint64, copy=False)
 
 
 def f2_matmul(A: np.ndarray, B: np.ndarray, n: int) -> np.ndarray:
-    """Row-packed product A @ B over F_2: (B, n) x (B, n) -> (B, n)."""
+    """Row-packed product A @ B over F_2: (B, n) x (B, n) -> (B, n).
+
+    Row i of A @ B is the XOR of the rows j of B whose bit j of A[i] is
+    set.  For each sample, T[g, k, sample] is the XOR of the rows 4g + t
+    of B over the bits t of k, so row i of the product is the XOR over g
+    of T[g, (A[i] >> 4g) & 15, sample].
+    """
+    size = A.shape[0]
+    groups = (n + 3) // 4
+    rows = np.zeros((groups * 4, size), dtype=np.uint64)
+    rows[:n] = B.T
+    rows = rows.reshape(groups, 4, size)
+    T = np.empty((groups, 16, size), dtype=np.uint64)
+    T[:, 0] = 0
+    for k in range(1, 16):
+        low = k & -k  # T[k] = T[k without its lowest bit] ^ that bit's row
+        np.bitwise_xor(T[:, k ^ low], rows[:, low.bit_length() - 1],
+                       out=T[:, k])
+    table = T.reshape(-1)
+    sample = np.arange(size, dtype=np.intp)[:, None]
+    bits = A.view(np.int64)  # n <= 63 leaves the sign bit clear
+    idx = np.empty(A.shape, dtype=np.intp)
     C = np.zeros_like(A)
-    one = np.uint64(1)
-    for j in range(n):
-        mask = (A >> np.uint64(j)) & one
-        C ^= mask * B[:, j][:, None]
+    for g in range(groups):
+        np.right_shift(bits, 4 * g, out=idx)
+        idx &= 15
+        idx *= size
+        idx += sample + g * 16 * size
+        C ^= table.take(idx)
     return C
 
 
@@ -597,6 +627,18 @@ def fp_primary_multiplicity(mats: np.ndarray, coeffs, d: int, p: int,
     M = _fp_poly_power(mats, low, p, cap_pow).astype(_rank_dtype(p))
     r = batch_rank_mod_p(M, p)
     return (n - r) // d
+
+
+def sample_f2_matrices(gen: np.random.Generator, B: int, n: int) -> np.ndarray:
+    """Uniform (B, n, n) boolean batch over F_2, entry for entry equal to
+    gen.integers(0, 2, (B, n, n), dtype=np.int64) != 0.
+
+    numpy's bounded sampler draws one 32-bit word per entry for a range of
+    2 and returns its top bit, with no rejection; drawing the words
+    outright gives the same bits from the same stream without an int64
+    array.  tests/test_matrix_lab.py pins this identity.
+    """
+    return gen.integers(0, 2 ** 32, size=(B, n, n), dtype=np.uint32) >= 2 ** 31
 
 
 def sample_matrices(gen: np.random.Generator, B: int, n: int, p: int, N: int,

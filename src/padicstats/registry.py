@@ -35,6 +35,7 @@ from .batched import (
     check_smith_budget,
     f2_primary_multiplicity,
     fp_primary_multiplicity,
+    sample_f2_matrices,
     sample_matrices,
 )
 from .experiment import (
@@ -426,10 +427,11 @@ ISLAND_CAP_POW = ISLAND_MAX_J.bit_length()
 def _island_law_chunk(spec, gen, size):
     p, n, d = spec.p, spec.n, spec.params["d"]
     coeffs = list(unramified_modulus(p, d))
-    mats = gen.integers(0, p, size=(size, n, n), dtype=np.int64)
     if p == 2:
+        mats = sample_f2_matrices(gen, size, n)
         mult = f2_primary_multiplicity(mats, coeffs, d, ISLAND_CAP_POW)
     else:
+        mats = gen.integers(0, p, size=(size, n, n), dtype=np.int64)
         mult = fp_primary_multiplicity(mats, coeffs, d, p, ISLAND_CAP_POW)
     hist = np.bincount(
         np.minimum(mult, ISLAND_MAX_J + 1), minlength=ISLAND_MAX_J + 2
