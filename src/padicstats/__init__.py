@@ -18,8 +18,6 @@ from .matrix_lab import (
 )
 from .root_census import (
     Census,
-    ExtensionDescriptor,
-    ResidueFactorization,
     classify_quadratic,
     factor_mod_p,
     hensel_split,

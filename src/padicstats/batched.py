@@ -531,17 +531,15 @@ def f2_poly_of_matrix(packed: np.ndarray, coeffs, n: int) -> np.ndarray:
 
 
 def f2_primary_multiplicity(mats: np.ndarray, coeffs, d: int,
-                            cap_pow: int | None = None) -> np.ndarray:
+                            cap_pow: int) -> np.ndarray:
     """Multiplicity of an irreducible degree-d factor F in the
     characteristic polynomial of each F_2 matrix in the batch.
 
-    Computed as (n - rank(F(A)^K)) / d with K = 2^cap_pow.  The default
-    cap takes K past the largest possible multiplicity n/d, which makes
-    the generalized kernel dimension, hence the count, exact.
+    Computed as (n - rank(F(A)^K)) / d with K = 2^cap_pow.  A cap that
+    takes K to the largest possible multiplicity n/d or past it makes the
+    generalized kernel dimension, hence the count, exact.
     """
     n = mats.shape[1]
-    if cap_pow is None:
-        cap_pow = max(1, (max(n // d, 1) - 1).bit_length())
     packed = f2_pack(mats)
     M = f2_poly_of_matrix(packed, coeffs, n)
     for _ in range(cap_pow):
@@ -610,7 +608,7 @@ def _fp_poly_power(mats: np.ndarray, low: list, p: int,
 
 
 def fp_primary_multiplicity(mats: np.ndarray, coeffs, d: int, p: int,
-                            cap_pow: int | None = None) -> np.ndarray:
+                            cap_pow: int) -> np.ndarray:
     """Odd-p counterpart of f2_primary_multiplicity via float64 matmuls.
 
     A float64 product of residues mod p is exact while its row sums
@@ -621,8 +619,6 @@ def fp_primary_multiplicity(mats: np.ndarray, coeffs, d: int, p: int,
     *low, lead = [c % p for c in coeffs]
     if lead != 1 or not low:
         raise ValueError("expected a monic polynomial of degree >= 1")
-    if cap_pow is None:
-        cap_pow = max(1, (max(n // d, 1) - 1).bit_length())
     # the float64 buffers are freed before the elimination runs
     M = _fp_poly_power(mats, low, p, cap_pow).astype(_rank_dtype(p))
     r = batch_rank_mod_p(M, p)
@@ -644,17 +640,19 @@ def sample_f2_matrices(gen: np.random.Generator, B: int, n: int) -> np.ndarray:
 def sample_matrices(gen: np.random.Generator, B: int, n: int, p: int, N: int,
                     gl: bool = False) -> np.ndarray:
     """Uniform (B, n, n) int64 batch mod p^N; GL rejection-resamples the
-    singular ones (deterministic given the stream)."""
+    singular ones (deterministic given the stream).  A row that is
+    invertible stays so, so each round ranks only the rows it redrew."""
     m = p ** N
     out = gen.integers(0, m, size=(B, n, n), dtype=np.int64)
     if not gl:
         return out
+    bad = np.arange(B)
     for _ in range(10 ** 6):
         if p == 2:
-            ranks = f2_rank(f2_pack(out % 2), n)
+            ranks = f2_rank(f2_pack(out[bad] % 2), n)
         else:
-            ranks = batch_rank_mod_p(out, p)
-        bad = np.flatnonzero(ranks < n)
+            ranks = batch_rank_mod_p(out[bad], p)
+        bad = bad[ranks < n]
         if bad.size == 0:
             return out
         out[bad] = gen.integers(0, m, size=(bad.size, n, n), dtype=np.int64)

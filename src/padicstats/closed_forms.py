@@ -55,9 +55,6 @@ class IntervalValue:
     hi: float
     flags: tuple = ()
 
-    def contains(self, x: float, tol: float = 0.0) -> bool:
-        return self.lo - tol <= x <= self.hi + tol
-
 
 @dataclass(frozen=True)
 class MarkovParams:
@@ -65,7 +62,6 @@ class MarkovParams:
 
     t: float
     u: float = 1.0
-    xi: float = 1.0
 
     def __post_init__(self):
         if not (0.0 < self.t < 1.0):

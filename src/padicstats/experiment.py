@@ -193,7 +193,7 @@ class Verdict:
     details: str
 
 
-def compare(report, analytic: AnalyticTarget | None = None) -> Verdict:
+def compare(report) -> Verdict:
     """Verdict for a report against its analytic target.
 
     Monte Carlo point targets pass within 3 standard errors plus the
@@ -204,7 +204,7 @@ def compare(report, analytic: AnalyticTarget | None = None) -> Verdict:
     an estimate that is NaN or an infinite standard error (one certified
     sample) makes any verdict inconclusive.
     """
-    target = analytic if analytic is not None else report.analytic
+    target = report.analytic
     if target is None:
         return Verdict(INCONCLUSIVE, None, "no analytic target")
     if isinstance(report, ExactReport):

@@ -336,10 +336,6 @@ class QuotientRing:
         m = self.modulus
         return tuple((x - y) % m for x, y in zip(a, b))
 
-    def neg(self, a):
-        m = self.modulus
-        return tuple(-x % m for x in a)
-
     def mul(self, a, b):
         m = self.modulus
         rem = poly_divmod(poly_mul(a, b, m), self.modpoly, m)[1]

@@ -54,25 +54,6 @@ QUAD_UNRAMIFIED = "QUAD_UNRAMIFIED"
 QUAD_RAMIFIED = "QUAD_RAMIFIED"
 
 
-@dataclass(frozen=True)
-class ExtensionDescriptor:
-    """Invariants of the extension housing an eigenvalue orbit."""
-
-    degree: int
-    ram_index: int
-    res_degree: int
-    disc_val: int
-    label: str
-    m: int
-
-    def __post_init__(self):
-        if self.degree != self.ram_index * self.res_degree:
-            raise ValueError("degree must equal e * f")
-
-    def disc_norm(self, p: int) -> float:
-        return float(p) ** (-self.disc_val)
-
-
 # ---------------------------------------------------------------------------
 # Factorization over F_p, on the shared coefficient-list kernel with m = p.
 # ---------------------------------------------------------------------------
@@ -223,23 +204,12 @@ def _equal_degree_split(f, d, p):
     raise RuntimeError("equal-degree factorization stalled")  # pragma: no cover
 
 
-@dataclass(frozen=True)
-class ResidueFactorization:
-    """Irreducible factorization over F_p: ((coeffs, degree, multiplicity), ...)."""
-
-    p: int
-    factors: tuple
-
-    @property
-    def total_degree(self) -> int:
-        return sum(d * m for _, d, m in self.factors)
-
-
 FACTOR_CACHE_SIZE = 4096  # residues whose factorizations are kept
 
 
-def factor_mod_p(coeffs, p: int) -> ResidueFactorization:
-    """Complete monic irreducible factorization of a nonzero poly over F_p.
+def factor_mod_p(coeffs, p: int) -> tuple:
+    """Complete monic irreducible factorization of a nonzero poly over F_p,
+    as the sorted tuple ((coeffs, degree, multiplicity), ...).
 
     The result depends on the residue alone, so it is cached on
     (residue, p).
@@ -251,17 +221,14 @@ def factor_mod_p(coeffs, p: int) -> ResidueFactorization:
 
 
 @lru_cache(maxsize=FACTOR_CACHE_SIZE)
-def _factor(f: tuple, p: int) -> ResidueFactorization:
+def _factor(f: tuple, p: int) -> tuple:
     found = {}
     for sf, mult in _squarefree_decomposition(f, p):
         for prod, d in _distinct_degree(sf, p):
             for irr in _equal_degree_split(prod, d, p):
                 key = tuple(irr)
                 found[key] = (len(irr) - 1, found.get(key, (0, 0))[1] + mult)
-    factors = tuple(
-        sorted((k, d, m) for k, (d, m) in found.items())
-    )
-    return ResidueFactorization(p, factors)
+    return tuple(sorted((k, d, m) for k, (d, m) in found.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -293,31 +260,15 @@ def _lift_start(residue: tuple, p: int, heads: tuple) -> tuple:
     return tuple(out)
 
 
-class HenselLifts:
-    """The lifts of a batch, kept as int64 rows (constant term first);
-    ``lifts[i]`` builds the i-th poly's lifted (F, d, mult) list on demand."""
-
-    def __init__(self, p: int, precision: int, heads: list, factors: list,
-                 cofactors: np.ndarray):
-        self.p, self.precision = p, precision
-        self.heads = heads          # per poly, its lifted (F, d, mult) entries
-        self.factors = factors      # per head step, (B, n + 1) factor rows
-        self.cofactors = cofactors  # (B, n + 1) rows
-
-    def __getitem__(self, i: int) -> list:
-        p, N = self.p, self.precision
-        return [(PadicPoly.from_ints(p, N, rows[i].tolist()), d, m)
-                for rows, (_, d, m) in zip(self.factors, self.heads[i])]
-
-
-def _lift_factors(polys, p: int, N: int, heads) -> HenselLifts:
+def _lift_factors(polys, p: int, N: int, heads) -> tuple:
     """Hensel-lift the given residue factors off a batch of monic polys.
 
     ``polys`` holds equal-length coefficient rows over Z/p^N, constant
     term first, and heads[i] distinct (F, d, mult) entries of row i's
-    residue factorization.  lifts[i] holds one (monic factor, d, mult) per
-    entry, the factor reducing to F^mult mod p; lifts.cofactors[i] is the
-    monic cofactor that completes the product to the poly exactly mod p^N.
+    residue factorization.  Returns (lifted, cofactors): lifted[i] holds
+    one (monic factor, d, mult) per entry, the factor reducing to F^mult
+    mod p; cofactors[i] is the int64 row of the monic cofactor that
+    completes the product to the poly exactly mod p^N.
     Each head step lifts its rows with one int64 kernel call per
     (deg F^mult, deg rest) group; a modulus past that kernel's budget
     raises ValueError before any work.
@@ -345,27 +296,32 @@ def _lift_factors(polys, p: int, N: int, heads) -> HenselLifts:
             rest[idx, :lh] = h
             rest[idx, lh:] = 0
         factors.append(rows)
-    return HenselLifts(p, N, list(heads), factors, rest)
+    lifted = [[(PadicPoly.from_ints(p, N, rows[i].tolist()), d, m)
+               for rows, (_, d, m) in zip(factors, hd)]
+              for i, hd in enumerate(heads)]
+    return lifted, rest
 
 
-def census_lifts(polys, p: int, N: int) -> HenselLifts:
+def census_lifts(polys, p: int, N: int) -> list:
     """The lifts census_of_poly reads, for a batch of monic polys given as
-    equal-length coefficient rows (constant term first): the repeated
-    residue factors of each.  Rows with none are not lifted."""
+    equal-length coefficient rows (constant term first): entry i lists
+    row i's repeated residue factors, lifted, as (monic factor, d, mult).
+    Rows with none are not lifted."""
+    check_modulus_budget(max(len(polys[0]) - 1, 1), p ** N)
     polys = np.asarray(polys, dtype=np.int64)
     residues, inv = np.unique(polys % p, axis=0, return_inverse=True)
-    heads = [tuple(e for e in factor_mod_p(r, p).factors if e[2] > 1)
+    heads = [tuple(e for e in factor_mod_p(r, p) if e[2] > 1)
              for r in residues.tolist()]
-    return _lift_factors(polys, p, N, [heads[k] for k in inv.reshape(-1).tolist()])
+    return _lift_factors(polys, p, N, [heads[k] for k in inv.reshape(-1).tolist()])[0]
 
 
 def hensel_split(f: PadicPoly) -> list:
     """Split a monic f into monic factors, one per distinct irreducible
     residue factor, with the product reconstituting f exactly mod p^N."""
-    heads = factor_mod_p(f.coeffs, f.p).factors[:-1]
-    lifts = _lift_factors([f.coeffs], f.p, f.precision, [heads])
-    cofactor = PadicPoly.from_ints(f.p, f.precision, lifts.cofactors[0].tolist())
-    return [g for g, _, _ in lifts[0]] + [cofactor]
+    heads = factor_mod_p(f.coeffs, f.p)[:-1]
+    lifted, cofactors = _lift_factors([f.coeffs], f.p, f.precision, [heads])
+    cofactor = PadicPoly.from_ints(f.p, f.precision, cofactors[0].tolist())
+    return [g for g, _, _ in lifted[0]] + [cofactor]
 
 
 # ---------------------------------------------------------------------------
@@ -465,12 +421,12 @@ def zp_roots(f: PadicPoly):
 def island_multiplicities(f: PadicPoly) -> dict:
     """Multiplicity of each irreducible residue factor of a monic f; the
     number of eigenvalues on the island of F is deg(F) * multiplicity."""
-    return {k: m for k, _, m in factor_mod_p(f.coeffs, f.p).factors}
+    return {k: m for k, _, m in factor_mod_p(f.coeffs, f.p)}
 
 
-def classify_quadratic(g: PadicPoly) -> ExtensionDescriptor:
+def classify_quadratic(g: PadicPoly) -> tuple:
     """Sort an irreducible monic quadratic x^2 + bx + c by the valuation of
-    its discriminant b^2 - 4c.
+    its discriminant b^2 - 4c, as (label, m).
 
     Even valuation 2m means the roots lie in the unramified quadratic
     extension at depth m; odd valuation 2m+1 means a ramified quadratic at
@@ -485,8 +441,8 @@ def classify_quadratic(g: PadicPoly) -> ExtensionDescriptor:
     if v is SATURATED or v >= g.precision - 1:
         raise PrecisionExhausted("discriminant valuation not determined")
     if v % 2 == 0:
-        return ExtensionDescriptor(2, 1, 2, 0, QUAD_UNRAMIFIED, v // 2)
-    return ExtensionDescriptor(2, 2, 1, 1, QUAD_RAMIFIED, (v - 1) // 2)
+        return QUAD_UNRAMIFIED, v // 2
+    return QUAD_RAMIFIED, (v - 1) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +457,7 @@ def unramified_modulus(p: int, d: int) -> tuple:
     irreducible over F_p, so conjugation is reproducible."""
     for code in range(p ** d):
         cand = _decode_residue(code, p, d) + (1,)
-        if factor_mod_p(cand, p).factors == ((cand, d, 1),):
+        if factor_mod_p(cand, p) == ((cand, d, 1),):
             return cand
     raise RuntimeError("no irreducible polynomial found")  # pragma: no cover
 
@@ -683,41 +639,27 @@ class Census:
     and the island counts of the matrix laws from the batched primary
     multiplicities."""
 
-    p: int
-    precision: int
-    degree: int
     quad_orbits: tuple       # (label, m) per certified quadratic orbit
     unram_counts: dict       # residue degree d >= 2 -> certified eigenvalue count
     flags: frozenset         # subset of {'quad','unram'}
 
-    @property
-    def quad_counts(self) -> dict:
-        out = {}
-        for label, m in self.quad_orbits:
-            out[(label, m)] = out.get((label, m), 0) + 1
-        return out
 
-
-def census_of_poly(f: PadicPoly, lifted=None) -> Census:
+def census_of_poly(f: PadicPoly, lifted: list) -> Census:
     """Resolve a monic polynomial into its certified eigenvalue orbits in
     extensions; its Z_p roots come from zp_roots.
 
     A simple residue factor of degree d >= 2 holds d unramified eigenvalues.
     Per repeated factor: its Z_p roots are split off, then quadratic orbits
     by discriminant parity and root counts in the matching unramified
-    extension.  ``lifted`` is f's entry of census_lifts; without it f is
-    lifted alone.  Unresolvable mass raises no error; it sets component
-    flags so estimators can discard the sample and report the rate.
+    extension.  ``lifted`` is f's entry of census_lifts.  Unresolvable
+    mass raises no error; it sets component flags so estimators can
+    discard the sample and report the rate.
     """
     p, N = f.p, f.precision
-    fact = factor_mod_p(f.coeffs, p)
-    if lifted is None:
-        heads = tuple(e for e in fact.factors if e[2] > 1)
-        lifted = _lift_factors([f.coeffs], p, N, [heads])[0]
     quad_orbits = []
     unram_counts = {}
     flags = set()
-    for _, d, mult in fact.factors:
+    for _, d, mult in factor_mod_p(f.coeffs, p):
         if mult == 1 and d >= 2:
             if d == 2:
                 # irreducible residue => unramified quadratic at depth 0
@@ -745,8 +687,8 @@ def census_of_poly(f: PadicPoly, lifted=None) -> Census:
                 pass
             elif rem_deg == 2:
                 try:
-                    desc = classify_quadratic(PadicPoly.from_ints(p, prec_rem, remaining))
-                    quad_orbits.append((desc.label, desc.m))
+                    quad_orbits.append(
+                        classify_quadratic(PadicPoly.from_ints(p, prec_rem, remaining)))
                 except (PrecisionExhausted, UnsupportedPrime):
                     flags.add("quad")
             elif rem_deg == 3:
@@ -768,14 +710,7 @@ def census_of_poly(f: PadicPoly, lifted=None) -> Census:
                 flags.add("quad")
             unram_counts[d] = unram_counts.get(d, 0) + len(rts)
 
-    return Census(
-        p=p,
-        precision=N,
-        degree=f.degree,
-        quad_orbits=tuple(quad_orbits),
-        unram_counts=unram_counts,
-        flags=frozenset(flags),
-    )
+    return Census(tuple(quad_orbits), unram_counts, frozenset(flags))
 
 
 def _resolve_unram_pairs(coeffs, p, N, quad_orbits):

@@ -1,10 +1,14 @@
-"""Every top-level function or class of a package module is reachable.
+"""Every top-level function or class of a package module is reachable,
+and so is every member of a package class.
 
 A name is live when another package module refers to it (``__init__.py``
 does not count: its imports are the package's public names), when the
 benchmark tracer's ``LAYERS`` names it, when module-level code refers to
 it, when a live name of its own module refers to it, or when ALLOWED
-lists it.  Everything else is code no run path reaches.
+lists it.  A method, property or dataclass field of a package class is
+live when some package module reads its name as an attribute, or when
+ALLOWED lists it as ``Class.member``; dunder methods are called by the
+language and always live.  Everything else is code no run path reaches.
 """
 
 import ast
@@ -15,7 +19,7 @@ TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "padicstats"
 TRACER = TESTS.parent / "perfbench" / "tracer.py"
 
-# name -> why it stays although no run path reaches it
+# name or Class.member -> why it stays although no run path reaches it
 ALLOWED = {
     "resultant": "test reference for classify_quadratic, via discriminant",
     "discriminant": "test reference for classify_quadratic",
@@ -55,6 +59,31 @@ def _dead(modules: dict, layers: set) -> list:
     return dead
 
 
+def _members(tree):
+    """(Class.member, member) per method, property or annotated field of
+    each top-level class, dunder methods left out."""
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = node.name
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                name = node.target.id
+            else:
+                continue
+            if not (name.startswith("__") and name.endswith("__")):
+                yield f"{cls.name}.{name}", name
+
+
+def _dead_members(modules: dict) -> list:
+    read = {n.attr for tree in modules.values() for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return [f"{mod}.{qual}" for mod, tree in modules.items()
+            for qual, name in _members(tree)
+            if name not in read and qual not in ALLOWED]
+
+
 def test_no_unreachable_definitions():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
@@ -64,7 +93,9 @@ def test_no_unreachable_definitions():
                for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"}
     assert modules and layers
     assert _dead(modules, layers) == []
+    assert _dead_members(modules) == []
     # no stale allowlist entry
     defined = {node.name for tree in modules.values() for node in tree.body
                if isinstance(node, DEFS)}
+    defined |= {qual for tree in modules.values() for qual, _ in _members(tree)}
     assert set(ALLOWED) <= defined

@@ -620,7 +620,9 @@ def test_island_law_cap_gives_the_default_cap_report(overrides, monkeypatch):
 
     spec = build_experiment("island_law", {**overrides, "trials": 400, "seed": 9})
     capped = _strip_wall([r.to_dict() for r in run_experiment(spec)])
-    monkeypatch.setattr(registry, "ISLAND_CAP_POW", None)  # the kernels' default
+    # the exact cap: 2^cap >= n / d, past any multiplicity
+    n, d = overrides["n"], overrides["d"]
+    monkeypatch.setattr(registry, "ISLAND_CAP_POW", (n // d - 1).bit_length())
     full = _strip_wall([r.to_dict() for r in run_experiment(spec)])
     assert capped == full
 

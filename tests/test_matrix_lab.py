@@ -140,6 +140,34 @@ def test_sampling_determinism_and_gl():
     assert g.tolist() == [[[1]]]
 
 
+def _gl_full_rerank(gen, B, n, p, N):
+    """GL rejection that re-ranks the whole batch every round: the oracle
+    of sample_matrices(gl=True), which re-ranks only the rows it redrew."""
+    from padicstats.batched import batch_rank_mod_p, f2_pack, f2_rank
+
+    m = p ** N
+    out = gen.integers(0, m, size=(B, n, n), dtype=np.int64)
+    while True:
+        if p == 2:
+            ranks = f2_rank(f2_pack(out % 2), n)
+        else:
+            ranks = batch_rank_mod_p(out, p)
+        bad = np.flatnonzero(ranks < n)
+        if bad.size == 0:
+            return out
+        out[bad] = gen.integers(0, m, size=(bad.size, n, n), dtype=np.int64)
+
+
+@pytest.mark.parametrize("p,n,N", [(3, 6, 10), (5, 6, 8), (2, 4, 10), (2, 2, 10)])
+def test_gl_rejection_matches_full_rerank(p, n, N):
+    for seed in (1, 7):
+        gen, oracle = Rng(seed).generator(), Rng(seed).generator()
+        got = sample_matrices(gen, 1024, n, p, N, gl=True)
+        assert np.array_equal(got, _gl_full_rerank(oracle, 1024, n, p, N))
+        # both consumed the same stream
+        assert gen.integers(0, 2 ** 62) == oracle.integers(0, 2 ** 62)
+
+
 def test_gl_acceptance_rate():
     # fraction of invertible 2x2 residue matrices is |GL_2(F_2)|/16 = 6/16
     gen = Rng(100).generator()
@@ -151,6 +179,12 @@ def test_gl_acceptance_rate():
     want = 6 / 16
     se = math.sqrt(want * (1 - want) / trials)
     assert abs(hits / trials - want) < 3 * se
+
+
+def _exact_cap(n, d):
+    """The least cap_pow with 2^cap_pow >= n / d: the primary-multiplicity
+    kernels count exactly at this cap."""
+    return max(1, (max(n // d, 1) - 1).bit_length())
 
 
 def _exact_multiplicity(A, coeffs, p):
@@ -189,13 +223,15 @@ def test_fp_primary_multiplicity_refuses_inexact_float64():
     mats[3:, :, 0] = 0  # A e_0 = e_0: a kernel for the factor x - 1
     mats[3:, 0, 0] = 1
     for coeffs in ([0, 1], [p - 1, 1]):
-        got = fp_primary_multiplicity(mats, coeffs, 1, p)
+        got = fp_primary_multiplicity(mats, coeffs, 1, p, _exact_cap(4, 1))
         want = [_exact_multiplicity(A, coeffs, p) for A in mats.tolist()]
         assert got.tolist() == want
-    assert min(fp_primary_multiplicity(mats[:3], [0, 1], 1, p)) >= 1
-    assert min(fp_primary_multiplicity(mats[3:], [p - 1, 1], 1, p)) >= 1
+    cap = _exact_cap(4, 1)
+    assert min(fp_primary_multiplicity(mats[:3], [0, 1], 1, p, cap)) >= 1
+    assert min(fp_primary_multiplicity(mats[3:], [p - 1, 1], 1, p, cap)) >= 1
     with pytest.raises(ValueError, match="inexact"):
-        fp_primary_multiplicity(np.zeros((1, 5, 5), dtype=np.int64), [0, 1], 1, p)
+        fp_primary_multiplicity(np.zeros((1, 5, 5), dtype=np.int64), [0, 1], 1, p,
+                                _exact_cap(5, 1))
     edge = 2 ** 53 // 1008 ** 2
     check_float64_budget(edge, 1009)
     with pytest.raises(ValueError, match="inexact"):
@@ -221,7 +257,7 @@ def test_fp_primary_multiplicity_exact_at_p1009_n60():
                 A[i] = (A[i] + c * A[j]) % p
                 A[:, j] = (A[:, j] - c * A[:, i]) % p
     assert (mats != 0).mean() > 0.99
-    got = fp_primary_multiplicity(mats, [0, 1], 1, p)
+    got = fp_primary_multiplicity(mats, [0, 1], 1, p, _exact_cap(n, 1))
     power = mats.copy()
     for _ in range(6):  # A^64, past the largest multiplicity
         power = np.matmul(power, power) % p
@@ -270,10 +306,11 @@ def test_primary_multiplicity_kernels_match_exact_reference(p, coeffs):
     mats = Rng(30 + p + d).generator().integers(0, p, size=(40, 8, 8),
                                                 dtype=np.int64)
     mats[:10, :, :4] = 0  # x divides the characteristic polynomial
+    cap = _exact_cap(8, d)
     if p == 2:
-        got = f2_primary_multiplicity(mats, coeffs, d)
+        got = f2_primary_multiplicity(mats, coeffs, d, cap)
     else:
-        got = fp_primary_multiplicity(mats, coeffs, d, p)
+        got = fp_primary_multiplicity(mats, coeffs, d, p, cap)
     want = [_exact_multiplicity(A, coeffs, p) // d for A in mats.tolist()]
     assert got.tolist() == want
     assert any(want)
@@ -504,11 +541,12 @@ def test_island_cap_keeps_the_capped_histogram(p):
 
     assert 2 ** ISLAND_CAP_POW >= ISLAND_MAX_J + 1
     mats = _planted_island_batch(p, 20 + p)
+    cap = _exact_cap(mats.shape[1], 1)
     if p == 2:
-        full = f2_primary_multiplicity(mats, [0, 1], 1)
+        full = f2_primary_multiplicity(mats, [0, 1], 1, cap)
         capped = f2_primary_multiplicity(mats, [0, 1], 1, ISLAND_CAP_POW)
     else:
-        full = fp_primary_multiplicity(mats, [0, 1], 1, p)
+        full = fp_primary_multiplicity(mats, [0, 1], 1, p, cap)
         capped = fp_primary_multiplicity(mats, [0, 1], 1, p, ISLAND_CAP_POW)
     assert (full[:32] >= 10).all()
     assert (capped[:32] < full[:32]).all()  # K = 8 cuts the 10-block short
@@ -608,7 +646,7 @@ def test_batch_charpoly_quad_exact_at_int64_budget_edge(data):
     ring = QuotientRing(m, 1, (-c, 0, 1))  # Z/m[x]/(x^2 - c)
     for A, u, v in zip(mats, cu.tolist(), cv.tolist()):
         want = berkowitz_charpoly(
-            A, add=ring.add, mul=ring.mul, neg=ring.neg,
+            A, add=ring.add, mul=ring.mul, neg=lambda a: ring.sub(ring.zero, a),
             zero=ring.zero, one=ring.one,
         )
         assert list(zip(u, v)) == want

@@ -24,6 +24,7 @@ from padicstats.root_census import (
     QUAD_RAMIFIED,
     QUAD_UNRAMIFIED,
     UnsupportedPrime,
+    census_lifts,
     census_of_poly,
     classify_quadratic,
     factor_mod_p,
@@ -60,14 +61,24 @@ def _sampled_charpoly(gen, n, p, N, gl=False):
     return _charpoly(sample_matrices(gen, 1, n, p, N, gl)[0], p, N)
 
 
+def _census(f):
+    """census_of_poly on f's entry of a one-row census_lifts batch."""
+    return census_of_poly(f, census_lifts([f.coeffs], f.p, f.precision)[0])
+
+
+def _quad_counts(c):
+    """The certified quadratic orbits of a census, counted per (label, m)."""
+    return dict(Counter(c.quad_orbits))
+
+
 def test_factor_mod_p_examples():
     f = factor_mod_p((-1, 0, 1), 3)
-    assert f.factors == (((1, 1), 1, 1), ((2, 1), 1, 1))
+    assert f == (((1, 1), 1, 1), ((2, 1), 1, 1))
     f = factor_mod_p((1, 0, 1), 3)
-    assert f.factors == (((1, 0, 1), 2, 1),)
+    assert f == (((1, 0, 1), 2, 1),)
     f = factor_mod_p((0, 0, 0, 1), 2)
-    assert f.factors == (((0, 1), 1, 3),)
-    assert f.total_degree == 3
+    assert f == (((0, 1), 1, 3),)
+    assert sum(d * mult for _, d, mult in f) == 3
 
 
 def test_factor_mod_p_exhaustive_reconstitution():
@@ -81,12 +92,12 @@ def test_factor_mod_p_exhaustive_reconstitution():
                 f = c + [1]
                 fact = factor_mod_p(f, p)
                 prod_ = [1]
-                for k, d, mult in fact.factors:
+                for k, d, mult in fact:
                     assert len(k) - 1 == d
                     for _ in range(mult):
                         prod_ = poly_mul(prod_, list(k), p)
                 assert prod_ == poly_trim(f)
-                assert fact.total_degree == deg
+                assert sum(d * mult for _, d, mult in fact) == deg
 
 
 @st.composite
@@ -109,7 +120,7 @@ def test_factor_mod_p_cache_matches_uncached(case):
     assert fact == root_census._factor.__wrapped__(residue, p)
     assert factor_mod_p(coeffs, p) is fact  # the second call is a cache hit
     prod_ = [1]
-    for k, d, mult in fact.factors:
+    for k, d, mult in fact:
         assert isinstance(k, tuple) and len(k) - 1 == d
         for _ in range(mult):
             prod_ = poly_mul(prod_, list(k), p)
@@ -127,7 +138,7 @@ def test_factor_mod_p_factors_are_irreducible():
         p = int(gen.choice([2, 3, 5]))
         deg = int(gen.integers(2, 7))
         coeffs = [int(x) for x in gen.integers(0, p, size=deg)] + [1]
-        for k, d, mult in factor_mod_p(coeffs, p).factors:
+        for k, d, mult in factor_mod_p(coeffs, p):
             for j in range(1, d):
                 xp = _fp_powmod([0, 1], p ** j, list(k), p)
                 diff = list(xp) + [0] * max(0, 2 - len(xp))
@@ -158,13 +169,13 @@ def test_hensel_split_reconstitutes_random():
         parts = hensel_split(f)
         assert _poly(p, N, *(h.coeffs for h in parts)) == f
         fact = factor_mod_p(f.coeffs, p)
-        lifts = _lift_factors([f.coeffs], p, N, [fact.factors[:-1]])
-        lifted = lifts[0]
-        cofactor = PadicPoly.from_ints(p, N, lifts.cofactors[0].tolist())
+        lifted, cofactors = _lift_factors([f.coeffs], p, N, [fact[:-1]])
+        lifted = lifted[0]
+        cofactor = PadicPoly.from_ints(p, N, cofactors[0].tolist())
         assert [g for g, _, _ in lifted] + [cofactor] == parts
-        for h, d, mult in lifted + [(cofactor, *fact.factors[-1][1:])]:
+        for h, d, mult in lifted + [(cofactor, *fact[-1][1:])]:
             assert h.monic
-            ((k, dk, mk),) = factor_mod_p(h.coeffs, p).factors
+            ((k, dk, mk),) = factor_mod_p(h.coeffs, p)
             assert (dk, mk) == (d, mult)
             assert h.degree == d * mult
 
@@ -191,7 +202,7 @@ def _lift_batches(draw):
                                       max_size=rdeg)) + [1], m)
         noise = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
         f = [(c + p * e) % m for c, e in zip(f, noise + [0])]
-        factors = factor_mod_p(f, p).factors
+        factors = factor_mod_p(f, p)
         if draw(st.booleans()):
             heads.append(tuple(e for e in factors if e[2] > 1))
         else:
@@ -204,16 +215,16 @@ def _lift_batches(draw):
 @given(_lift_batches())
 def test_batched_lift_is_invariant_to_grouping(case):
     p, N, polys, heads = case
-    lifts = _lift_factors(polys, p, N, heads)
+    lifted, cofactors = _lift_factors(polys, p, N, heads)
     for i, (f, hd) in enumerate(zip(polys, heads)):
-        alone = _lift_factors([f], p, N, [hd])
-        assert lifts[i] == alone[0]
-        assert lifts.cofactors[i].tolist() == alone.cofactors[0].tolist()
-        for (g, d, mult), (k, dk, mk) in zip(lifts[i], hd):
+        alone, alone_cofactors = _lift_factors([f], p, N, [hd])
+        assert lifted[i] == alone[0]
+        assert cofactors[i].tolist() == alone_cofactors[0].tolist()
+        for (g, d, mult), (k, dk, mk) in zip(lifted[i], hd):
             assert (d, mult) == (dk, mk) and g.monic and g.degree == d * mult
-            assert factor_mod_p(g.coeffs, p).factors == ((k, d, mult),)
-        factors = [g.coeffs for g, _, _ in lifts[i]]
-        assert _poly(p, N, lifts.cofactors[i].tolist(), *factors) == _poly(p, N, f)
+            assert factor_mod_p(g.coeffs, p) == ((k, d, mult),)
+        factors = [g.coeffs for g, _, _ in lifted[i]]
+        assert _poly(p, N, cofactors[i].tolist(), *factors) == _poly(p, N, f)
 
 
 def test_lift_past_the_int64_budget_is_refused():
@@ -222,7 +233,7 @@ def test_lift_past_the_int64_budget_is_refused():
     with pytest.raises(ValueError, match="int64"):
         hensel_split(f)
     with pytest.raises(ValueError, match="int64"):
-        census_of_poly(f)
+        _census(f)
     with pytest.raises(ValueError, match="monic"):
         hensel_split(PadicPoly.from_ints(3, 4, (0, -1, 3)))
 
@@ -297,16 +308,14 @@ def test_gl_samples_never_touch_the_zero_island():
 
 def test_classify_quadratic():
     g = PadicPoly.from_ints(5, 4, (-2, 0, 1))
-    d = classify_quadratic(g)
-    assert d.label == QUAD_UNRAMIFIED and d.m == 0
-    assert d.disc_norm(5) == 1.0
+    label, m = classify_quadratic(g)
+    assert label == QUAD_UNRAMIFIED and m == 0
     g = PadicPoly.from_ints(3, 4, (-3, 0, 1))
-    d = classify_quadratic(g)
-    assert d.label == QUAD_RAMIFIED and d.m == 0
-    assert d.disc_norm(3) == pytest.approx(1 / 3)
+    label, m = classify_quadratic(g)
+    assert label == QUAD_RAMIFIED and m == 0
     g = PadicPoly.from_ints(3, 6, (-18, 0, 1))
-    d = classify_quadratic(g)
-    assert d.label == QUAD_UNRAMIFIED and d.m == 1
+    label, m = classify_quadratic(g)
+    assert label == QUAD_UNRAMIFIED and m == 1
     with pytest.raises(UnsupportedPrime):
         classify_quadratic(PadicPoly.from_ints(2, 6, (1, 1, 1)))
     with pytest.raises(PrecisionExhausted):
@@ -317,8 +326,8 @@ def test_classify_quadratic_root_difference_matches_depth():
     # x^2 - p^2 c has roots +-p sqrt(c); their difference has valuation 1,
     # matching the reported depth m = 1
     g = PadicPoly.from_ints(3, 8, (-9 * 2, 0, 1))
-    d = classify_quadratic(g)
-    assert d.m == 1
+    _, m = classify_quadratic(g)
+    assert m == 1
     roots = unramified_roots(g, 2)
     assert len(roots) == 2
     (u1, v1), k1 = roots[0]
@@ -344,11 +353,11 @@ def test_classify_quadratic_matches_discriminant(p, N, b, kb, c, kc):
         with pytest.raises(PrecisionExhausted):
             classify_quadratic(g)
         return
-    d = classify_quadratic(g)
+    got = classify_quadratic(g)
     if v % 2 == 0:
-        assert (d.label, d.m) == (QUAD_UNRAMIFIED, v // 2)
+        assert got == (QUAD_UNRAMIFIED, v // 2)
     else:
-        assert (d.label, d.m) == (QUAD_RAMIFIED, (v - 1) // 2)
+        assert got == (QUAD_RAMIFIED, (v - 1) // 2)
 
 
 def test_unramified_roots_counts():
@@ -446,8 +455,9 @@ def test_census_factors_each_residue_once(monkeypatch):
         p = int(gen.choice([2, 3, 5]))
         n = int(gen.integers(2, 7))
         f = _sampled_charpoly(gen, n, p, 8)
+        lifted = census_lifts([f.coeffs], p, 8)[0]
         calls.clear()
-        census_of_poly(f)
+        census_of_poly(f, lifted)
         assert len(calls) == 1
 
 
@@ -461,19 +471,19 @@ def test_census_lifts_only_repeated_residue_factors(monkeypatch):
 
     monkeypatch.setattr(root_census, "_lift_factors", counting)
     # squarefree residue x (x - 1) (x^2 + 1) over F_3: nothing is lifted
-    f = _poly(3, 8, (-3, 1), (-4, 1), (1, 0, 1))
-    c = census_of_poly(f)
+    squarefree = _poly(3, 8, (-3, 1), (-4, 1), (1, 0, 1))
+    c = _census(squarefree)
     assert heads == []
     assert c.unram_counts == {2: 2}
-    assert c.quad_counts == {(QUAD_UNRAMIFIED, 0): 1} and not c.flags
+    assert _quad_counts(c) == {(QUAD_UNRAMIFIED, 0): 1} and not c.flags
     # residue x^2 (x - 1) (x - 2): only the repeated factor x^2 is lifted
     f = _from_roots(3, 8, [0, 9, 1, 2])
-    c = census_of_poly(f)
+    c = _census(f)
     assert heads == [((0, 1), 1, 2)]
-    assert not c.quad_counts and not c.unram_counts and not c.flags
-    # the chunk-wide lift hands census_of_poly the same lifts
-    lifts = root_census.census_lifts([f.coeffs], 3, 8)
-    assert census_of_poly(f, lifts[0]) == c
+    assert not _quad_counts(c) and not c.unram_counts and not c.flags
+    # a two-row chunk hands census_of_poly the same lifts as f alone
+    lifts = census_lifts([squarefree.coeffs, f.coeffs], 3, 8)
+    assert census_of_poly(f, lifts[1]) == c
     assert heads[1:] == [((0, 1), 1, 2)]
 
 
@@ -519,11 +529,11 @@ def test_census_searches_only_lifted_linear_heads(monkeypatch):
         p = int(gen.choice([2, 3, 5]))
         n = int(gen.integers(2, 7))
         f = _sampled_charpoly(gen, n, p, 8)
-        heads = [(e,) for e in factor_mod_p(f.coeffs, p).factors
+        heads = [(e,) for e in factor_mod_p(f.coeffs, p)
                  if e[1] == 1 and e[2] > 1]
         calls.clear()
-        census_of_poly(f)
-        assert [factor_mod_p(g.coeffs, p).factors for g in calls] == heads
+        _census(f)
+        assert [factor_mod_p(g.coeffs, p) for g in calls] == heads
         searched += len(calls)
     assert searched > 10
 
@@ -539,7 +549,7 @@ def test_census_matches_unramified_root_search():
         p = int(gen.choice([3, 5]))
         n = int(gen.integers(2, 7))
         f = _sampled_charpoly(gen, n, p, 8)
-        c = census_of_poly(f)
+        c = _census(f)
         if c.flags:
             continue
         for d in (2, 3):
@@ -552,7 +562,7 @@ def test_census_matches_unramified_root_search():
             if d == 2:
                 depths = Counter(raw_valuation(x[1], p, p ** k) for x, k in roots)
                 depths.pop(SATURATED, None)  # the roots in Z_p
-                assert {m: 2 * k for (label, m), k in c.quad_counts.items()
+                assert {m: 2 * k for (label, m), k in _quad_counts(c).items()
                         if label == QUAD_UNRAMIFIED} == dict(depths)
             checked[d] += 1
     assert min(checked[2], checked[3]) > 100
@@ -560,50 +570,50 @@ def test_census_matches_unramified_root_search():
 
 def test_census_examples():
     f = _charpoly([[0, 0], [0, 1]], 3, 6)
-    c = census_of_poly(f)
+    c = _census(f)
     assert sorted(r for r, _ in zp_roots(f)) == [0, 1]
-    assert not c.quad_counts and not c.flags
+    assert not _quad_counts(c) and not c.flags
     f = _charpoly([[0, 2], [1, 0]], 5, 6)
-    c = census_of_poly(f)
+    c = _census(f)
     assert len(zp_roots(f)) == 0
-    assert c.quad_counts == {(QUAD_UNRAMIFIED, 0): 1}
+    assert _quad_counts(c) == {(QUAD_UNRAMIFIED, 0): 1}
 
 
 def test_census_depth_one_quadratics():
     f = _poly(3, 10, (-18, 0, 1), (-1, 1))
-    c = census_of_poly(f)
+    c = _census(f)
     assert len(zp_roots(f)) == 1
-    assert c.quad_counts == {(QUAD_UNRAMIFIED, 1): 1}
+    assert _quad_counts(c) == {(QUAD_UNRAMIFIED, 1): 1}
     assert not c.flags
     f = _poly(3, 10, (-27, 0, 1), (-1, 1))
-    c = census_of_poly(f)
-    assert c.quad_counts == {(QUAD_RAMIFIED, 1): 1}
+    c = _census(f)
+    assert _quad_counts(c) == {(QUAD_RAMIFIED, 1): 1}
 
 
 def test_census_resolves_shared_island_pairs():
     f = _poly(3, 12, (-18, 0, 1), (-180, 0, 1))
-    c = census_of_poly(f)
-    assert c.quad_counts == {(QUAD_UNRAMIFIED, 1): 2}
+    c = _census(f)
+    assert _quad_counts(c) == {(QUAD_UNRAMIFIED, 1): 2}
     assert not c.flags
     f = _poly(5, 10, (-2, 0, 1), (-27, 0, 1))
-    c = census_of_poly(f)
-    assert c.quad_counts == {(QUAD_UNRAMIFIED, 0): 2}
+    c = _census(f)
+    assert _quad_counts(c) == {(QUAD_UNRAMIFIED, 0): 2}
     assert c.unram_counts.get(2) == 4
 
 
 def test_census_flags_unresolvable_ramified_pairs():
     f = _poly(3, 12, (-3, 0, 1), (-12, 0, 1))
-    c = census_of_poly(f)
+    c = _census(f)
     assert "quad" in c.flags
-    assert c.quad_counts == {}
+    assert _quad_counts(c) == {}
 
 
 def test_census_cubic_orbits():
     f = PadicPoly.from_ints(3, 12, (-3, 0, 0, 1))  # ramified cubic
-    c = census_of_poly(f)
-    assert len(zp_roots(f)) == 0 and not c.quad_counts
+    c = _census(f)
+    assert len(zp_roots(f)) == 0 and not _quad_counts(c)
     f = PadicPoly.from_ints(2, 8, (1, 1, 0, 1))  # unramified cubic
-    c = census_of_poly(f)
+    c = _census(f)
     assert c.unram_counts == {3: 3}
 
 
