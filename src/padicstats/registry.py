@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import combinations
 
 import numpy as np
 
@@ -56,13 +55,12 @@ from .experiment import (
     run_chunked,
 )
 from .matrix_lab import GL, MAT
-from .padic_core import PadicPoly, is_prime, raw_valuation
+from .padic_core import is_prime
 from .root_census import (
     QUAD_RAMIFIED,
     QUAD_UNRAMIFIED,
-    _zp_roots_raw,
-    census_lifts,
-    census_of_poly,
+    batch_census,
+    batch_roots,
     unramified_modulus,
 )
 
@@ -263,42 +261,38 @@ PAIR_CELLS = 3  # separation valuations m = 0, 1, 2
 
 def _zp_stats(cps, p, n, N):
     """Z_p eigenvalue statistics of a batch of degree-n charpolys mod p^N:
-    over the samples whose roots are certified, running sums of the count
-    c, of c (c - 1) and of the ordered pairs at each separation valuation,
-    and how many have all n roots in Z_p."""
-    out = {
-        "sum": 0.0, "sumsq": 0.0, "used": 0,
-        "var_sum": 0.0, "var_sumsq": 0.0,
-        "all_in": 0,
+    over the samples whose roots are certified, sums of the count c, of
+    c (c - 1) and of the ordered pairs at each separation valuation, and
+    how many have all n roots in Z_p.
+
+    Two roots of a row are at valuation m, the depth of their lowest
+    common residue disk.  batch_roots lists a row's roots in tree order, so
+    the roots sharing a disk at depth m are runs whose common depth with
+    the root before stays >= m; each run of c roots holds c (c - 1) ordered
+    pairs at valuation >= m.  Every cell is an integer, so the float64
+    sums are exact in any order.
+    """
+    roots = batch_roots(cps[:, ::-1, None], N, p)
+    B = len(cps)
+    at_least = []
+    for m in range(PAIR_CELLS + 1):
+        start = roots.lcp < m
+        size = np.bincount(np.cumsum(start) - 1)
+        at_least.append(np.bincount(roots.row[start], size * (size - 1),
+                                    minlength=B).astype(np.int64))
+    ok = roots.ok
+    pairs = np.stack([at_least[m] - at_least[m + 1]
+                      for m in range(PAIR_CELLS)], axis=1)[ok]
+    c = np.bincount(roots.row, minlength=B)[ok]
+    v = c * (c - 1)
+    return {
+        "sum": float(c.sum()), "sumsq": float((c * c).sum()),
+        "used": int(ok.sum()),
+        "var_sum": float(v.sum()), "var_sumsq": float((v * v).sum()),
+        "all_in": int((c == n).sum()),
+        "pair_sum": pairs.sum(axis=0).astype(np.float64),
+        "pair_sumsq": (pairs * pairs).sum(axis=0).astype(np.float64),
     }
-    # pair cells are small even integers: their sums are exact in int and in
-    # float64 alike, so the order in which they are added does not matter
-    pair_sum, pair_sumsq = [0] * PAIR_CELLS, [0] * PAIR_CELLS
-    for row in cps.tolist():
-        roots, ok = _zp_roots_raw(row[::-1], p, N)
-        if not ok:
-            continue
-        c = len(roots)
-        out["used"] += 1
-        out["sum"] += c
-        out["sumsq"] += c * c
-        v = c * (c - 1)
-        out["var_sum"] += v
-        out["var_sumsq"] += v * v
-        if c == n:
-            out["all_in"] += 1
-        # certified roots are separated at their known precisions: two
-        # roots of one residue disk a + pZ_p differ at 1 + v(r - r'), below
-        # 1 + min(k, k'), so every pair valuation here is finite
-        vals = [raw_valuation(r1 - r2, p, p ** min(k1, k2))
-                for (r1, k1), (r2, k2) in combinations(roots, 2)]
-        for m in range(PAIR_CELLS):
-            x = 2 * vals.count(m)  # ordered pairs
-            pair_sum[m] += x
-            pair_sumsq[m] += x * x
-    out["pair_sum"] = np.array(pair_sum, dtype=np.float64)
-    out["pair_sumsq"] = np.array(pair_sumsq, dtype=np.float64)
-    return out
 
 
 def _zp_chunk(spec, gen, size):
@@ -614,32 +608,21 @@ QUAD_CELLS = (
 def _census_chunk(spec, gen, size):
     p, n, N = spec.p, spec.n, spec.precision
     cps = _charpolys(gen, size, p, n, N, spec.mode)
-    ncell = len(QUAD_CELLS)
-    out = {
-        "quad_sum": np.zeros(ncell + 2), "quad_sumsq": np.zeros(ncell + 2),
-        "quad_used": 0,
-        "unram3_sum": 0.0, "unram3_sumsq": 0.0, "unram3_used": 0,
+    counts = batch_census(cps[:, ::-1], p, N)
+    quad = counts.quad[counts.quad_ok]
+    # two eigenvalues per orbit: per cell, then over all depths by label
+    cells = 2 * np.stack(
+        [quad[:, int(label == QUAD_RAMIFIED), m] for label, m in QUAD_CELLS]
+        + [quad[:, 0].sum(axis=1), quad[:, 1].sum(axis=1)], axis=1)
+    c3 = counts.unram[counts.unram_ok, 3] if n >= 3 else np.zeros(0)
+    return {
+        "quad_sum": cells.sum(axis=0).astype(np.float64),
+        "quad_sumsq": (cells * cells).sum(axis=0).astype(np.float64),
+        "quad_used": int(counts.quad_ok.sum()),
+        "unram3_sum": float(c3.sum()),
+        "unram3_sumsq": float((c3 * c3).sum()),
+        "unram3_used": int(counts.unram_ok.sum()),
     }
-    lifts = census_lifts(cps[:, ::-1], p, N)
-    for i in range(size):
-        f = PadicPoly.from_ints(p, N, cps[i].tolist()[::-1])
-        census = census_of_poly(f, lifts[i])
-        if "quad" not in census.flags:
-            orbits = census.quad_orbits
-            labels = [label for label, _ in orbits]
-            # two eigenvalues per orbit: per cell, then over all depths by label
-            cells = 2.0 * np.array([orbits.count(cell) for cell in QUAD_CELLS]
-                                   + [labels.count(QUAD_UNRAMIFIED),
-                                      labels.count(QUAD_RAMIFIED)])
-            out["quad_sum"] += cells
-            out["quad_sumsq"] += cells * cells
-            out["quad_used"] += 1
-        if "unram" not in census.flags:
-            c3 = float(census.unram_counts.get(3, 0))
-            out["unram3_sum"] += c3
-            out["unram3_sumsq"] += c3 * c3
-            out["unram3_used"] += 1
-    return out
 
 
 def _quad_cell_target(p, label, m):

@@ -1,17 +1,29 @@
 """Root census of characteristic polynomials over Z/p^N.
 
-Pipeline: factor the residue over F_p, then either certify the roots in
-Z_p by recursive residue refinement (zp_roots, their one producer) or find
-the eigenvalue orbits in extensions (the census): Hensel-lift the repeated
-residue factors, read the simple ones off the factorization, and resolve
-each lifted factor by quadratic orbits (root counts plus the parity of
-val(b^2 - 4c)) and root counts in the unramified extension of its degree.
+Run paths use two batched engines.  batch_roots finds the certified roots
+in Z_q/p^k, q = p^d, of a batch of coefficient rows, where Z_q is the
+unramified ring of unramified_modulus(p, d) (d = 1 is Z_p).  It runs a
+worklist of residue disks, as in the root-counting tree of Kopp, Randall,
+Rojas & Zhu (Math. Comp. 89, 2020): the nodes of one precision are
+screened at every residue of F_q together, the roots with a unit
+derivative are Newton-refined together, and the multiple ones are
+Taylor-shifted, scaled and divided by their content into deeper nodes.
+Roots come back in the scalar recursion's order with their precisions,
+and the tree gives the pair valuations of registry._zp_stats.
 
-The lift runs batched: census_lifts lifts a whole chunk of polys at once
-with the int64 quadratic Hensel kernel of ``batched``, one call per head
-step and lift shape, from start data cached per residue.  Root search in
-an unramified extension screens the residues a with Zech-logarithm tables
-of F_{p^d}, so only the residue roots reach full-precision arithmetic.
+batch_census finds the eigenvalue orbits in extensions of a chunk.  Each
+distinct residue is factored over F_p once, and its simple factors are
+counted once for all its rows.  The repeated residue factors are
+Hensel-lifted as int64 rows, one batch_hensel_lift call per head step and
+lift shape, from start data cached per residue.  Then batch_roots splits
+the Z_p roots off the linear heads, a quadratic remainder is sorted by the
+valuation of b^2 - 4c, and the other remainders and the heads of degree
+d >= 2 are searched in the unramified extensions.
+
+The scalar routines (zp_roots, unramified_roots, classify_quadratic,
+census_of_poly, hensel_split, island_multiplicities) do the same work one
+polynomial at a time.  No run path calls them: they are the engines' test
+oracles, and the benchmark's tracer names them.
 
 Certification is explicit: a sample whose precision budget cannot settle a
 branch is flagged, never silently miscounted, and callers discard flagged
@@ -22,10 +34,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .batched import batch_hensel_lift, check_modulus_budget
+from .batched import (
+    _unit_inverses,
+    batch_divmod_monic,
+    batch_hensel_lift,
+    batch_valuation,
+    check_modulus_budget,
+)
 from .padic_core import (
     PadicPoly,
     QuotientRing,
@@ -274,45 +293,52 @@ def _lift_factors(polys, p: int, N: int, heads) -> tuple:
     raises ValueError before any work.
     """
     check_modulus_budget(max(len(polys[0]) - 1, 1), p ** N)
-    rest = np.array(polys, dtype=np.int64) % p ** N
-    if not (rest[:, -1] == 1).all():
-        raise ValueError("hensel lifting needs monic polynomials")
-    residues, inv = np.unique(rest % p, axis=0, return_inverse=True)
-    residues = [tuple(r) for r in residues.tolist()]
-    starts = [_lift_start(residues[k], p, tuple(hd)) if hd else ()
-              for k, hd in zip(inv.reshape(-1).tolist(), heads)]
-    factors = []
-    for j in range(max(map(len, starts), default=0)):
-        rows = np.zeros_like(rest)
-        groups = {}
-        for i, st in enumerate(starts):
-            if len(st) > j:
-                groups.setdefault((len(st[j][0]), len(st[j][1])), []).append(i)
-        for (lg, lh), idx in groups.items():
-            data = (np.array(col, dtype=np.int64)
-                    for col in zip(*(starts[i][j] for i in idx)))
-            g, h = batch_hensel_lift(rest[idx, :lg + lh - 1], *data, p, N)
-            rows[idx, :lg] = g
-            rest[idx, :lh] = h
-            rest[idx, lh:] = 0
-        factors.append(rows)
+    polys = np.array(polys, dtype=np.int64) % p ** N
+    _check_monic(polys)
+    keys = {}
+    inv = np.array([keys.setdefault((tuple(r), tuple(hd)), len(keys))
+                    for r, hd in zip((polys % p).tolist(), heads)],
+                   dtype=np.int64)
+    starts = [_lift_start(r, p, hd) if hd else () for r, hd in keys]
+    factors, rest = _lift_rows(polys, p, N, inv, starts)
     lifted = [[(PadicPoly.from_ints(p, N, rows[i].tolist()), d, m)
                for rows, (_, d, m) in zip(factors, hd)]
               for i, hd in enumerate(heads)]
     return lifted, rest
 
 
-def census_lifts(polys, p: int, N: int) -> list:
-    """The lifts census_of_poly reads, for a batch of monic polys given as
-    equal-length coefficient rows (constant term first): entry i lists
-    row i's repeated residue factors, lifted, as (monic factor, d, mult).
-    Rows with none are not lifted."""
-    check_modulus_budget(max(len(polys[0]) - 1, 1), p ** N)
-    polys = np.asarray(polys, dtype=np.int64)
-    residues, inv = np.unique(polys % p, axis=0, return_inverse=True)
-    heads = [tuple(e for e in factor_mod_p(r, p) if e[2] > 1)
-             for r in residues.tolist()]
-    return _lift_factors(polys, p, N, [heads[k] for k in inv.reshape(-1).tolist()])[0]
+def _check_monic(polys):
+    if not (polys[:, -1] == 1).all():
+        raise ValueError("hensel lifting needs monic polynomials")
+
+
+def _lift_rows(polys, p: int, N: int, inv, starts) -> tuple:
+    """The int64 core of _lift_factors: monic row i of polys (mod p^N)
+    lifts the head steps starts[inv[i]] of _lift_start.  Returns (factors,
+    cofactors): factors[j] holds each row's j-th lifted factor (zero where
+    the row has fewer heads), and cofactors the monic rows left over.  Each
+    head step lifts its rows with one batch_hensel_lift call per (deg F^mult,
+    deg rest) shape."""
+    rest = polys.copy()
+    factors = []
+    for j in range(max(map(len, starts), default=0)):
+        rows = np.zeros_like(rest)
+        shapes = {}
+        for u, st in enumerate(starts):
+            if len(st) > j:
+                shapes.setdefault((len(st[j][0]), len(st[j][1])), []).append(u)
+        for (lg, lh), group in shapes.items():
+            pos = np.full(len(starts), -1)
+            pos[group] = np.arange(len(group))
+            idx = np.flatnonzero(pos[inv] >= 0)
+            data = (np.array(col, dtype=np.int64)[pos[inv[idx]]]
+                    for col in zip(*(starts[u][j] for u in group)))
+            g, h = batch_hensel_lift(rest[idx, :lg + lh - 1], *data, p, N)
+            rows[idx, :lg] = g
+            rest[idx, :lh] = h
+            rest[idx, lh:] = 0
+        factors.append(rows)
+    return factors, rest
 
 
 def hensel_split(f: PadicPoly) -> list:
@@ -628,15 +654,202 @@ def unramified_roots(f: PadicPoly, d: int):
 
 
 # ---------------------------------------------------------------------------
+# Batched roots by residue disks.  An element of Z_q/p^k, q = p^d, is an
+# int64 vector of its d coordinates on the basis of unramified_modulus(p, d)
+# (d = 1 is Z/p^k), and a polynomial a (L, d) block, constant term first.
+# Every product of two residues is reduced mod p^k before it is added or
+# reduced by the modulus polynomial, so values stay below
+# p^k + (p^k - 1)^2, which check_modulus_budget bounds.
+# ---------------------------------------------------------------------------
+
+
+class Roots(NamedTuple):
+    """The certified roots of a batch of rows, leaves of the residue-disk
+    tree in the order of _zp_roots_raw and _unram_roots_raw: by row, then by
+    the residue codes chosen at each depth."""
+
+    row: np.ndarray     # (K,) the row of each root
+    value: np.ndarray   # (K, d) its coordinates
+    prec: np.ndarray    # (K,) its known precision
+    lcp: np.ndarray     # (K,) depth of its lowest common node with the
+                        # root before it in the row, -1 for a row's first
+    ok: np.ndarray      # (R,) False when some branch of the row failed
+
+
+def _rmul(a, b, w, m):
+    """Products in Z/m[x]/(x^d + w(x)) of broadcastable (..., d) arrays."""
+    d = a.shape[-1]
+    if d == 1:
+        return a * b % m
+    t = [0] * (2 * d - 1)
+    for i in range(d):
+        for j in range(d):
+            t[i + j] = (t[i + j] + a[..., i] * b[..., j] % m) % m
+    for s in range(2 * d - 2, d - 1, -1):  # x^s = -x^(s-d) w(x)
+        for i in range(d):
+            t[s - d + i] = (t[s - d + i] - t[s] * w[i] % m) % m
+    return np.stack(t[:d], axis=-1)
+
+
+def _horner(f, x, w, m):
+    """Values f(x) mod m of (..., L, d) polynomials at (..., d) points."""
+    acc = f[..., -1, :] % m
+    for i in range(f.shape[-2] - 2, -1, -1):
+        acc = (_rmul(acc, x, w, m) + f[..., i, :]) % m
+    return acc
+
+
+def _ring_inverse(b, w, p, m):
+    """Inverses mod m = p^k of units b: b^(q - 2) in F_q, then Newton
+    steps y <- y (2 - b y), each doubling the p-adic precision."""
+    d = b.shape[-1]
+    if d == 1:
+        return _unit_inverses(b, p, m)
+    y = np.zeros_like(b)
+    y[..., 0] = 1
+    base, e = b % p, p ** d - 2
+    while e:
+        if e & 1:
+            y = _rmul(y, base, w, p)
+        base = _rmul(base, base, w, p)
+        e >>= 1
+    prec = 1
+    while p ** prec < m:
+        t = -_rmul(b, y, w, m)
+        t[..., 0] += 2
+        y = _rmul(y, t % m, w, m)
+        prec *= 2
+    return y
+
+
+SCREEN_BLOCK = 2 ** 16  # (row, candidate) pairs screened at a time
+
+
+def _screen(res, elems, w, p):
+    """(G, q) mask of the residue roots, in code order, of (G, L, d)
+    polynomials mod p."""
+    q = len(elems)
+    step = max(1, SCREEN_BLOCK // q)
+    return np.concatenate(
+        [~_horner(res[i:i + step, None], elems, w, p).any(axis=-1)
+         for i in range(0, max(len(res), 1), step)])
+
+
+def batch_roots(coeffs, prec, p: int, d: int = 1) -> Roots:
+    """Certified roots in Z_q/p^k, q = p^d, of a batch of polynomials.
+
+    coeffs is (R, L, d) int64, constant term first; row i is taken mod
+    p^prec[i] (prec broadcasts).  A worklist of residue disks equal to
+    _zp_roots_raw at d = 1 and to _unram_roots_raw on unramified_modulus(p,
+    d) at d >= 2, root for root: nodes of one precision k are screened at
+    every residue in code order; a residue root with a unit derivative is
+    Newton-refined to p^k, and any other is Taylor-shifted to 0, scaled by
+    p^i, divided by its content and pushed to precision k - content.  A row
+    fails (ok False) when it is zero, or when a multiple residue root
+    shifts to zero mod p^k (always so at k = 1).  A modulus past the int64 budget
+    raises ValueError before any work.
+    """
+    coeffs = np.asarray(coeffs, dtype=np.int64)
+    R, L, _ = coeffs.shape
+    prec = np.broadcast_to(np.asarray(prec, dtype=np.int64), (R,))
+    top = int(prec.max(initial=1))
+    check_modulus_budget(max(L - 1, 1), p ** top)
+    if (prec < 1).any():
+        raise ValueError("root precision must be at least 1")
+    w = np.array(unramified_modulus(p, d)[:-1], dtype=np.int64)
+    elems = (np.arange(p ** d)[:, None] // p ** np.arange(d)) % p
+    ok = np.ones(R, dtype=bool)
+    coeffs = coeffs % (p ** prec)[:, None, None]
+    live = coeffs.any(axis=(1, 2))
+    ok[~live] = False
+    # frontier: precision k -> [(rows, depth, prefix, path, coeffs)]
+    frontier = {}
+    for k in set(prec[live].tolist()):
+        idx = np.flatnonzero(live & (prec == k))
+        frontier[k] = [(idx, np.zeros(idx.size, dtype=np.int64),
+                        np.zeros((idx.size, d), dtype=np.int64),
+                        np.full((idx.size, top), -1, dtype=np.int32),
+                        coeffs[idx])]
+    leaves = [(np.zeros(0, dtype=np.int64), np.zeros((0, d), dtype=np.int64),
+               np.zeros(0, dtype=np.int64), np.zeros((0, top), dtype=np.int32))]
+    for k in range(top, 0, -1):
+        if k not in frontier:
+            continue
+        rows, depth, prefix, path, f = (np.concatenate(x) for x in
+                                        zip(*frontier.pop(k)))
+        m = p ** k
+        node, code = np.nonzero(_screen(f % p, elems, w, p))
+        rows, depth, prefix, path, f = (rows[node], depth[node], prefix[node],
+                                        path[node].copy(), f[node])
+        path[np.arange(node.size), depth] = code
+        a = elems[code]
+        df = f[:, 1:] * np.arange(1, L)[:, None] % m if L > 1 else 0 * f
+        simple = _horner(df % p, a, w, p).any(axis=-1)
+        if simple.any():
+            x = _newton(f[simple], df[simple], a[simple], w, p, m, k)
+            scale = (p ** depth[simple])[:, None]
+            leaves.append((rows[simple], prefix[simple] + scale * x,
+                           k + depth[simple], path[simple]))
+        # a multiple root at k = 1 shifts to zero mod p and fails below,
+        # the k < 2 rule of the scalar routines
+        multiple = ~simple
+        rows, depth, prefix, path, f, a = (
+            x[multiple] for x in (rows, depth, prefix, path, f, a))
+        f = _taylor_shift_rows(f, a, w, m)
+        f = f * np.array([pow(p, i, m) for i in range(L)])[:, None] % m
+        content = batch_valuation(f, p, k).min(axis=(1, 2))
+        ok[rows[content >= k]] = False
+        prefix = prefix + a * (p ** depth)[:, None]
+        for c in set(content[content < k].tolist()):
+            sel = content == c
+            frontier.setdefault(k - c, []).append(
+                (rows[sel], depth[sel] + 1, prefix[sel], path[sel],
+                 f[sel] // p ** c))
+    rows, value, kk, path = (np.concatenate(x) for x in zip(*leaves))
+    order = np.lexsort(np.vstack([path.T[::-1], rows]))
+    rows, value, kk, path = rows[order], value[order], kk[order], path[order]
+    # distinct leaves of a row differ at a depth both reach, so the first
+    # unequal path entry is their lowest common node's depth
+    lcp = np.full(rows.size, -1, dtype=np.int64)
+    same = rows[1:] == rows[:-1]
+    lcp[1:][same] = (path[1:] != path[:-1]).argmax(axis=1)[same]
+    return Roots(rows, value, kk, lcp, ok)
+
+
+def _taylor_shift_rows(f, a, w, m):
+    """f(a + x) mod m of (G, L, d) polynomials, a (G, d): in-place Horner."""
+    f = f.copy()
+    L = f.shape[1]
+    for i in range(L - 1):
+        for j in range(L - 2, i - 1, -1):
+            f[:, j] = (f[:, j] + _rmul(a, f[:, j + 1], w, m)) % m
+    return f
+
+
+def _newton(f, df, x, w, p, m, k):
+    """Refine residue roots x with unit derivatives to the roots mod
+    m = p^k; each step doubles the digits known, and the root is unique."""
+    x = x.copy()
+    for _ in range(k + 4):
+        fx = _horner(f, x, w, m)
+        todo = fx.any(axis=-1)
+        if not todo.any():
+            break
+        inv = _ring_inverse(_horner(df[todo], x[todo], w, m), w, p, m)
+        x[todo] = (x[todo] - _rmul(fx[todo], inv, w, m)) % m
+    return x
+
+
+# ---------------------------------------------------------------------------
 # The census.
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Census:
-    """Certified eigenvalue orbits in extensions of one polynomial.  Its
-    Z_p roots come from zp_roots (registry._zp_stats for a whole chunk),
-    and the island counts of the matrix laws from the batched primary
+    """Certified eigenvalue orbits in extensions of one polynomial, the
+    oracle of batch_census.  Its Z_p roots come from zp_roots, and the
+    island counts of the matrix laws from the batched primary
     multiplicities."""
 
     quad_orbits: tuple       # (label, m) per certified quadratic orbit
@@ -755,3 +968,155 @@ def _pair_unram_quadratic(roots, p, quad_orbits):
         ms.append(mv)
     quad_orbits.extend((QUAD_UNRAMIFIED, m) for m in ms)
     return len(ms)
+
+
+class CensusCounts(NamedTuple):
+    """census_of_poly of each row of a batch, as counts."""
+
+    quad: np.ndarray      # (B, 2, N + 1) quadratic orbits by label
+                          # (0 unramified, 1 ramified) and depth m
+    unram: np.ndarray     # (B, n + 1) eigenvalues by unramified degree d
+    quad_ok: np.ndarray   # (B,) False where census_of_poly flags 'quad'
+    unram_ok: np.ndarray  # (B,) False where it flags 'unram'
+
+
+def batch_census(polys, p: int, N: int) -> CensusCounts:
+    """The census of a batch of monic rows mod p^N, constant term first,
+    equal to census_of_poly row by row in its certified orbit and root
+    counts and its flags.
+
+    Each distinct residue is factored once, and its simple factors are
+    counted once and broadcast to its rows.  The repeated factors are
+    lifted as int64 rows and resolved on batch_roots: the Z_p roots of the
+    linear heads are divided off with batch_divmod_monic, a quadratic
+    remainder is classified by the valuation of b^2 - 4c at the remainder's
+    precision, other remainders are searched at d = 2 and the heads with
+    d >= 2 at d; conjugate roots are paired row by row.
+    """
+    m = p ** N
+    polys = np.asarray(polys, dtype=np.int64) % m
+    B, L = polys.shape
+    n = L - 1
+    check_modulus_budget(max(n, 1), m)
+    _check_monic(polys)
+    residues, inv = np.unique(polys % p, axis=0, return_inverse=True)
+    inv = inv.reshape(-1)
+    residues = [tuple(r) for r in residues.tolist()]
+    factors = [factor_mod_p(r, p) for r in residues]
+    heads = [tuple(e for e in fac if e[2] > 1) for fac in factors]
+    simple = np.zeros((len(factors), n + 1), dtype=np.int32)
+    for u, fac in enumerate(factors):
+        for _, d, mult in fac:
+            if mult == 1 and d >= 2:
+                simple[u, d] += d
+    out = CensusCounts(np.zeros((B, 2, N + 1), dtype=np.int32), simple[inv],
+                       np.ones(B, dtype=bool), np.ones(B, dtype=bool))
+    if n >= 2:
+        # an irreducible residue quadratic: an unramified orbit at depth 0
+        out.quad[:, 0, 0] = out.unram[:, 2] // 2
+    idx = np.flatnonzero(np.array([bool(hd) for hd in heads])[inv])
+    if not idx.size:
+        return out
+    starts = [_lift_start(r, p, hd) if hd else ()
+              for r, hd in zip(residues, heads)]
+    lifted, _ = _lift_rows(polys[idx], p, N, inv[idx], starts)
+    rows, gs, ds, mults = [], [], [], []
+    for j, g in enumerate(lifted):
+        dm = np.array([hd[j][1:] if len(hd) > j else (0, 0) for hd in heads])
+        dm = dm[inv[idx]]
+        has = dm[:, 0] > 0
+        rows.append(idx[has])
+        gs.append(g[has])
+        ds.append(dm[has, 0])
+        mults.append(dm[has, 1])
+    rows, gs, ds, mults = (np.concatenate(x) for x in (rows, gs, ds, mults))
+    lin = ds == 1
+    _census_linear_heads(out, rows[lin], gs[lin], mults[lin], p, N)
+    for d in sorted(set(ds[~lin].tolist())):
+        sel = ds == d
+        _census_unram_heads(out, rows[sel], gs[sel], p, N, d)
+    return out
+
+
+def _census_linear_heads(out, rows, g, mult, p, N):
+    """Split the Z_p roots off lifted heads F^mult, F linear, and resolve
+    the remainders as census_of_poly does."""
+    m = p ** N
+    G, L = g.shape
+    roots = batch_roots(g[:, :, None], N, p)
+    out.quad_ok[rows[~roots.ok]] = False
+    count = np.bincount(roots.row, minlength=G)
+    prec = np.full(G, N, dtype=np.int64)
+    np.minimum.at(prec, roots.row, roots.prec)
+    first = np.searchsorted(roots.row, np.arange(G))
+    rem = g.copy()
+    for t in range(int(count.max(initial=0))):
+        sel = np.flatnonzero(count > t)
+        r = roots.value[first[sel] + t, 0]
+        lin = np.stack([(-r) % m, np.ones_like(r)], axis=1)
+        q, _ = batch_divmod_monic(rem[sel], lin, m)
+        rem[sel] = 0
+        rem[sel, :L - 1] = q
+    deg = np.maximum(mult - count, 0)
+    ok = roots.ok
+    short = ok & (prec < 2) & (deg >= 2)
+    out.quad_ok[rows[short]] = False
+    quad = ok & ~short & (deg == 2)
+    if p == 2:
+        out.quad_ok[rows[quad]] = False
+    else:
+        mod = p ** prec[quad]
+        b, c = rem[quad, 1] % mod, rem[quad, 0] % mod
+        disc = (b * b - 4 * c) % mod
+        v = batch_valuation(disc, p, N)
+        fine = (disc != 0) & (v < prec[quad] - 1)
+        out.quad_ok[rows[quad][~fine]] = False
+        # even valuation 2m: unramified at depth m; odd 2m + 1: ramified
+        np.add.at(out.quad, (rows[quad][fine], v[fine] % 2, v[fine] // 2), 1)
+    # cubic remainders hold no quadratic orbit; the rest are searched
+    pair = np.flatnonzero(ok & ~short & ((deg == 1) | (deg >= 4)))
+    if pair.size:
+        coords = np.zeros((pair.size, L, 2), dtype=np.int64)
+        coords[:, :, 0] = rem[pair]
+        found = batch_roots(coords, prec[pair], p, 2)
+        for e, ms in _conjugate_pairs(found, p):
+            if ms is None or deg[pair[e]] - 2 * len(ms) >= 2:
+                out.quad_ok[rows[pair[e]]] = False
+            else:
+                np.add.at(out.quad, (rows[pair[e]], 0, ms), 1)
+
+
+def _census_unram_heads(out, rows, g, p, N, d):
+    """Count the roots of lifted heads F^mult, deg F = d >= 2, in the
+    unramified extension of degree d, and at d = 2 their conjugate pairs."""
+    G, L = g.shape
+    coords = np.zeros((G, L, d), dtype=np.int64)
+    coords[:, :, 0] = g
+    roots = batch_roots(coords, N, p, d)
+    out.unram_ok[rows[~roots.ok]] = False
+    if d == 2:
+        out.quad_ok[rows[~roots.ok]] = False
+    count = np.bincount(roots.row, minlength=G)
+    np.add.at(out.unram[:, d], rows[roots.ok], count[roots.ok])
+    if d == 2:
+        for e, ms in _conjugate_pairs(roots, p):
+            if ms is None:
+                out.quad_ok[rows[e]] = False
+            else:
+                np.add.at(out.quad, (rows[e], 0, ms), 1)
+
+
+def _conjugate_pairs(roots, p):
+    """(row, depths) per certified row of a d = 2 batch_roots result: the
+    depth of each conjugate pair of _pair_unram_quadratic, or None when
+    its pairing fails."""
+    bounds = np.searchsorted(roots.row, np.arange(roots.ok.size + 1))
+    value, prec = roots.value.tolist(), roots.prec.tolist()
+    for e in np.flatnonzero(roots.ok).tolist():
+        lo, hi = bounds[e], bounds[e + 1]
+        orbits = []
+        rts = [(tuple(v), k) for v, k in zip(value[lo:hi], prec[lo:hi])]
+        if _pair_unram_quadratic(rts, p, orbits) is None:
+            yield e, None
+        else:
+            yield e, [m for _, m in orbits]

@@ -30,6 +30,8 @@ ALLOWED = {
     "markov_t_moment": "closed-form moments of the Markov chain (test_closed_forms)",
     "markov_sample_path": "Markov path sampler (test_closed_forms)",
     "_rank_mod_p": "scalar oracle of batch_rank_mod_p",
+    "Census.quad_orbits": "field of census_of_poly, the oracle of batch_census",
+    "Census.unram_counts": "field of census_of_poly, the oracle of batch_census",
 }
 
 

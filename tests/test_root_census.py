@@ -1,13 +1,15 @@
 from collections import Counter
 from functools import reduce
 from itertools import combinations, product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from padicstats.batched import batch_charpoly, sample_matrices
-from padicstats.matrix_lab import Rng
+from padicstats.batched import batch_charpoly, check_modulus_budget, sample_matrices
+from padicstats.matrix_lab import MAT, Rng
+from padicstats.registry import _census_chunk, _charpolys
 from padicstats import root_census
 from padicstats.padic_core import (
     PadicPoly,
@@ -24,7 +26,6 @@ from padicstats.root_census import (
     QUAD_RAMIFIED,
     QUAD_UNRAMIFIED,
     UnsupportedPrime,
-    census_lifts,
     census_of_poly,
     classify_quadratic,
     factor_mod_p,
@@ -59,6 +60,19 @@ def _charpoly(A, p, N):
 
 def _sampled_charpoly(gen, n, p, N, gl=False):
     return _charpoly(sample_matrices(gen, 1, n, p, N, gl)[0], p, N)
+
+
+def census_lifts(polys, p, N):
+    """The lifts census_of_poly reads, for a batch of monic polys given as
+    equal-length coefficient rows (constant term first): entry i lists
+    row i's repeated residue factors, lifted, as (monic factor, d, mult)."""
+    check_modulus_budget(max(len(polys[0]) - 1, 1), p ** N)
+    polys = np.asarray(polys, dtype=np.int64)
+    residues, inv = np.unique(polys % p, axis=0, return_inverse=True)
+    heads = [tuple(e for e in root_census.factor_mod_p(r, p) if e[2] > 1)
+             for r in residues.tolist()]
+    return root_census._lift_factors(
+        polys, p, N, [heads[k] for k in inv.reshape(-1).tolist()])[0]
 
 
 def _census(f):
@@ -449,6 +463,8 @@ def test_census_factors_each_residue_once(monkeypatch):
         calls.append(args[0])
         return real(*args, **kwargs)
 
+    for p, d in product((2, 3, 5), (1, 2, 3)):
+        unramified_modulus(p, d)  # its first call factors candidates
     monkeypatch.setattr(root_census, "factor_mod_p", counting)
     gen = Rng(57).generator()
     for _ in range(60):
@@ -459,6 +475,15 @@ def test_census_factors_each_residue_once(monkeypatch):
         calls.clear()
         census_of_poly(f, lifted)
         assert len(calls) == 1
+    # the chunk path factors each distinct residue of a chunk once: chunk
+    # 0 of the quad_census defaults (p = 3, n = 6, N = 12) at seed 1
+    spec = SimpleNamespace(p=3, n=6, precision=12, mode=MAT)
+    cps = _charpolys(Rng(1, 0).generator(), 4096, 3, 6, 12, MAT)
+    distinct = len(np.unique(cps % 3, axis=0))
+    calls.clear()
+    _census_chunk(spec, Rng(1, 0).generator(), 4096)
+    assert len(calls) == distinct == 722
+    assert len(set(map(tuple, calls))) == distinct
 
 
 def test_census_lifts_only_repeated_residue_factors(monkeypatch):
