@@ -722,7 +722,11 @@ def _ring_inverse(b, w, p, m):
     return y
 
 
-SCREEN_BLOCK = 2 ** 16  # (row, candidate) pairs screened at a time
+# (row, candidate) pairs screened at a time.  The Horner temporaries are
+# (pairs, d) int64, so a block holds them to a few MB.  Blocks only split
+# a batch when q = p^d is large: at p = 101, d = 2 a block is 6 rows of
+# 10,201 candidates, where one 1,024-row pass would take about 0.4 GB.
+SCREEN_BLOCK = 2 ** 16
 
 
 def _screen(res, elems, w, p):
@@ -1079,6 +1083,7 @@ def _census_linear_heads(out, rows, g, mult, p, N):
         coords = np.zeros((pair.size, L, 2), dtype=np.int64)
         coords[:, :, 0] = rem[pair]
         found = batch_roots(coords, prec[pair], p, 2)
+        out.quad_ok[rows[pair[~found.ok]]] = False
         for e, ms in _conjugate_pairs(found, p):
             if ms is None or deg[pair[e]] - 2 * len(ms) >= 2:
                 out.quad_ok[rows[pair[e]]] = False

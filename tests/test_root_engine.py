@@ -271,6 +271,72 @@ def test_census_chunk_matches_the_row_loop(p, n, N, mode, size):
         assert not counts.quad[:, 1].any() and not counts.quad_ok.all()
 
 
+@st.composite
+def _census_heads(draw):
+    """(p, N, rows (B, n + 1)): monic rows of one degree n built from
+    clustered linear factors, close pairs (x - a)^2 - p^j c, residue-
+    irreducible quadratics and cubics, and squares of the quadratics, so
+    that repeated residue factors of every kind reach the census."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    N = draw(st.integers(1, 12 if p < 5 else 9))
+    n = draw(st.integers(2, 8))
+    m = p ** N
+    digits = st.integers(0, m - 1)
+    unit_shift = st.integers(1, N)
+
+    def quadratic():
+        if draw(st.booleans()):
+            F = list(unramified_modulus(p, 2))
+            noise = draw(st.lists(digits, min_size=2, max_size=2))
+            return [(c + p * z) % m for c, z in zip(F, noise)] + [1]
+        a = draw(st.integers(0, p - 1))
+        c = draw(digits)
+        return [(a * a - p ** draw(unit_shift) * c) % m, (-2 * a) % m, 1]
+
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        f = [1]
+        while len(f) - 1 < n:
+            room = n - (len(f) - 1)
+            kind = draw(st.sampled_from(
+                ["linear", "linear", "quad", "square", "cubic"]))
+            if kind == "quad" and room >= 2:
+                g = quadratic()
+            elif kind == "square" and room >= 4:
+                g = quadratic()
+                g = poly_mul(g, g, m)
+            elif kind == "cubic" and room >= 3:
+                g = list(unramified_modulus(p, 3))
+            else:
+                a = draw(st.integers(0, p - 1))
+                g = [(-a - p ** draw(unit_shift) * draw(digits)) % m, 1]
+            f = poly_mul(f, g, m)
+        if draw(st.booleans()):
+            j = draw(unit_shift)  # an approximation of the product
+            noise = draw(st.lists(digits, min_size=n, max_size=n))
+            f = [(c + p ** j * z) % m for c, z in zip(f[:-1], noise)] + [1]
+        rows.append(f)
+    return p, N, np.array(rows, dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_census_heads())
+def test_batch_census_matches_census_of_poly_on_constructed_heads(case):
+    p, N, polys = case
+    _assert_census_matches(batch_census(polys, p, N), polys, p, N)
+
+
+def test_census_flags_a_remainder_whose_pair_search_fails():
+    # x (x^2 + 9)^2 at p = 3: the Z_p root 0 is found at precision 8, but
+    # the remainder (x^2 + 9)^2 has double roots +-3w whose search fails
+    p, N = 3, 12
+    f = poly_mul([0, 1], poly_mul([9, 0, 1], [9, 0, 1], p ** N), p ** N)
+    polys = np.array([f], dtype=np.int64)
+    counts = batch_census(polys, p, N)
+    assert not counts.quad_ok[0] and counts.unram_ok[0]
+    _assert_census_matches(counts, polys, p, N)
+
+
 def test_batch_census_matches_census_of_poly_row_by_row():
     gen = Rng(72).generator()
     for p, n, N in [(3, 6, 8), (5, 4, 6), (2, 6, 8), (3, 4, 3), (3, 2, 1)]:
