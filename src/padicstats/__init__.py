@@ -8,8 +8,6 @@ harness comparing simulations against the analytic predictions.
 from .padic_core import (
     PadicPoly,
     SATURATED,
-    discriminant,
-    resultant,
 )
 from .matrix_lab import (
     GL,

@@ -1,11 +1,13 @@
 """Vectorized kernels for the Monte Carlo engines.
 
-Everything here mirrors an exact single-sample operation elsewhere in the
-package (division-free characteristic polynomials, ranks over F_p, Smith
-forms over Z_p and quadratic rings of integers, packed F_2 linear algebra)
-and is cross-checked against those implementations in the test suite.
-int64 arithmetic is safe as long as n * (p^N - 1)^2 fits, which callers
-guarantee by the precision policy.
+Division-free characteristic polynomials, ranks over F_p, Smith forms over
+Z_p and quadratic rings of integers, packed F_2 linear algebra and
+row-wise polynomial arithmetic, each for a batch of samples.  The tests
+check every kernel against a scalar one-sample implementation: the
+Berkowitz recurrence, the F_p rank and the Smith eliminations are kept in
+tests/oracles.py.  int64 arithmetic is safe as long as n * (p^N - 1)^2
+fits; a larger modulus is refused with ValueError, by the kernel itself or,
+for the row-wise polynomial kernels, by its caller.
 """
 
 from __future__ import annotations
@@ -296,21 +298,23 @@ def _pivot_to_corner(block: np.ndarray, flat: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Smith forms: the batched counterparts of matrix_lab.smith_parts_raw and
-# smith_parts_quadratic.  Step top pivots on the first entry of least
-# valuation, in row-major order, of the trailing block, which is the entry
-# the scalar loops pick, so every sample takes the scalar routine's row
-# operations and gets its parts in the same order.  Only the trailing block
-# is carried, since no later step reads the pivot row or column.  Products
-# stay within the bounds check_smith_budget checks.
+# Smith forms over Z_p and quadratic rings of integers.  Step top pivots on
+# the first entry of least valuation, in row-major order, of the trailing
+# block, which is the entry the scalar eliminations of tests/oracles.py
+# pick, so every sample takes their row operations and gets its parts in
+# the same order.  Only the trailing block is carried, since no later step
+# reads the pivot row or column.  Products stay within the bounds
+# check_smith_budget checks.
 # ---------------------------------------------------------------------------
 
 
 def batch_smith_parts(mats: np.ndarray, p: int, N: int) -> tuple:
     """(parts (B, n), saturated (B,)) of a (B, n, n) int64 batch mod p^N,
-    equal to smith_parts_raw sample by sample.  A trailing block that is
-    zero mod p^N stays zero, so it reports N at this and every later step."""
+    saturated pivots reported as N.  A trailing block that is zero mod p^N
+    stays zero, so it reports N at this and every later step.  A modulus
+    past check_smith_budget raises ValueError."""
     m = p ** N
+    check_smith_budget(m)
     B, n, _ = mats.shape
     parts = np.empty((B, n), dtype=np.int64)
     block = mats % m
@@ -335,9 +339,11 @@ def batch_smith_parts(mats: np.ndarray, p: int, N: int) -> tuple:
 def batch_smith_parts_quad(U: np.ndarray, V: np.ndarray, p: int, N: int,
                            ramified: bool, gamma: int) -> tuple:
     """(parts (B, n), saturated (B,)) over Z_p[g]/(g^2 - gamma) mod p^N for
-    entries U + V g, equal to smith_parts_quadratic sample by sample: parts
-    in uniformizer units (p unramified, g ramified), capped at N or 2N - 1."""
+    entries U + V g: parts in uniformizer units (p unramified, g ramified),
+    capped at N or 2N - 1.  A modulus past check_smith_budget raises
+    ValueError."""
     m = p ** N
+    check_smith_budget(m, gamma)
     cap = 2 * N - 1 if ramified else N
     B, n, _ = U.shape
     cinv = pow(gamma // p, -1, m) if ramified else 1

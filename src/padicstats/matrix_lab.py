@@ -1,9 +1,10 @@
-"""Scalar linear algebra over Z/p^N and quadratic rings of integers.
+"""The sampling stream and the ensembles of the matrix experiments.
 
 Holds the reproducible sampling stream ``Rng``, the ensemble names MAT and
-GL, the rank over F_p that the exact enumerations run, and the scalar Smith
-forms: the oracles that the batched Smith kernels in ``batched`` match
-sample by sample.
+GL, and smith_parts_raw and smith_parts_quadratic, one-matrix facades over
+the batched Smith kernels in ``batched``.  The scalar rank over F_p and
+the scalar Smith eliminations that those kernels are tested against are
+in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .padic_core import SATURATED, inverse_mod, raw_valuation
+from .batched import batch_smith_parts, batch_smith_parts_quad, check_smith_budget
+from .padic_core import _one_batch
 
 MAT = "MAT"
 GL = "GL"
@@ -31,177 +33,27 @@ class Rng:
         return np.random.Generator(np.random.Philox(key=key))
 
 
-def _rank_mod_p(mat, p: int) -> int:
-    rows = [[int(x) % p for x in r] for r in mat]
-    n = len(rows)
-    cols = len(rows[0]) if n else 0
-    rank = 0
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, n) if rows[i][c] % p != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(n):
-            if i != r and rows[i][c] % p:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
-        r += 1
-        rank += 1
-        if r == n:
-            break
-    return rank
-
-
 def smith_parts_raw(mat, p: int, prec: int):
-    """Diagonal valuations of the Smith form of an integer matrix mod p^prec.
-
-    Returns (parts, saturated); saturated pivots are reported as prec.
-    The input rows are consumed.  This is the oracle of the batched
-    batched.batch_smith_parts, which the cokernel chains run.
-    """
-    modulus = p ** prec
-    n = len(mat)
-    parts = []
-    saturated = False
-    for top in range(n):
-        best = None
-        best_v = prec
-        for i in range(top, n):
-            for j in range(top, n):
-                x = mat[i][j]
-                if x == 0:
-                    continue
-                v = raw_valuation(x, p, modulus)
-                if v < best_v:
-                    best_v = v
-                    best = (i, j)
-                    if v == 0:
-                        break
-            if best_v == 0:
-                break
-        if best is None:
-            parts.extend([prec] * (n - top))
-            saturated = True
-            break
-        bi, bj = best
-        mat[top], mat[bi] = mat[bi], mat[top]
-        for row in mat:
-            row[top], row[bj] = row[bj], row[top]
-        pivot = mat[top][top]
-        unit = pivot // (p ** best_v)
-        inv_unit = inverse_mod(unit, p, modulus)
-        mat[top] = [(x * inv_unit) % modulus for x in mat[top]]
-        pv = p ** best_v
-        # the pivot is now exactly p^v and divides every entry below it, so
-        # the row sweep zeroes column top below the pivot; a column sweep
-        # would change only row top, which no later step reads
-        for i in range(top + 1, n):
-            c = mat[i][top]
-            if c == 0:
-                continue
-            f = c // pv
-            mat[i] = [(x - f * y) % modulus for x, y in zip(mat[i], mat[top])]
-        parts.append(best_v)
-    return parts, saturated
+    """Diagonal valuations of the Smith form of an integer matrix mod p^prec,
+    as (parts, saturated): batch_smith_parts of a one-matrix batch.
+    Saturated pivots are reported as prec."""
+    m = p ** prec
+    check_smith_budget(m)
+    parts, sat = batch_smith_parts(_one_batch(mat, m), p, prec)
+    return parts[0].tolist(), bool(sat[0])
 
 
 def smith_parts_quadratic(rows_u, rows_v, p: int, prec: int, ramified: bool,
                           gamma: int):
-    """Diagonal uniformizer-valuations of the Smith form over a quadratic
-    ring of integers.
+    """Diagonal uniformizer-valuations of the Smith form of the matrix
+    rows_u + rows_v g over Z_p[g]/(g^2 - gamma), as (parts, saturated):
+    batch_smith_parts_quad of a one-matrix batch.  gamma is a non-residue
+    unit for the unramified ring and p times a unit for a ramified one;
+    parts count levels of p when unramified and half-levels when ramified."""
+    m = p ** prec
+    check_smith_budget(m, gamma)
+    parts, sat = batch_smith_parts_quad(_one_batch(rows_u, m),
+                                        _one_batch(rows_v, m), p, prec,
+                                        ramified, gamma)
+    return parts[0].tolist(), bool(sat[0])
 
-    Entries are pairs (u, v) meaning u + v*g where the generator g
-    satisfies g^2 = gamma: gamma a non-residue unit for the unramified
-    ring, gamma = p (times a unit) for a ramified one.  Valuations are in
-    uniformizer units: the uniformizer is p itself when unramified (parts
-    match base-ring levels) and g when ramified (parts count half-levels).
-
-    Returns (parts, saturated).  This is the oracle of the batched
-    batched.batch_smith_parts_quad, which quad_chain runs.
-    """
-    modulus = p ** prec
-    n = len(rows_u)
-    mat = [[(rows_u[i][j] % modulus, rows_v[i][j] % modulus) for j in range(n)]
-           for i in range(n)]
-    cap = prec if not ramified else 2 * prec - 1
-
-    def val_pi(e):
-        u, v = e
-        vu = raw_valuation(u, p, modulus)
-        vv = raw_valuation(v, p, modulus)
-        if not ramified:
-            if vu is SATURATED and vv is SATURATED:
-                return None
-            vals = [x for x in (vu, vv) if x is not SATURATED]
-            return min(vals)
-        a = 2 * vu if vu is not SATURATED else None
-        b = 2 * vv + 1 if vv is not SATURATED else None
-        if a is None and b is None:
-            return None
-        return min(x for x in (a, b) if x is not None)
-
-    def mul(e1, e2):
-        (u1, v1), (u2, v2) = e1, e2
-        return ((u1 * u2 + gamma * v1 * v2) % modulus,
-                (u1 * v2 + v1 * u2) % modulus)
-
-    def unit_inverse(e):
-        u, v = e
-        nm = (u * u - gamma * v * v) % modulus
-        inv = inverse_mod(nm, p, modulus)
-        return ((u * inv) % modulus, (-v * inv) % modulus)
-
-    def div_uniformizer(e, k):
-        # divide by pi^k; exact for entries of valuation >= k
-        u, v = e
-        if not ramified:
-            return (u // p ** k, v // p ** k)
-        for _ in range(k):
-            # (u + v g)/g = v + (u/p) g  since g^2 = gamma = p * unit
-            unit = gamma // p
-            u, v = v, (u // p) * inverse_mod(unit, p, modulus) % modulus
-        return (u % modulus, v % modulus)
-
-    parts = []
-    saturated = False
-    for top in range(n):
-        best = None
-        best_v = None
-        for i in range(top, n):
-            for j in range(top, n):
-                v = val_pi(mat[i][j])
-                if v is None:
-                    continue
-                if best_v is None or v < best_v:
-                    best_v, best = v, (i, j)
-                    if v == 0:
-                        break
-            if best_v == 0:
-                break
-        if best is None or best_v >= cap:
-            parts.extend([cap] * (n - top))
-            saturated = True
-            break
-        bi, bj = best
-        mat[top], mat[bi] = mat[bi], mat[top]
-        for row in mat:
-            row[top], row[bj] = row[bj], row[top]
-        pivot = mat[top][top]
-        unit = div_uniformizer(pivot, best_v)
-        inv_unit = unit_inverse(unit)
-        mat[top] = [mul(e, inv_unit) for e in mat[top]]
-        # no column sweep, as in smith_parts_raw (the pivot is now pi^v)
-        for i in range(top + 1, n):
-            e = mat[i][top]
-            if e == (0, 0):
-                continue
-            factor = div_uniformizer(e, best_v)
-            for j in range(top, n):
-                u2, v2 = mul(factor, mat[top][j])
-                mat[i][j] = ((mat[i][j][0] - u2) % modulus,
-                             (mat[i][j][1] - v2) % modulus)
-        parts.append(best_v)
-    return parts, saturated

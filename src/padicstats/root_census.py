@@ -20,10 +20,12 @@ the Z_p roots off the linear heads, a quadratic remainder is sorted by the
 valuation of b^2 - 4c, and the other remainders and the heads of degree
 d >= 2 are searched in the unramified extensions.
 
-The scalar routines (zp_roots, unramified_roots, classify_quadratic,
-census_of_poly, hensel_split, island_multiplicities) do the same work one
-polynomial at a time.  No run path calls them: they are the engines' test
-oracles, and the benchmark's tracer names them.
+zp_roots, _zp_roots_raw, unramified_roots, census_of_poly and
+hensel_split take one polynomial and run it as a one-row batch through
+batch_roots, batch_census or _lift_rows; with classify_quadratic and
+island_multiplicities they keep the names the benchmark's tracer wraps, and
+no run path calls them.  The scalar recursions that the engines replaced
+are their test oracles, in tests/oracles.py.
 
 Certification is explicit: a sample whose precision budget cannot settle a
 branch is flagged, never silently miscounted, and callers discard flagged
@@ -47,13 +49,10 @@ from .batched import (
 )
 from .padic_core import (
     PadicPoly,
-    QuotientRing,
     SATURATED,
-    inverse_mod,
     poly_add,
     poly_bezout,
     poly_divmod,
-    poly_horner,
     poly_mul,
     poly_sub,
     poly_trim,
@@ -279,41 +278,13 @@ def _lift_start(residue: tuple, p: int, heads: tuple) -> tuple:
     return tuple(out)
 
 
-def _lift_factors(polys, p: int, N: int, heads) -> tuple:
-    """Hensel-lift the given residue factors off a batch of monic polys.
-
-    ``polys`` holds equal-length coefficient rows over Z/p^N, constant
-    term first, and heads[i] distinct (F, d, mult) entries of row i's
-    residue factorization.  Returns (lifted, cofactors): lifted[i] holds
-    one (monic factor, d, mult) per entry, the factor reducing to F^mult
-    mod p; cofactors[i] is the int64 row of the monic cofactor that
-    completes the product to the poly exactly mod p^N.
-    Each head step lifts its rows with one int64 kernel call per
-    (deg F^mult, deg rest) group; a modulus past that kernel's budget
-    raises ValueError before any work.
-    """
-    check_modulus_budget(max(len(polys[0]) - 1, 1), p ** N)
-    polys = np.array(polys, dtype=np.int64) % p ** N
-    _check_monic(polys)
-    keys = {}
-    inv = np.array([keys.setdefault((tuple(r), tuple(hd)), len(keys))
-                    for r, hd in zip((polys % p).tolist(), heads)],
-                   dtype=np.int64)
-    starts = [_lift_start(r, p, hd) if hd else () for r, hd in keys]
-    factors, rest = _lift_rows(polys, p, N, inv, starts)
-    lifted = [[(PadicPoly.from_ints(p, N, rows[i].tolist()), d, m)
-               for rows, (_, d, m) in zip(factors, hd)]
-              for i, hd in enumerate(heads)]
-    return lifted, rest
-
-
 def _check_monic(polys):
     if not (polys[:, -1] == 1).all():
         raise ValueError("hensel lifting needs monic polynomials")
 
 
 def _lift_rows(polys, p: int, N: int, inv, starts) -> tuple:
-    """The int64 core of _lift_factors: monic row i of polys (mod p^N)
+    """Hensel lifting of int64 rows: monic row i of polys (mod p^N)
     lifts the head steps starts[inv[i]] of _lift_start.  Returns (factors,
     cofactors): factors[j] holds each row's j-th lifted factor (zero where
     the row has fewer heads), and cofactors the monic rows left over.  Each
@@ -343,42 +314,41 @@ def _lift_rows(polys, p: int, N: int, inv, starts) -> tuple:
 
 def hensel_split(f: PadicPoly) -> list:
     """Split a monic f into monic factors, one per distinct irreducible
-    residue factor, with the product reconstituting f exactly mod p^N."""
-    heads = factor_mod_p(f.coeffs, f.p)[:-1]
-    lifted, cofactors = _lift_factors([f.coeffs], f.p, f.precision, [heads])
-    cofactor = PadicPoly.from_ints(f.p, f.precision, cofactors[0].tolist())
-    return [g for g, _, _ in lifted[0]] + [cofactor]
+    residue factor, with the product reconstituting f exactly mod p^N:
+    _lift_rows of a one-row batch.  A modulus past the int64 budget raises
+    ValueError before any work."""
+    polys = _int64_row(f.coeffs, f.modulus)
+    _check_monic(polys)
+    residue = tuple((polys[0] % f.p).tolist())
+    start = _lift_start(residue, f.p, factor_mod_p(residue, f.p)[:-1])
+    factors, rest = _lift_rows(polys, f.p, f.precision,
+                               np.zeros(1, dtype=np.int64), [start])
+    return [PadicPoly.from_ints(f.p, f.precision, g[0].tolist())
+            for g in factors + [rest]]
+
+
+def _int64_row(coeffs, modulus: int) -> np.ndarray:
+    """Integer coefficients reduced mod modulus as a one-row int64 batch.  A
+    modulus past the int64 budget of the degree raises ValueError first."""
+    check_modulus_budget(max(len(coeffs) - 1, 1), modulus)
+    return np.array([[c % modulus for c in coeffs]], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
-# Certified roots in Z_p by recursive residue refinement.
+# One polynomial at a time: roots by one-row batch_roots, residue islands
+# and the class of a quadratic.
 # ---------------------------------------------------------------------------
 
 
-def _taylor_shift(coeffs, a, m):
-    """Coefficients of f(a + x) mod m, by the in-place Horner shift."""
-    res = [c % m for c in coeffs]
-    n = len(res)
-    for i in range(n - 1):
-        for j in range(n - 2, i - 1, -1):
-            res[j] = (res[j] + a * res[j + 1]) % m
-    return res
-
-
-def _newton_refine(coeffs, dcoeffs, p, N, x0):
-    """Refine a root whose residue x0 has a unit derivative to p^N."""
-    modulus = p ** N
-    x = x0 % modulus
-    for _ in range(N + 4):
-        fx = poly_horner(coeffs, x, modulus)
-        if fx == 0:
-            break
-        fpx = poly_horner(dcoeffs, x, modulus)
-        step = (fx * inverse_mod(fpx, p, modulus)) % modulus
-        if step == 0:
-            break
-        x = (x - step) % modulus
-    return x
+def _row_roots(coeffs, p: int, N: int, d: int):
+    """batch_roots of one integer polynomial over Z/p^N in Z_q, q = p^d:
+    (roots as (coordinate tuple, precision) pairs, ok)."""
+    row = _int64_row(coeffs, p ** N)
+    coords = np.zeros(row.shape + (d,), dtype=np.int64)
+    coords[..., 0] = row
+    found = batch_roots(coords, N, p, d)
+    roots = zip(map(tuple, found.value.tolist()), found.prec.tolist())
+    return list(roots), bool(found.ok[0])
 
 
 def _zp_roots_raw(coeffs, p, N):
@@ -387,49 +357,8 @@ def _zp_roots_raw(coeffs, p, N):
     Returns (roots, ok): roots as (value, known_precision) pairs, ok False
     when some branch could not be certified within the precision budget.
     """
-    modulus = p ** N
-    coeffs = [c % modulus for c in coeffs]
-    if all(c == 0 for c in coeffs):
-        return [], False
-    dcoeffs = [(i * c) % modulus for i, c in enumerate(coeffs)][1:]
-    roots = []
-    ok = True
-    for a in range(p):
-        if poly_horner(coeffs, a, p) != 0:
-            continue
-        fpa = poly_horner(dcoeffs, a, modulus)
-        # a unit derivative certifies exactly one root in the whole class
-        # a + pZ_p; any weaker certificate can miss a second root hiding
-        # deeper in the same class, so everything else recurses
-        if fpa % p != 0:
-            root = _newton_refine(coeffs, dcoeffs, p, N, a)
-            roots.append((root, N))
-            continue
-        if N < 2:
-            # a vanishing residue with non-unit derivative cannot be
-            # refined further at one digit of precision
-            ok = False
-            continue
-        # unresolved: refine the residue disk a + pZ_p
-        shifted = _taylor_shift(coeffs, a, modulus)
-        scaled = [(c * pow(p, i, modulus)) % modulus for i, c in enumerate(shifted)]
-        vals = [raw_valuation(c, p, modulus) for c in scaled]
-        finite = [v for v in vals if v is not SATURATED]
-        if not finite:
-            ok = False
-            continue
-        content = min(finite)
-        sub_n = N - content
-        if sub_n < 1:
-            ok = False
-            continue
-        sub = [c // p ** content for c in scaled]
-        sub_roots, sub_ok = _zp_roots_raw(sub, p, sub_n)
-        ok = ok and sub_ok
-        for r, k in sub_roots:
-            prec = min(N, k + 1)
-            roots.append(((a + p * r) % p ** prec, prec))
-    return roots, ok
+    roots, ok = _row_roots(coeffs, p, N, 1)
+    return [(x, k) for (x,), k in roots], ok
 
 
 def zp_roots(f: PadicPoly):
@@ -488,166 +417,10 @@ def unramified_modulus(p: int, d: int) -> tuple:
     raise RuntimeError("no irreducible polynomial found")  # pragma: no cover
 
 
-def _unram_poly_eval(coeffs, x, ring):
-    acc = ring.zero
-    for c in reversed(coeffs):
-        acc = ring.add(ring.mul(acc, x), c)
-    return acc
-
-
-class _ResidueField:
-    """F_q = F_p[x]/(Z mod p), q = p^d, by Zech logarithms (Lidl &
-    Niederreiter, *Finite Fields*, 2.5).
-
-    An element is coded as sum c_j p^j over its coordinates, the order of
-    _decode_residue.  For a primitive g, log[code] is the k with g^k equal
-    to the element (None for 0), and zech[k] is the log of 1 + g^k (None
-    when that is 0), so g^x + g^y = g^(y + zech[x - y]) is one lookup.  Each
-    table has O(q) entries.
-    """
-
-    def __init__(self, p: int, modres: tuple):
-        d = len(modres) - 1
-        q = p ** d
-        self.p, self.q1 = p, q - 1
-        self.weights = [p ** j for j in range(d)]
-        for cand in range(1, q):  # the first primitive element in code order
-            g = _decode_residue(cand, p, d)
-            antilog, e = [], [1]
-            for _ in range(q - 1):
-                antilog.append(self.code(e))
-                e = poly_divmod(poly_mul(e, g, p), modres, p)[1]
-            if len(set(antilog)) == q - 1:
-                break
-        else:
-            raise ValueError(f"{modres} is not irreducible mod {p}")
-        self.log = [None] * q
-        for k, c in enumerate(antilog):
-            self.log[c] = k
-        # 1 + g^k: add one to the constant coordinate
-        self.zech = [self.log[c - c % p + (c + 1) % p] for c in antilog]
-
-    def code(self, c) -> int:
-        return sum((x % self.p) * w for x, w in zip(c, self.weights))
-
-    def logs(self, coeffs) -> list:
-        """The log of each coefficient's residue, None for a zero one."""
-        log = self.log
-        return [log[self.code(c)] for c in coeffs]
-
-    def value(self, logs, code):
-        """A log of f(a), None when f(a) = 0: f given by its coefficient
-        logs, a by its code."""
-        if code == 0:
-            return logs[0] if logs else None
-        alpha, q1, zech = self.log[code], self.q1, self.zech
-        acc = None
-        for lc in reversed(logs):  # Horner: acc <- acc a + c
-            if acc is not None:
-                acc += alpha
-            if lc is None:
-                continue
-            if acc is None:
-                acc = lc
-            else:
-                z = zech[(acc - lc) % q1]
-                acc = None if z is None else lc + z
-        return acc
-
-    def roots(self, logs) -> list:
-        """Codes of the roots in F_q of a residue poly, in code order."""
-        return [code for code in range(self.q1 + 1)
-                if self.value(logs, code) is None]
-
-
-@lru_cache(maxsize=None)
-def _residue_field(p: int, modres: tuple) -> _ResidueField:
-    return _ResidueField(p, modres)
-
-
-def _unram_taylor_shift(coeffs, a, ring):
-    res = list(coeffs)
-    n = len(res)
-    for i in range(n - 1):
-        for j in range(n - 2, i - 1, -1):
-            res[j] = ring.add(res[j], ring.mul(a, res[j + 1]))
-    return res
-
-
-def _unram_roots_raw(coeffs, ring):
-    """Certified roots of a poly with coefficients in an unramified ring.
-
-    Only the residue of the poly decides which residues a can be roots and
-    which have a unit derivative, so both screens run in F_{p^d}.
-    """
-    p, N, d = ring.p, ring.precision, ring.deg
-    if all(all(x == 0 for x in c) for c in coeffs):
-        return [], False
-    dcoeffs = [tuple((i * x) % ring.modulus for x in c) for i, c in enumerate(coeffs)][1:]
-    field = _residue_field(p, tuple(x % p for x in ring.modpoly))
-    dlogs = field.logs(dcoeffs)
-    roots = []
-    ok = True
-    for code in field.roots(field.logs(coeffs)):
-        a = _decode_residue(code, p, d)
-        # unit derivative: exactly one root in the residue class (see the
-        # base-ring variant for why weaker certificates undercount)
-        if field.value(dlogs, code) is not None:
-            root = _unram_newton(coeffs, dcoeffs, a, ring)
-            roots.append((root, N))
-            continue
-        if N < 2:
-            ok = False
-            continue
-        shifted = _unram_taylor_shift(coeffs, a, ring)
-        scaled = [
-            tuple((x * pow(p, i, ring.modulus)) % ring.modulus for x in c)
-            for i, c in enumerate(shifted)
-        ]
-        vals = [ring.val(c) for c in scaled]
-        finite = [v for v in vals if v is not SATURATED]
-        if not finite:
-            ok = False
-            continue
-        content = min(finite)
-        sub_n = N - content
-        if sub_n < 1:
-            ok = False
-            continue
-        sub_ring = QuotientRing(p, sub_n, ring.modpoly)
-        sub = [
-            tuple(x // p ** content % sub_ring.modulus for x in c) for c in scaled
-        ]
-        sub_roots, sub_ok = _unram_roots_raw(sub, sub_ring)
-        ok = ok and sub_ok
-        for r, k in sub_roots:
-            prec = min(N, k + 1)
-            mod = p ** prec
-            comp = tuple((x + p * y) % mod for x, y in zip(a, r))
-            roots.append((comp, prec))
-    return roots, ok
-
-
-def _unram_newton(coeffs, dcoeffs, x0, ring):
-    """Refine a root whose residue x0 has a unit derivative to full precision."""
-    x = x0
-    for _ in range(ring.precision + 4):
-        fx = _unram_poly_eval(coeffs, x, ring)
-        if all(v == 0 for v in fx):
-            break
-        step = ring.mul(fx, ring.inverse(_unram_poly_eval(dcoeffs, x, ring)))
-        if all(v == 0 for v in step):
-            break
-        x = ring.sub(x, step)
-    return x
-
-
 def unramified_roots(f: PadicPoly, d: int):
     """Certified roots of f in the unramified extension of degree d,
     returned as coefficient tuples on the fixed basis with their precision."""
-    ring = QuotientRing(f.p, f.precision, unramified_modulus(f.p, d))
-    coeffs = [ring.coerce(c) for c in f.coeffs]
-    roots, ok = _unram_roots_raw(coeffs, ring)
+    roots, ok = _row_roots(f.coeffs, f.p, f.precision, d)
     if not ok:
         raise PrecisionExhausted("extension root census not certified")
     return roots
@@ -665,8 +438,8 @@ def unramified_roots(f: PadicPoly, d: int):
 
 class Roots(NamedTuple):
     """The certified roots of a batch of rows, leaves of the residue-disk
-    tree in the order of _zp_roots_raw and _unram_roots_raw: by row, then by
-    the residue codes chosen at each depth."""
+    tree in the order of the scalar recursions of tests/oracles.py: by row,
+    then by the residue codes chosen at each depth."""
 
     row: np.ndarray     # (K,) the row of each root
     value: np.ndarray   # (K, d) its coordinates
@@ -743,15 +516,16 @@ def batch_roots(coeffs, prec, p: int, d: int = 1) -> Roots:
     """Certified roots in Z_q/p^k, q = p^d, of a batch of polynomials.
 
     coeffs is (R, L, d) int64, constant term first; row i is taken mod
-    p^prec[i] (prec broadcasts).  A worklist of residue disks equal to
-    _zp_roots_raw at d = 1 and to _unram_roots_raw on unramified_modulus(p,
-    d) at d >= 2, root for root: nodes of one precision k are screened at
-    every residue in code order; a residue root with a unit derivative is
-    Newton-refined to p^k, and any other is Taylor-shifted to 0, scaled by
-    p^i, divided by its content and pushed to precision k - content.  A row
-    fails (ok False) when it is zero, or when a multiple residue root
-    shifts to zero mod p^k (always so at k = 1).  A modulus past the int64 budget
-    raises ValueError before any work.
+    p^prec[i] (prec broadcasts).  A worklist of residue disks equal, root
+    for root, to the scalar recursions of tests/oracles.py (_zp_roots_raw
+    at d = 1, _unram_roots_raw on unramified_modulus(p, d) at d >= 2):
+    nodes of one precision k are screened at every residue in code order;
+    a residue root with a unit derivative is Newton-refined to p^k, and any
+    other is Taylor-shifted to 0, scaled by p^i, divided by its content and
+    pushed to precision k - content.  A row fails (ok False) when it is
+    zero, or when a multiple residue root shifts to zero mod p^k (always so
+    at k = 1).  A modulus past the int64 budget raises ValueError before
+    any work.
     """
     coeffs = np.asarray(coeffs, dtype=np.int64)
     R, L, _ = coeffs.shape
@@ -851,9 +625,9 @@ def _newton(f, df, x, w, p, m, k):
 
 @dataclass(frozen=True)
 class Census:
-    """Certified eigenvalue orbits in extensions of one polynomial, the
-    oracle of batch_census.  Its Z_p roots come from zp_roots, and the
-    island counts of the matrix laws from the batched primary
+    """Certified eigenvalue orbits in extensions of one polynomial, as
+    census_of_poly gives them.  Its Z_p roots are those of zp_roots, and
+    the island counts of the matrix laws come from the batched primary
     multiplicities."""
 
     quad_orbits: tuple       # (label, m) per certified quadratic orbit
@@ -861,86 +635,19 @@ class Census:
     flags: frozenset         # subset of {'quad','unram'}
 
 
-def census_of_poly(f: PadicPoly, lifted: list) -> Census:
-    """Resolve a monic polynomial into its certified eigenvalue orbits in
-    extensions; its Z_p roots come from zp_roots.
-
-    A simple residue factor of degree d >= 2 holds d unramified eigenvalues.
-    Per repeated factor: its Z_p roots are split off, then quadratic orbits
-    by discriminant parity and root counts in the matching unramified
-    extension.  ``lifted`` is f's entry of census_lifts.  Unresolvable
-    mass raises no error; it sets component flags so estimators can
-    discard the sample and report the rate.
-    """
-    p, N = f.p, f.precision
-    quad_orbits = []
-    unram_counts = {}
-    flags = set()
-    for _, d, mult in factor_mod_p(f.coeffs, p):
-        if mult == 1 and d >= 2:
-            if d == 2:
-                # irreducible residue => unramified quadratic at depth 0
-                quad_orbits.append((QUAD_UNRAMIFIED, 0))
-            unram_counts[d] = unram_counts.get(d, 0) + d
-    for g, d, _ in lifted:
-        # repeated residue factor F^mult
-        if d == 1:
-            try:
-                rts = zp_roots(g)
-            except PrecisionExhausted:
-                flags.add("quad")
-                continue
-            # split the certified roots off; accuracy of the cofactor is
-            # limited by the least-known root
-            remaining = list(g.coeffs)
-            prec_rem = N
-            for r, k in rts:
-                prec_rem = min(prec_rem, k)
-                remaining = poly_divmod(remaining, [-r, 1], p ** N)[0]
-            rem_deg = len(remaining) - 1 if remaining else 0
-            if prec_rem < 2 and rem_deg >= 2:
-                flags.add("quad")
-            elif rem_deg == 0:
-                pass
-            elif rem_deg == 2:
-                try:
-                    quad_orbits.append(
-                        classify_quadratic(PadicPoly.from_ints(p, prec_rem, remaining)))
-                except (PrecisionExhausted, UnsupportedPrime):
-                    flags.add("quad")
-            elif rem_deg == 3:
-                pass  # a single cubic orbit; cannot contain a quadratic one
-            else:
-                # look for unramified-quadratic pairs inside the remainder
-                resolved = _resolve_unram_pairs(remaining, p, prec_rem, quad_orbits)
-                if not resolved:
-                    flags.add("quad")
-        else:
-            try:
-                rts = unramified_roots(g, d)
-            except PrecisionExhausted:
-                flags.add("unram")
-                if d == 2:
-                    flags.add("quad")
-                continue
-            if d == 2 and _pair_unram_quadratic(rts, p, quad_orbits) is None:
-                flags.add("quad")
-            unram_counts[d] = unram_counts.get(d, 0) + len(rts)
-
-    return Census(tuple(quad_orbits), unram_counts, frozenset(flags))
-
-
-def _resolve_unram_pairs(coeffs, p, N, quad_orbits):
-    """Count unramified-quadratic conjugate pairs inside a residue-power
-    factor of degree >= 4.  Returns False when leftover degree could still
-    hide unresolved quadratic orbits."""
-    try:
-        g = PadicPoly.from_ints(p, N, coeffs)
-        rts = unramified_roots(g, 2)
-    except PrecisionExhausted:
-        return False
-    pairs = _pair_unram_quadratic(rts, p, quad_orbits)
-    return pairs is not None and (len(coeffs) - 1) - 2 * pairs < 2
+def census_of_poly(f: PadicPoly) -> Census:
+    """The census of one monic polynomial: batch_census of a one-row batch,
+    with the quadratic orbits in (label, m) order.  A modulus past the
+    int64 budget raises ValueError before any work."""
+    counts = batch_census(_int64_row(f.coeffs, f.modulus), f.p, f.precision)
+    orbits = tuple((label, m) for label, row in zip(
+        (QUAD_UNRAMIFIED, QUAD_RAMIFIED), counts.quad[0].tolist())
+        for m, k in enumerate(row) for _ in range(k))
+    unram = {d: k for d, k in enumerate(counts.unram[0].tolist()) if k}
+    flags = frozenset(flag for flag, ok in (("quad", counts.quad_ok[0]),
+                                             ("unram", counts.unram_ok[0]))
+                      if not ok)
+    return Census(orbits, unram, flags)
 
 
 def _pair_unram_quadratic(roots, p, quad_orbits):
@@ -975,19 +682,19 @@ def _pair_unram_quadratic(roots, p, quad_orbits):
 
 
 class CensusCounts(NamedTuple):
-    """census_of_poly of each row of a batch, as counts."""
+    """The census of each row of a batch, as counts."""
 
     quad: np.ndarray      # (B, 2, N + 1) quadratic orbits by label
                           # (0 unramified, 1 ramified) and depth m
     unram: np.ndarray     # (B, n + 1) eigenvalues by unramified degree d
-    quad_ok: np.ndarray   # (B,) False where census_of_poly flags 'quad'
-    unram_ok: np.ndarray  # (B,) False where it flags 'unram'
+    quad_ok: np.ndarray   # (B,) False where the row is flagged 'quad'
+    unram_ok: np.ndarray  # (B,) False where it is flagged 'unram'
 
 
 def batch_census(polys, p: int, N: int) -> CensusCounts:
     """The census of a batch of monic rows mod p^N, constant term first,
-    equal to census_of_poly row by row in its certified orbit and root
-    counts and its flags.
+    equal row by row, in its certified orbit and root counts and its flags,
+    to the scalar census_of_poly of tests/oracles.py.
 
     Each distinct residue is factored once, and its simple factors are
     counted once and broadcast to its rows.  The repeated factors are
@@ -1044,7 +751,7 @@ def batch_census(polys, p: int, N: int) -> CensusCounts:
 
 def _census_linear_heads(out, rows, g, mult, p, N):
     """Split the Z_p roots off lifted heads F^mult, F linear, and resolve
-    the remainders as census_of_poly does."""
+    the remainders as the scalar census does."""
     m = p ** N
     G, L = g.shape
     roots = batch_roots(g[:, :, None], N, p)

@@ -1,5 +1,5 @@
 """Every top-level function or class of a package module is reachable,
-and so is every member of a package class.
+and so is every member of a package class and every scalar oracle.
 
 A name is live when another package module refers to it (``__init__.py``
 does not count: its imports are the package's public names), when the
@@ -9,6 +9,10 @@ lists it.  A method, property or dataclass field of a package class is
 live when some package module reads its name as an attribute, or when
 ALLOWED lists it as ``Class.member``; dunder methods are called by the
 language and always live.  Everything else is code no run path reaches.
+
+A definition of ``tests/oracles.py`` is live when a test file imports it
+from there or reads it as an ``oracles.`` attribute, or when a live oracle
+refers to it; any other oracle checks nothing.
 """
 
 import ast
@@ -18,20 +22,20 @@ from pathlib import Path
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "padicstats"
 TRACER = TESTS.parent / "perfbench" / "tracer.py"
+ORACLES = TESTS / "oracles.py"
 
 # name or Class.member -> why it stays although no run path reaches it
 ALLOWED = {
-    "resultant": "test reference for classify_quadratic, via discriminant",
-    "discriminant": "test reference for classify_quadratic",
     "clear_shared_chunks": "test hook: empties the shared sample store",
     "theta3": "product-form check of the theta series (test_closed_forms)",
     "markov_matrix_m": "Markov machinery of acceptance criterion 5",
     "markov_spectral": "Markov machinery of acceptance criterion 5",
     "markov_t_moment": "closed-form moments of the Markov chain (test_closed_forms)",
     "markov_sample_path": "Markov path sampler (test_closed_forms)",
-    "_rank_mod_p": "scalar oracle of batch_rank_mod_p",
-    "Census.quad_orbits": "field of census_of_poly, the oracle of batch_census",
-    "Census.unram_counts": "field of census_of_poly, the oracle of batch_census",
+    "Census.quad_orbits": "census_of_poly's orbits, which the tests compare "
+                          "with the scalar census of tests/oracles.py",
+    "Census.unram_counts": "census_of_poly's unramified counts, which the "
+                           "tests compare with the scalar census",
 }
 
 
@@ -101,3 +105,31 @@ def test_no_unreachable_definitions():
                if isinstance(node, DEFS)}
     defined |= {qual for tree in modules.values() for qual, _ in _members(tree)}
     assert set(ALLOWED) <= defined
+
+
+def _oracle_uses(tree) -> set:
+    """Names a test file takes from tests/oracles.py."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "oracles":
+            used |= {alias.name for alias in node.names}
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "oracles"):
+            used.add(node.attr)
+    return used
+
+
+def test_every_oracle_is_used_by_a_test():
+    tree = ast.parse(ORACLES.read_text(), filename=str(ORACLES))
+    defs = {node.name: node for node in tree.body if isinstance(node, DEFS)}
+    tests = sorted(TESTS.glob("test_*.py"))
+    assert defs and tests
+    live = set().union(*(_oracle_uses(ast.parse(p.read_text(), filename=str(p)))
+                         for p in tests))
+    assert live <= set(defs)  # every name a test takes is defined there
+    todo = list(live)
+    while todo:
+        for ref in _refs(defs[todo.pop()]) & (set(defs) - live):
+            live.add(ref)
+            todo.append(ref)
+    assert sorted(set(defs) - live) == []

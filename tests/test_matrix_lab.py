@@ -14,7 +14,10 @@ from padicstats.batched import (
     sample_matrices,
 )
 from padicstats.matrix_lab import Rng, smith_parts_quadratic, smith_parts_raw
-from padicstats.padic_core import berkowitz_charpoly, poly_mul
+from padicstats.padic_core import poly_mul
+
+import oracles
+from oracles import _rank_mod_p, berkowitz_charpoly
 
 
 def _cofactor_det(rows, m):
@@ -171,8 +174,6 @@ def test_gl_rejection_matches_full_rerank(p, n, N):
 def test_gl_acceptance_rate():
     # fraction of invertible 2x2 residue matrices is |GL_2(F_2)|/16 = 6/16
     gen = Rng(100).generator()
-    from padicstats.matrix_lab import _rank_mod_p
-
     trials = 100_000
     raw = gen.integers(0, 2, size=(trials, 2, 2))
     hits = sum(1 for i in range(trials) if _rank_mod_p(raw[i].tolist(), 2) == 2)
@@ -189,8 +190,6 @@ def _exact_cap(n, d):
 
 def _exact_multiplicity(A, coeffs, p):
     """n - rank F(A)^n over F_p, in Python integers: the exact reference."""
-    from padicstats.matrix_lab import _rank_mod_p
-
     n = len(A)
 
     def mul(X, Y):
@@ -242,7 +241,6 @@ def test_fp_primary_multiplicity_exact_at_p1009_n60():
     # float32 products were inexact here: a planted nilpotent 3-block
     # came back as multiplicity 0
     from padicstats.batched import fp_primary_multiplicity
-    from padicstats.matrix_lab import _rank_mod_p
 
     p, n = 1009, 60
     gen = Rng(13).generator()
@@ -270,7 +268,6 @@ def test_fp_primary_multiplicity_exact_at_p1009_n60():
 @given(st.data())
 def test_batch_rank_mod_p_matches_scalar_rank(data):
     from padicstats.batched import batch_rank_mod_p
-    from padicstats.matrix_lab import _rank_mod_p
 
     # at p = 2^31 - 1 three unreduced update steps would pass 2^63, so the
     # trailing block is reduced before every other step
@@ -320,7 +317,6 @@ def test_batch_rank_mod_p_reduces_before_int64_overflow():
     # at p = 2^31 - 1 three unreduced updates of a 16 x 16 elimination
     # would pass 2^63; planted dependent rows keep the ranks below 16
     from padicstats.batched import batch_rank_mod_p
-    from padicstats.matrix_lab import _rank_mod_p
 
     p = 2 ** 31 - 1
     gen = Rng(14).generator()
@@ -369,7 +365,6 @@ def test_batch_rank_mod_p_exact_at_each_type_edge(p, dtype):
     # next prime's first step would overflow that type, and runs in the next
     # wider one; past int64 the kernel refuses
     from padicstats.batched import _rank_dtype, batch_rank_mod_p
-    from padicstats.matrix_lab import _rank_mod_p
 
     if dtype is None:
         with pytest.raises(ValueError, match="too large"):
@@ -392,7 +387,6 @@ def test_f2_rank_matches_scalar_rank(data):
     # planted ranks L R, an all-ones matrix and a full top column, at every
     # packed width n = 1..63
     from padicstats.batched import f2_pack, f2_rank
-    from padicstats.matrix_lab import _rank_mod_p
 
     n = data.draw(st.integers(1, 63))
     gen = Rng(data.draw(st.integers(0, 2 ** 32 - 1))).generator()
@@ -414,7 +408,6 @@ def test_f2_rank_matches_scalar_rank(data):
 def test_f2_rank_pivots_on_the_top_bit():
     # at n = 63 column 62 is the top bit of every packed row
     from padicstats.batched import f2_pack, f2_rank
-    from padicstats.matrix_lab import _rank_mod_p
 
     n = 63
     gen = Rng(15).generator()
@@ -627,7 +620,7 @@ def test_batch_charpoly_quad_exact_at_int64_budget_edge(data):
         batch_charpoly_quad,
         check_quad_budget,
     )
-    from padicstats.padic_core import QuotientRing
+    from oracles import QuotientRing
 
     n = data.draw(st.integers(1, 5))
     c = data.draw(st.integers(0, 40))
@@ -711,7 +704,7 @@ def test_batch_smith_parts_matches_scalar_oracle(data):
     mats = _smith_mats(data, p, N, data.draw(st.integers(1, 5)))
     parts, sat = batch_smith_parts(mats, p, N)
     for A, got, s in zip(mats.tolist(), parts.tolist(), sat.tolist()):
-        assert (got, s) == smith_parts_raw(A, p, N)
+        assert (got, s) == oracles.smith_parts_raw(A, p, N)
 
 
 @settings(max_examples=80, deadline=None)
@@ -729,7 +722,8 @@ def test_batch_smith_parts_quad_matches_scalar_oracle(data):
     U, V = U[:B], V[:B]
     parts, sat = batch_smith_parts_quad(U, V, p, N, ramified, gamma)
     for u, v, got, s in zip(U.tolist(), V.tolist(), parts.tolist(), sat.tolist()):
-        assert (got, s) == smith_parts_quadratic(u, v, p, N, ramified, gamma)
+        assert (got, s) == oracles.smith_parts_quadratic(u, v, p, N, ramified,
+                                                         gamma)
 
 
 @pytest.mark.parametrize("p,N,ramified,gamma", [
@@ -754,10 +748,10 @@ def test_smith_kernels_exact_at_their_budget_edge(p, N, ramified, gamma):
         0, 2, size=(64, 3, 3)) % m for _ in range(2))
     if ramified is None:
         parts, sat = batch_smith_parts(U, p, N)
-        want = [smith_parts_raw(A, p, N) for A in U.tolist()]
+        want = [oracles.smith_parts_raw(A, p, N) for A in U.tolist()]
     else:
         parts, sat = batch_smith_parts_quad(U, V, p, N, ramified, gamma)
-        want = [smith_parts_quadratic(u, v, p, N, ramified, gamma)
+        want = [oracles.smith_parts_quadratic(u, v, p, N, ramified, gamma)
                 for u, v in zip(U.tolist(), V.tolist())]
     assert list(zip(parts.tolist(), sat.tolist())) == want
 
@@ -771,6 +765,18 @@ def test_check_smith_budget_refuses_the_first_modulus_past_its_edge():
         check_smith_budget(edge, gamma)
         with pytest.raises(ValueError, match="too large"):
             check_smith_budget(edge + 1, gamma)
+
+
+def test_smith_kernels_refuse_a_modulus_past_their_budget():
+    # at 3^30 the kernels' products pass int64, so they refuse the batch
+    # instead of returning parts computed from wrapped values
+    from padicstats.batched import batch_smith_parts, batch_smith_parts_quad
+
+    U = Rng(30).generator().integers(0, 3 ** 30, size=(200, 4, 4))
+    with pytest.raises(ValueError, match="int64"):
+        batch_smith_parts(U, 3, 30)
+    with pytest.raises(ValueError, match="int64"):
+        batch_smith_parts_quad(U[:, 1:, 1:], U[:, :3, :3], 3, 30, False, 2)
 
 
 def test_rng_streams():
@@ -807,16 +813,12 @@ def test_smith_quadratic_block_oracle():
                     B[2 * i + 1][2 * j + 1] = u
             return B
 
-        parts, sat = smith_parts_quadratic(
-            [r[:] for r in U], [r[:] for r in V], p, N, False, c
-        )
+        parts, sat = smith_parts_quadratic(U, V, p, N, False, c)
         bparts, bsat = smith_parts_raw(block(c), p, N)
         if not sat and not bsat:
             assert sorted(x for x in parts for _ in range(2)) == sorted(bparts)
             checked_u += 1
-        parts, sat = smith_parts_quadratic(
-            [r[:] for r in U], [r[:] for r in V], p, N, True, 3
-        )
+        parts, sat = smith_parts_quadratic(U, V, p, N, True, 3)
         bparts, bsat = smith_parts_raw(block(3), p, N)
         if not sat and not bsat:
             want = sorted([x // 2 for x in parts] + [(x + 1) // 2 for x in parts])

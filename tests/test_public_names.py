@@ -26,7 +26,6 @@ PUBLIC = [
     "build_experiment",
     "classify_quadratic",
     "compare",
-    "discriminant",
     "eval_formula",
     "factor_mod_p",
     "hensel_split",
@@ -37,7 +36,6 @@ PUBLIC = [
     "markov_spectral",
     "markov_t_moment",
     "qpoch",
-    "resultant",
     "run_experiment",
     "theta3",
 ]

@@ -10,13 +10,12 @@ from hypothesis import example, given, settings, strategies as st
 from padicstats.batched import batch_charpoly, check_modulus_budget, sample_matrices
 from padicstats.matrix_lab import MAT, Rng
 from padicstats.registry import _census_chunk, _charpolys
-from padicstats import root_census
+from padicstats import matrix_lab, padic_core, root_census
+from padicstats.matrix_lab import smith_parts_quadratic, smith_parts_raw
 from padicstats.padic_core import (
     PadicPoly,
-    QuotientRing,
     SATURATED,
-    discriminant,
-    inverse_mod,
+    det_mod,
     poly_mul,
     poly_trim,
     raw_valuation,
@@ -26,7 +25,6 @@ from padicstats.root_census import (
     QUAD_RAMIFIED,
     QUAD_UNRAMIFIED,
     UnsupportedPrime,
-    census_of_poly,
     classify_quadratic,
     factor_mod_p,
     hensel_split,
@@ -36,10 +34,18 @@ from padicstats.root_census import (
     zp_roots,
     _decode_residue,
     _fp_gcd,
+    _zp_roots_raw,
+)
+
+import oracles
+from oracles import (
+    QuotientRing,
     _lift_factors,
     _residue_field,
     _unram_poly_eval,
-    _zp_roots_raw,
+    census_of_poly,
+    discriminant,
+    inverse_mod,
 )
 
 
@@ -71,13 +77,22 @@ def census_lifts(polys, p, N):
     residues, inv = np.unique(polys % p, axis=0, return_inverse=True)
     heads = [tuple(e for e in root_census.factor_mod_p(r, p) if e[2] > 1)
              for r in residues.tolist()]
-    return root_census._lift_factors(
+    return oracles._lift_factors(
         polys, p, N, [heads[k] for k in inv.reshape(-1).tolist()])[0]
 
 
 def _census(f):
-    """census_of_poly on f's entry of a one-row census_lifts batch."""
-    return census_of_poly(f, census_lifts([f.coeffs], f.p, f.precision)[0])
+    """census_of_poly on f's entry of a one-row census_lifts batch.  The
+    package's one-row census of f gives the same flags and, where
+    certified, the same counts."""
+    c = census_of_poly(f, census_lifts([f.coeffs], f.p, f.precision)[0])
+    got = root_census.census_of_poly(f)
+    assert got.flags == c.flags
+    if "quad" not in c.flags:
+        assert Counter(got.quad_orbits) == Counter(c.quad_orbits)
+    if "unram" not in c.flags:
+        assert got.unram_counts == {d: k for d, k in c.unram_counts.items() if k}
+    return c
 
 
 def _quad_counts(c):
@@ -241,7 +256,7 @@ def test_batched_lift_is_invariant_to_grouping(case):
         assert _poly(p, N, cofactors[i].tolist(), *factors) == _poly(p, N, f)
 
 
-def test_lift_past_the_int64_budget_is_refused():
+def test_lift_past_the_int64_budget_is_refused(monkeypatch):
     # 2 (101^10 - 1)^2 > 2^62: refused before any lifting
     f = PadicPoly.from_ints(101, 10, (0, -1, 1))
     with pytest.raises(ValueError, match="int64"):
@@ -250,6 +265,28 @@ def test_lift_past_the_int64_budget_is_refused():
         _census(f)
     with pytest.raises(ValueError, match="monic"):
         hensel_split(PadicPoly.from_ints(3, 4, (0, -1, 3)))
+
+    # the one-row facades refuse it before their kernels start
+    def no_work(*args):
+        raise AssertionError("work started before the budget check")
+
+    for module, kernel in [(root_census, "_lift_rows"),
+                           (root_census, "batch_roots"),
+                           (root_census, "batch_census"),
+                           (matrix_lab, "batch_smith_parts"),
+                           (matrix_lab, "batch_smith_parts_quad"),
+                           (padic_core, "batch_det")]:
+        monkeypatch.setattr(module, kernel, no_work)
+    m = f.modulus
+    A = [[1, m - 1], [3, 4]]
+    for refused in (lambda: hensel_split(f), lambda: zp_roots(f),
+                    lambda: unramified_roots(f, 2),
+                    lambda: root_census.census_of_poly(f),
+                    lambda: smith_parts_raw(A, 101, 10),
+                    lambda: smith_parts_quadratic(A, A, 101, 10, False, 2),
+                    lambda: det_mod(A, m)):
+        with pytest.raises(ValueError, match="int64"):
+            refused()
 
 
 def test_count_roots_examples():
@@ -414,12 +451,12 @@ def test_degree_one_unramified_roots_match_zp_roots():
         coeffs = [int(x) for x in gen.integers(0, p ** N, size=deg)] + [1]
         f = PadicPoly.from_ints(p, N, coeffs)
         try:
-            want = sorted(zp_roots(f))
+            want = sorted(oracles.zp_roots(f))
         except PrecisionExhausted:
             with pytest.raises(PrecisionExhausted):
-                unramified_roots(f, 1)
+                oracles.unramified_roots(f, 1)
             continue
-        got = sorted((r, k) for (r,), k in unramified_roots(f, 1))
+        got = sorted((r, k) for (r,), k in oracles.unramified_roots(f, 1))
         assert got == want, (coeffs, p, N)
 
 
@@ -471,9 +508,8 @@ def test_census_factors_each_residue_once(monkeypatch):
         p = int(gen.choice([2, 3, 5]))
         n = int(gen.integers(2, 7))
         f = _sampled_charpoly(gen, n, p, 8)
-        lifted = census_lifts([f.coeffs], p, 8)[0]
         calls.clear()
-        census_of_poly(f, lifted)
+        root_census.census_of_poly(f)
         assert len(calls) == 1
     # the chunk path factors each distinct residue of a chunk once: chunk
     # 0 of the quad_census defaults (p = 3, n = 6, N = 12) at seed 1
@@ -488,13 +524,13 @@ def test_census_factors_each_residue_once(monkeypatch):
 
 def test_census_lifts_only_repeated_residue_factors(monkeypatch):
     heads = []
-    real = root_census._lift_factors
+    real = oracles._lift_factors
 
     def counting(polys, p, N, hds):
         heads.extend(e for hd in hds for e in hd)
         return real(polys, p, N, hds)
 
-    monkeypatch.setattr(root_census, "_lift_factors", counting)
+    monkeypatch.setattr(oracles, "_lift_factors", counting)
     # squarefree residue x (x - 1) (x^2 + 1) over F_3: nothing is lifted
     squarefree = _poly(3, 8, (-3, 1), (-4, 1), (1, 0, 1))
     c = _census(squarefree)
@@ -541,13 +577,13 @@ def test_census_searches_only_lifted_linear_heads(monkeypatch):
     # Z_p roots are split off each repeated linear residue factor, and the
     # cofactor's roots are never searched
     calls = []
-    real = root_census.zp_roots
+    real = oracles.zp_roots
 
     def counting(g):
         calls.append(g)
         return real(g)
 
-    monkeypatch.setattr(root_census, "zp_roots", counting)
+    monkeypatch.setattr(oracles, "zp_roots", counting)
     gen = Rng(58).generator()
     searched = 0
     for _ in range(80):

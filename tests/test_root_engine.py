@@ -2,9 +2,10 @@
 
 batch_roots must list the roots of _zp_roots_raw (d = 1) and of
 _unram_roots_raw (d >= 2) in their order, with their precisions and ok
-flags; batch_census must give census_of_poly's counts and flags; and the
-chunk functions of the Z_p and census experiments must give the stats of
-the row loops they replaced, kept here as oracles.
+flags; batch_census must give census_of_poly's counts and flags (all three
+the scalar recursions of oracles.py); and the chunk functions of the Z_p
+and census experiments must give the stats of the row loops they replaced,
+kept here as oracles.
 """
 
 from functools import reduce
@@ -18,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from padicstats import root_census
 from padicstats.batched import check_modulus_budget
 from padicstats.matrix_lab import GL, MAT, Rng
-from padicstats.padic_core import PadicPoly, QuotientRing, poly_mul, raw_valuation
+from padicstats.padic_core import PadicPoly, poly_mul, raw_valuation
 from padicstats.registry import (
     PAIR_CELLS,
     POLY,
@@ -30,14 +31,18 @@ from padicstats.registry import (
 from padicstats.root_census import (
     QUAD_RAMIFIED,
     QUAD_UNRAMIFIED,
+    batch_census,
+    batch_roots,
+    factor_mod_p,
+    unramified_modulus,
+)
+
+from oracles import (
+    QuotientRing,
     _lift_factors,
     _unram_roots_raw,
     _zp_roots_raw,
-    batch_census,
-    batch_roots,
     census_of_poly,
-    factor_mod_p,
-    unramified_modulus,
 )
 
 
