@@ -71,16 +71,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# (flag, override key, type); --points is parsed by _parse_points
 _OVERRIDE_FLAGS = (
-    ("--p", int), ("--n", int), ("--precision", int), ("--trials", int),
-    ("--seed", int), ("--workers", int), ("--s", int), ("--d", int),
-    ("--m", int), ("--k", int), ("--c", int), ("--label", str),
-    ("--points", str), ("--mode", str),
+    ("--p", "p", int), ("--n", "n", int), ("--precision", "N", int),
+    ("--trials", "trials", int), ("--seed", "seed", int),
+    ("--workers", "workers", int), ("--s", "s", int), ("--d", "d", int),
+    ("--m", "m", int), ("--k", "k", int), ("--c", "c", int),
+    ("--label", "label", str), ("--points", "points", str),
 )
 
 
 def _add_override_flags(p: argparse.ArgumentParser):
-    for flag, typ in _OVERRIDE_FLAGS:
+    for flag, _, typ in _OVERRIDE_FLAGS:
         p.add_argument(flag, type=typ, default=None)
 
 
@@ -95,17 +97,10 @@ def _parse_points(raw: str) -> tuple:
 
 def _overrides_from_args(args) -> dict:
     out = {}
-    mapping = {
-        "p": "p", "n": "n", "precision": "N", "trials": "trials",
-        "seed": "seed", "workers": "workers", "s": "s", "d": "d", "m": "m",
-        "k": "k", "c": "c", "label": "label", "mode": "mode",
-    }
-    for attr, key in mapping.items():
-        val = getattr(args, attr, None)
+    for flag, key, _ in _OVERRIDE_FLAGS:
+        val = getattr(args, flag[2:])
         if val is not None:
-            out[key] = val
-    if getattr(args, "points", None) is not None:
-        out["points"] = _parse_points(args.points)
+            out[key] = _parse_points(val) if key == "points" else val
     if "workers" not in out:
         out["workers"] = _default_workers()
     return out

@@ -65,7 +65,6 @@ from .root_census import (
 )
 
 POLY = "POLY"
-ALL_MODES = (MAT, GL, POLY)
 # least value of each integer parameter: island degree d, shared chain level
 # m, variety level s and determinant moment k
 PARAM_FLOORS = {"d": 1, "m": 1, "s": 1, "k": 0}
@@ -87,14 +86,14 @@ class ExperimentDef:
     # name of the sample pass this experiment shares with others that run
     # the same chunk function (see experiment.run_chunked)
     shared: str | None = None
-    # the modes a mode override may pick; () when the runner reads none
-    modes: tuple = ()
+    # the one ensemble (MAT, GL or POLY) the experiment's law is stated for
+    mode: str = MAT
 
     def make_spec(self, overrides: dict) -> ExperimentSpec:
         """The checked run request for these overrides (see check).
         Unknown keys raise KeyError."""
         base = dict(self.defaults)
-        known = set(base) | {"p", "n", "N", "trials", "seed", "workers", "mode"}
+        known = set(base) | {"p", "n", "N", "trials", "seed", "workers"}
         for k in overrides:
             if k not in known:
                 raise KeyError(f"unknown override '{k}' for experiment {self.name}")
@@ -102,14 +101,14 @@ class ExperimentDef:
         params = {
             k: v
             for k, v in base.items()
-            if k not in {"p", "n", "N", "trials", "seed", "workers", "mode"}
+            if k not in {"p", "n", "N", "trials", "seed", "workers"}
         }
         spec = ExperimentSpec(
             name=self.name,
             p=base["p"],
             n=base["n"],
             precision=base["N"],
-            mode=base.get("mode", MAT),
+            mode=self.mode,
             trials=base["trials"],
             seed=base.get("seed", 20240801),
             workers=base.get("workers", 1),
@@ -122,9 +121,9 @@ class ExperimentDef:
     def check(self, spec: ExperimentSpec) -> None:
         """Refuse a spec this experiment cannot run exactly, before anything
         is sampled: a non-prime p, n, trials or workers < 1, a seed outside
-        [0, 2^64), a mode other than the default that the runner does not
-        read, parameters outside their domain or the batched kernels' exact
-        range, or p = 2 for a quadratic experiment raise InvalidSpec
+        [0, 2^64), a mode other than the experiment's own, parameters
+        outside their domain or the batched kernels' exact range, or p = 2
+        for a quadratic experiment raise InvalidSpec
         (PrecisionPolicyViolation for N below min_precision, BudgetExceeded
         for an enumeration past its budget)."""
         if not is_prime(spec.p):
@@ -137,8 +136,8 @@ class ExperimentDef:
             raise InvalidSpec(f"workers must be >= 1, got {spec.workers}")
         if not 0 <= spec.seed < 2 ** 64:
             raise InvalidSpec(f"seed must lie in [0, 2^64), got {spec.seed}")
-        if spec.mode != self.defaults.get("mode", MAT) and spec.mode not in self.modes:
-            raise InvalidSpec(f"{self.name} does not read mode {spec.mode!r}")
+        if spec.mode != self.mode:
+            raise InvalidSpec(f"{self.name} runs mode {self.mode}, not {spec.mode!r}")
         if spec.precision < self.min_precision:
             raise PrecisionPolicyViolation(
                 f"{self.name} needs N >= {self.min_precision}, got {spec.precision}")
@@ -306,11 +305,8 @@ def _zp_chunk(spec, gen, size):
 
 def _run_zp_count(spec):
     stats = run_chunked(spec, partial(_zp_chunk, spec))
-    target = AnalyticTarget(value=1.0, tol=1e-12)
-    if spec.mode == GL:
-        target = AnalyticTarget(
-            value=cf.gl_zp_expected(spec.p).value, flags=(ASYMPTOTIC,)
-        )
+    target = AnalyticTarget(value=cf.one_point_zp(spec.p, spec.n).value,
+                            tol=1e-12)
     return [
         make_estimate_report(
             spec, "mean zp_count", stats["sum"], stats["sumsq"], stats["used"],
@@ -776,8 +772,6 @@ def _charpoly_det_identity_chunk(spec, gen, size):
     a1 = sample_matrices(gen, size, n, p, N)
     cu, cv = batch_charpoly_quad(a0, a1, c, m)
     du, dv = cu[:, -1], cv[:, -1]
-    if n % 2 == 1:
-        du, dv = (-du) % m, (-dv) % m
     nm = (du * du - c * dv * dv) % m
     nvals = batch_valuation(nm, p, N)
     ngood = nvals < N
@@ -928,42 +922,39 @@ _register(ExperimentDef(
     name="E_Zp_count",
     doc="Expected number of eigenvalues in Z_p equals 1 at every size",
     kind="mc",
-    defaults=dict(p=3, n=6, N=10, trials=100_000, mode=MAT),
+    defaults=dict(p=3, n=6, N=10, trials=100_000),
     runner=_run_zp_count,
     min_precision=6,
     budget=_charpoly_budget,
-    modes=ALL_MODES,
 ))
 
 _register(ExperimentDef(
     name="var_zp",
     doc="Limiting variance of the number of eigenvalues in Z_p",
     kind="mc",
-    defaults=dict(p=3, n=8, N=12, trials=100_000, mode=MAT),
+    defaults=dict(p=3, n=8, N=12, trials=100_000),
     runner=_run_var_zp,
     min_precision=8,
     budget=_charpoly_budget,
     shared="zp",
-    modes=ALL_MODES,
 ))
 
 _register(ExperimentDef(
     name="pair_valuation_hist",
     doc="Histogram of pairwise valuations of Z_p eigenvalues vs the pair density",
     kind="mc",
-    defaults=dict(p=3, n=8, N=12, trials=100_000, mode=MAT),
+    defaults=dict(p=3, n=8, N=12, trials=100_000),
     runner=_run_pair_hist,
     min_precision=8,
     budget=_charpoly_budget,
     shared="zp",
-    modes=ALL_MODES,
 ))
 
 _register(ExperimentDef(
     name="det_moment",
     doc="Moments of the determinant norm vs the q-Pochhammer ratio",
     kind="mc",
-    defaults=dict(p=2, n=1, N=12, trials=30_000, mode=MAT, k=1),
+    defaults=dict(p=2, n=1, N=12, trials=30_000, k=1),
     runner=_run_det_moment,
     min_precision=6,
     suite_variants=tuple(
@@ -977,7 +968,7 @@ _register(ExperimentDef(
     name="det_moment_exact",
     doc="Exact enumeration interval for E||det|| at n=1",
     kind="exact",
-    defaults=dict(p=2, n=1, N=8, trials=1, mode=MAT),
+    defaults=dict(p=2, n=1, N=8, trials=1),
     runner=_run_det_moment_exact,
     min_precision=2,
     budget=_det_exact_budget,
@@ -987,7 +978,7 @@ _register(ExperimentDef(
     name="island_law",
     doc="Distribution of the number of eigenvalue orbits on one island",
     kind="mc",
-    defaults=dict(p=2, n=50, N=1, trials=100_000, mode=MAT, d=1),
+    defaults=dict(p=2, n=50, N=1, trials=100_000, d=1),
     runner=_run_island_law,
     min_precision=1,
     suite_variants=({"d": 1}, {"d": 2}),
@@ -998,7 +989,7 @@ _register(ExperimentDef(
     name="cok_markov",
     doc="Cokernel level ranks follow the partition Markov kernel",
     kind="mc",
-    defaults=dict(p=2, n=4, N=8, trials=100_000, mode=MAT),
+    defaults=dict(p=2, n=4, N=8, trials=100_000),
     runner=_run_cok_markov,
     min_precision=4,
     budget=_smith_chain_budget,
@@ -1008,7 +999,7 @@ _register(ExperimentDef(
     name="cok_joint_chain",
     doc="Two pencil cokernels share levels then branch independently",
     kind="mc",
-    defaults=dict(p=2, n=4, N=8, trials=50_000, mode=MAT, m=1),
+    defaults=dict(p=2, n=4, N=8, trials=50_000, m=1),
     runner=_run_cok_joint_chain,
     min_precision=4,
     budget=_smith_chain_budget,
@@ -1018,7 +1009,7 @@ _register(ExperimentDef(
     name="quad_chain",
     doc="Extension cokernel chains: shared prefix then the extension kernel",
     kind="mc",
-    defaults=dict(p=3, n=3, N=8, trials=40_000, mode=MAT, m=1,
+    defaults=dict(p=3, n=3, N=8, trials=40_000, m=1,
                   label="UNRAMIFIED"),
     runner=_run_quad_chain,
     min_precision=4,
@@ -1030,43 +1021,40 @@ _register(ExperimentDef(
     name="quad_census",
     doc="Certified quadratic eigenvalue orbits by type and depth",
     kind="mc",
-    defaults=dict(p=3, n=6, N=12, trials=100_000, mode=MAT),
+    defaults=dict(p=3, n=6, N=12, trials=100_000),
     runner=_run_quad_census,
     min_precision=8,
     budget=_odd_p_census_budget,
     shared="census",
-    modes=ALL_MODES,
 ))
 
 _register(ExperimentDef(
     name="expected_quad",
     doc="Total eigenvalue counts in quadratic extensions",
     kind="mc",
-    defaults=dict(p=3, n=6, N=12, trials=40_000, mode=MAT),
+    defaults=dict(p=3, n=6, N=12, trials=40_000),
     runner=_run_expected_quad,
     min_precision=8,
     budget=_odd_p_census_budget,
     shared="census",
-    modes=ALL_MODES,
 ))
 
 _register(ExperimentDef(
     name="higher_degree_unramified_cubic",
     doc="Eigenvalue count in the unramified cubic vs the divisor-sum bounds",
     kind="mc",
-    defaults=dict(p=3, n=6, N=12, trials=100_000, mode=MAT),
+    defaults=dict(p=3, n=6, N=12, trials=100_000),
     runner=_run_higher_cubic,
     min_precision=8,
     budget=_charpoly_budget,
     shared="census",
-    modes=ALL_MODES,
 ))
 
 _register(ExperimentDef(
     name="en_relation",
     doc="All-eigenvalues probability vs all-roots probability ratio",
     kind="mc",
-    defaults=dict(p=3, n=2, N=10, trials=100_000, mode=MAT),
+    defaults=dict(p=3, n=2, N=10, trials=100_000),
     runner=_run_en_relation,
     min_precision=6,
     budget=_charpoly_budget,
@@ -1076,7 +1064,7 @@ _register(ExperimentDef(
     name="en_decay",
     doc="Monotone decay of the all-eigenvalues probability in the size",
     kind="mc",
-    defaults=dict(p=2, n=4, N=10, trials=100_000, mode=MAT, sizes=(2, 3, 4)),
+    defaults=dict(p=2, n=4, N=10, trials=100_000, sizes=(2, 3, 4)),
     runner=_run_en_decay,
     min_precision=6,
     budget=_charpoly_budget,
@@ -1086,18 +1074,18 @@ _register(ExperimentDef(
     name="gl_support",
     doc="Invertible ensemble: no residue-zero eigenvalues; unit-ball count",
     kind="mc",
-    defaults=dict(p=3, n=6, N=10, trials=100_000, mode=GL),
+    defaults=dict(p=3, n=6, N=10, trials=100_000),
+    mode=GL,
     runner=_run_gl_support,
     min_precision=6,
     budget=_charpoly_budget,
-    modes=ALL_MODES,
 ))
 
 _register(ExperimentDef(
     name="charpoly_det_identity",
     doc="Determinant norm of Z(A) vs the linearized quotient-ring pencil",
     kind="mc",
-    defaults=dict(p=3, n=8, N=14, trials=60_000, mode=MAT, c=None),
+    defaults=dict(p=3, n=8, N=14, trials=60_000, c=None),
     runner=_run_charpoly_det,
     min_precision=8,
     budget=_charpoly_det_budget,
@@ -1107,32 +1095,32 @@ _register(ExperimentDef(
     name="points_on_variety",
     doc="Exact small-ball law for characteristic polynomial values",
     kind="exact",
-    defaults=dict(p=2, n=2, N=1, trials=1, mode=MAT, s=1, points=(0, 1)),
+    defaults=dict(p=2, n=2, N=1, trials=1, s=1, points=(0, 1)),
     runner=_run_points_on_variety,
     min_precision=1,
     suite_variants=(
         {"p": 2, "s": 1, "N": 1}, {"p": 2, "s": 2, "N": 2}, {"p": 3, "s": 1, "N": 1},
     ),
     budget=_points_budget,
-    modes=(MAT, GL),
 ))
 
 _register(ExperimentDef(
     name="points_on_variety_gl",
     doc="Exact small-ball law for the invertible ensemble (unit points)",
     kind="exact",
-    defaults=dict(p=3, n=2, N=1, trials=1, mode=GL, s=1, points=(1, 2)),
+    defaults=dict(p=3, n=2, N=1, trials=1, s=1, points=(1, 2)),
+    mode=GL,
     runner=_run_points_on_variety,
     min_precision=1,
     budget=_points_budget,
-    modes=(MAT, GL),
 ))
 
 _register(ExperimentDef(
     name="poly_variety",
     doc="Exact small-ball law for Haar monic polynomials",
     kind="exact",
-    defaults=dict(p=2, n=2, N=1, trials=1, mode=POLY, s=1, points=(0, 1)),
+    defaults=dict(p=2, n=2, N=1, trials=1, s=1, points=(0, 1)),
+    mode=POLY,
     runner=_run_poly_variety,
     min_precision=1,
     suite_variants=(
@@ -1145,7 +1133,7 @@ _register(ExperimentDef(
     name="invertible_exact",
     doc="Exact probability that a residue matrix is invertible",
     kind="exact",
-    defaults=dict(p=2, n=2, N=1, trials=1, mode=MAT),
+    defaults=dict(p=2, n=2, N=1, trials=1),
     runner=_run_invertible_exact,
     min_precision=1,
     budget=lambda spec: check_enumeration_budget(spec.p ** (spec.n * spec.n)),

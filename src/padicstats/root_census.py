@@ -527,11 +527,11 @@ def batch_roots(coeffs, prec, p: int, d: int = 1) -> Roots:
     at k = 1).  A modulus past the int64 budget raises ValueError before
     any work.
     """
-    coeffs = np.asarray(coeffs, dtype=np.int64)
-    R, L, _ = coeffs.shape
+    R, L, _ = np.shape(coeffs)
     prec = np.broadcast_to(np.asarray(prec, dtype=np.int64), (R,))
     top = int(prec.max(initial=1))
     check_modulus_budget(max(L - 1, 1), p ** top)
+    coeffs = np.asarray(coeffs, dtype=np.int64)
     if (prec < 1).any():
         raise ValueError("root precision must be at least 1")
     w = np.array(unramified_modulus(p, d)[:-1], dtype=np.int64)
@@ -705,10 +705,10 @@ def batch_census(polys, p: int, N: int) -> CensusCounts:
     d >= 2 at d; conjugate roots are paired row by row.
     """
     m = p ** N
-    polys = np.asarray(polys, dtype=np.int64) % m
-    B, L = polys.shape
+    B, L = np.shape(polys)
     n = L - 1
     check_modulus_budget(max(n, 1), m)
+    polys = np.asarray(polys, dtype=np.int64) % m
     _check_monic(polys)
     residues, inv = np.unique(polys % p, axis=0, return_inverse=True)
     inv = inv.reshape(-1)

@@ -126,18 +126,12 @@ def test_bad_run_parameters_are_usage_errors(argv, capsys):
     ["run", "quad_chain", "--label", "FOO", "--trials", "300"],
     ["run", "quad_chain", "--m", "0"],
     ["run", "cok_joint_chain", "--m", "0"],
-    ["run", "cok_markov", "--mode", "GL"],
-    ["run", "det_moment", "--mode", "POLY"],
-    ["run", "island_law", "--mode", "GL"],
-    ["run", "points_on_variety", "--mode", "POLY"],
     ["run", "det_moment", "--k", "-1"],
     ["run", "points_on_variety", "--s", "0"],
     ["run", "points_on_variety_gl", "--s", "0"],
     ["run", "poly_variety", "--s", "0"],
     ["run", "charpoly_det_identity", "--c", "0"],
     ["run", "charpoly_det_identity", "--c", "1"],
-    ["run", "points_on_variety", "--mode", "GL"],
-    ["run", "points_on_variety", "--mode", "GL", "--p", "3", "--points", "0,1"],
     ["run", "points_on_variety_gl", "--points", "3,1"],
     ["run", "det_moment_exact", "--n", "2"],
     ["run", "E_Zp_count", "--precision", "2"],
@@ -151,9 +145,8 @@ def test_bad_size_worker_seed_and_degree_are_usage_errors(argv, capsys):
     # repeated points, an n other than the number of points of a matrix
     # law, a GL point divisible by p, clustered points at an s
     # where the exact matrix law fails (s <= 2v), a label other than
-    # UNRAMIFIED/RAMIFIED, a c that is a square mod p, a mode the runner
-    # does not read, N below the precision policy and an enumeration past
-    # its budget are refused before sampling, with exit 2 and a usage
+    # UNRAMIFIED/RAMIFIED, a c that is a square mod p, N below the
+    # precision policy and an enumeration past its budget are refused before sampling, with exit 2 and a usage
     # message
     assert dispatch(argv) == 2
     captured = capsys.readouterr()
@@ -168,7 +161,6 @@ def test_bad_size_worker_seed_and_degree_are_usage_errors(argv, capsys):
     ["run", "cok_markov", "--precision", "32"],
     ["run", "quad_chain", "--label", "RAMIFIED", "--precision", "19"],
     ["run", "gl_support", "--p", "2", "--n", "64", "--trials", "8"],
-    ["run", "E_Zp_count", "--mode", "GL", "--p", "2", "--n", "64", "--trials", "8"],
 ])
 def test_kernel_budget_is_a_usage_error(argv, capsys):
     # past the batched kernels' exact range (GL sampling at p = 2 ranks with

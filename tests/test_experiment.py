@@ -27,7 +27,9 @@ from padicstats.experiment import (
     run_chunked,
     run_experiment,
 )
+from padicstats.cli import dispatch
 from padicstats.matrix_lab import Rng
+from padicstats.registry import REGISTRY
 from fractions import Fraction
 
 
@@ -75,10 +77,27 @@ def test_specs_built_without_make_spec_are_checked_when_run():
         run_experiment(replace(spec, precision=2))
     with pytest.raises(FrozenInstanceError):
         spec.precision = 2
-    # a mode other than the default must be one the runner reads
-    with pytest.raises(InvalidSpec, match="does not read mode"):
-        run_experiment(replace(build_experiment("cok_markov"), mode="GL"))
-    assert build_experiment("cok_markov", {"mode": "MAT"}).mode == "MAT"
+
+
+@pytest.mark.parametrize("name,mode", [
+    (name, mode) for name, edef in sorted(REGISTRY.items())
+    for mode in ("MAT", "GL", "POLY") if mode != edef.mode])
+def test_each_experiment_refuses_every_other_ensemble(name, mode, monkeypatch,
+                                                      capsys):
+    # each law is stated for one ensemble: another is refused at every entry
+    # point before anything is sampled (the runner is never reached)
+    def never(spec):
+        raise AssertionError("runner reached")
+
+    monkeypatch.setitem(REGISTRY, name, replace(REGISTRY[name], runner=never))
+    with pytest.raises(KeyError):
+        build_experiment(name, {"mode": mode})
+    with pytest.raises(InvalidSpec, match=f"runs mode {REGISTRY[name].mode}"):
+        run_experiment(replace(build_experiment(name), mode=mode))
+    assert dispatch(["run", name, "--mode", mode]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
 
 
 def test_compare_rules():
@@ -291,7 +310,7 @@ def test_quad_chain_pipeline():
     ("en_relation", {}),
     ("en_decay", {}),
     ("charpoly_det_identity", {}),
-    ("E_Zp_count", {"mode": "GL"}),
+    ("gl_support", {}),
     ("quad_census", {}),
 ])
 def test_chain_chunks_pickle_with_their_spec(name, overrides):
@@ -303,7 +322,7 @@ def test_chain_chunks_pickle_with_their_spec(name, overrides):
     from padicstats import registry
 
     spec = build_experiment(name, dict(overrides, trials=256))
-    shared = {"E_Zp_count": "_zp_chunk", "quad_census": "_census_chunk"}
+    shared = {"gl_support": "_zp_chunk", "quad_census": "_census_chunk"}
     fn = getattr(registry, shared.get(name, f"_{name}_chunk"))
     again = pickle.loads(pickle.dumps(partial(fn, spec)))
     want = fn(spec, Rng(spec.seed, 0).generator(), 256)

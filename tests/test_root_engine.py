@@ -163,6 +163,16 @@ def test_batch_roots_at_the_largest_admitted_precision(d, monkeypatch):
         batch_census(cps[:, ::-1], p, 19)
 
 
+def test_coefficients_past_int64_meet_the_budget_check():
+    # 101^10 - 1 overflows int64: the budget refuses the modulus from the
+    # input's shape before the coefficients are converted
+    m = 101 ** 10
+    with pytest.raises(ValueError, match="modulus .* too large"):
+        batch_census([[0, m - 1, 1]], 101, 10)
+    with pytest.raises(ValueError, match="modulus .* too large"):
+        batch_roots([[[0], [m - 1], [1]]], 10, 101)
+
+
 @pytest.mark.parametrize("p, n", [(2, 2), (3, 6), (5, 4), (7, 3), (101, 2)])
 def test_batch_roots_admits_every_charpoly_budget(p, n):
     # the kernel's check is the charpoly budget at the row's degree, so no
