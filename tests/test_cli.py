@@ -126,12 +126,18 @@ def test_bad_run_parameters_are_usage_errors(argv, capsys):
     ["run", "quad_chain", "--label", "FOO", "--trials", "300"],
     ["run", "quad_chain", "--m", "0"],
     ["run", "cok_joint_chain", "--m", "0"],
+    ["run", "cok_markov", "--points", "0,1"],
+    ["run", "det_moment", "--label", "RAMIFIED"],
+    ["run", "island_law", "--c", "2"],
+    ["run", "points_on_variety", "--m", "2"],
     ["run", "det_moment", "--k", "-1"],
     ["run", "points_on_variety", "--s", "0"],
     ["run", "points_on_variety_gl", "--s", "0"],
     ["run", "poly_variety", "--s", "0"],
     ["run", "charpoly_det_identity", "--c", "0"],
     ["run", "charpoly_det_identity", "--c", "1"],
+    ["run", "points_on_variety_gl", "--m", "2"],
+    ["run", "points_on_variety_gl", "--p", "3", "--points", "0,1"],
     ["run", "points_on_variety_gl", "--points", "3,1"],
     ["run", "det_moment_exact", "--n", "2"],
     ["run", "E_Zp_count", "--precision", "2"],
@@ -145,9 +151,10 @@ def test_bad_size_worker_seed_and_degree_are_usage_errors(argv, capsys):
     # repeated points, an n other than the number of points of a matrix
     # law, a GL point divisible by p, clustered points at an s
     # where the exact matrix law fails (s <= 2v), a label other than
-    # UNRAMIFIED/RAMIFIED, a c that is a square mod p, N below the
-    # precision policy and an enumeration past its budget are refused before sampling, with exit 2 and a usage
-    # message
+    # UNRAMIFIED/RAMIFIED, a c that is a square mod p, a parameter the
+    # experiment does not read, N below the precision policy and an
+    # enumeration past its budget are refused before sampling, with exit 2
+    # and a usage message
     assert dispatch(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
