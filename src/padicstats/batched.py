@@ -638,7 +638,10 @@ def sample_f2_matrices(gen: np.random.Generator, B: int, n: int) -> np.ndarray:
     numpy's bounded sampler draws one 32-bit word per entry for a range of
     2 and returns its top bit, with no rejection; drawing the words
     outright gives the same bits from the same stream without an int64
-    array.  tests/test_matrix_lab.py pins this identity.
+    array.  tests/test_matrix_lab.py pins this identity.  The generator
+    keeps its place between calls, so batches drawn one after another
+    continue the same stream: slices of B1, B2, ... matrices are, entry for
+    entry, the first B1 + B2 + ... of one larger draw.
     """
     return gen.integers(0, 2 ** 32, size=(B, n, n), dtype=np.uint32) >= 2 ** 31
 

@@ -13,7 +13,9 @@ them:
   batch_smith_parts_quad;
 - _zp_roots_raw and _unram_roots_raw, the recursive residue refinements,
   against root_census.batch_roots root for root, and census_of_poly with
-  _lift_factors against root_census.batch_census row by row.
+  _lift_factors against root_census.batch_census row by row;
+- island_law_chunk, one draw of a whole island chunk, against
+  registry._island_law_chunk, which draws and counts it in slices.
 
 The package keeps the names that its tracer wraps (zp_roots,
 _zp_roots_raw, unramified_roots, census_of_poly, hensel_split,
@@ -26,7 +28,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from padicstats.batched import check_modulus_budget
+from padicstats.batched import (
+    check_modulus_budget,
+    f2_primary_multiplicity,
+    fp_primary_multiplicity,
+    sample_f2_matrices,
+)
 from padicstats.padic_core import (
     PadicPoly,
     SATURATED,
@@ -36,6 +43,7 @@ from padicstats.padic_core import (
     poly_trim,
     raw_valuation,
 )
+from padicstats.registry import ISLAND_CAP_POW, ISLAND_MAX_J
 from padicstats.root_census import (
     Census,
     PrecisionExhausted,
@@ -786,3 +794,25 @@ def _resolve_unram_pairs(coeffs, p, N, quad_orbits):
         return False
     pairs = _pair_unram_quadratic(rts, p, quad_orbits)
     return pairs is not None and (len(coeffs) - 1) - 2 * pairs < 2
+
+
+# ---------------------------------------------------------------------------
+# The island-law chunk in one draw.
+# ---------------------------------------------------------------------------
+
+
+def island_law_chunk(spec, gen, size):
+    """registry._island_law_chunk with the whole chunk drawn and counted at
+    once."""
+    p, n, d = spec.p, spec.n, spec.params["d"]
+    coeffs = list(unramified_modulus(p, d))
+    if p == 2:
+        mats = sample_f2_matrices(gen, size, n)
+        mult = f2_primary_multiplicity(mats, coeffs, d, ISLAND_CAP_POW)
+    else:
+        mats = gen.integers(0, p, size=(size, n, n), dtype=np.int64)
+        mult = fp_primary_multiplicity(mats, coeffs, d, p, ISLAND_CAP_POW)
+    hist = np.bincount(
+        np.minimum(mult, ISLAND_MAX_J + 1), minlength=ISLAND_MAX_J + 2
+    ).astype(np.float64)
+    return {"hist": hist}
