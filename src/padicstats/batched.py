@@ -16,6 +16,7 @@ import numpy as np
 
 MAX_INT64_PRODUCT = 2 ** 62
 MAX_FLOAT64_EXACT = 2 ** 53  # float64 holds every integer up to this exactly
+MAX_FLOAT32_EXACT = 2 ** 24  # and float32 every integer up to this
 
 
 def check_modulus_budget(n: int, modulus: int):
@@ -554,11 +555,19 @@ def f2_primary_multiplicity(mats: np.ndarray, coeffs, d: int,
     return (n - r) // d
 
 
-def float64_mod_inplace(X: np.ndarray, p: int,
-                        scratch: np.ndarray) -> np.ndarray:
-    """X %= p for float64 integers 0 <= X <= 2^53, in place.
+def _fp_dtype(n: int, p: int):
+    """The float type _fp_poly_power runs in: float32 while a product of
+    n x n factors reduced mod p is exact in it, n (p - 1)^2 <= 2^24, and
+    float64 otherwise, up to check_float64_budget's 2^53."""
+    return np.float32 if n * (p - 1) ** 2 <= MAX_FLOAT32_EXACT else np.float64
 
-    scratch is a float64 array of X's shape whose contents are discarded.
+
+def float_mod_inplace(X: np.ndarray, p: int,
+                      scratch: np.ndarray) -> np.ndarray:
+    """X %= p for float32 integers 0 <= X <= 2^24 or float64 integers
+    0 <= X <= 2^53, in place.
+
+    scratch is an array of X's shape and type whose contents are discarded.
     The rounded quotient X / p is within one of the exact one, so a pass
     of X -= p floor(X / p) leaves X within one step of its residue
     (-p < X < 2p), and a second pass over those small values is exact.
@@ -573,37 +582,43 @@ def float64_mod_inplace(X: np.ndarray, p: int,
 
 def _fp_poly_power(mats: np.ndarray, low: list, p: int,
                    cap_pow: int) -> np.ndarray:
-    """F(A)^(2^cap_pow) mod p in float64, for monic F = x^d + sum low[i] x^i.
+    """F(A)^(2^cap_pow) mod p in _fp_dtype(n, p), for monic
+    F = x^d + sum low[i] x^i.
 
     A product of n x n factors with entries up to a and b has entries up to
     n a b, so entries are reduced mod p only when the next product could
-    pass MAX_FLOAT64_EXACT; check_float64_budget(n, p) makes a product of
-    reduced factors exact.  Each product is written to a second buffer, and
-    a reduction uses that buffer as scratch, so no step allocates a
-    full-size array.
+    pass the type's exact bound, 2^24 in float32 and 2^53 in float64;
+    _fp_dtype and check_float64_budget(n, p) make a product of reduced
+    factors exact.  Each product is written to a second buffer, and a
+    reduction uses that buffer as scratch, so no step allocates a
+    full-size array.  The entries are reduced mod p in mats' integer type
+    before the cast, and at d = 1 A itself becomes the Horner result, since
+    no product reads it.
     """
     n = mats.shape[1]
-    A = (mats % p).astype(np.float64)
+    dtype = _fp_dtype(n, p)
+    exact = MAX_FLOAT32_EXACT if dtype is np.float32 else MAX_FLOAT64_EXACT
+    A = (mats % p).astype(dtype)
     diag = np.arange(n)
     # Horner from A + c_{d-1} I; the diagonal is reduced after each + c I
-    M = A.copy()
+    M = A.copy() if len(low) > 1 else A
     M[:, diag, diag] = (M[:, diag, diag] + low[-1]) % p
     S = np.empty_like(M)
     top = p - 1  # every entry of M is at most this
 
     def reduce():
-        float64_mod_inplace(M, p, scratch=S)
+        float_mod_inplace(M, p, scratch=S)
         return p - 1
 
     for c in reversed(low[:-1]):
-        if n * top * (p - 1) > MAX_FLOAT64_EXACT:
+        if n * top * (p - 1) > exact:
             top = reduce()
         np.matmul(M, A, out=S)
         M, S = S, M
         top *= n * (p - 1)
         M[:, diag, diag] = (M[:, diag, diag] % p + c) % p
     for _ in range(cap_pow):
-        if n * top * top > MAX_FLOAT64_EXACT:
+        if n * top * top > exact:
             top = reduce()
         np.matmul(M, M, out=S)
         M, S = S, M
@@ -615,17 +630,19 @@ def _fp_poly_power(mats: np.ndarray, low: list, p: int,
 
 def fp_primary_multiplicity(mats: np.ndarray, coeffs, d: int, p: int,
                             cap_pow: int) -> np.ndarray:
-    """Odd-p counterpart of f2_primary_multiplicity via float64 matmuls.
+    """Odd-p counterpart of f2_primary_multiplicity via float matmuls.
 
-    A float64 product of residues mod p is exact while its row sums
-    n * (p - 1)^2 stay within 2^53; larger inputs raise ValueError.
+    A float product of residues mod p is exact while its row sums
+    n * (p - 1)^2 stay within 2^24 in float32 or 2^53 in float64; the
+    powers run in float32 up to 2^24 and in float64 beyond it, and inputs
+    past 2^53 raise ValueError.
     """
     B, n, _ = mats.shape
     check_float64_budget(n, p)
     *low, lead = [c % p for c in coeffs]
     if lead != 1 or not low:
         raise ValueError("expected a monic polynomial of degree >= 1")
-    # the float64 buffers are freed before the elimination runs
+    # the float buffers are freed before the elimination runs
     M = _fp_poly_power(mats, low, p, cap_pow).astype(_rank_dtype(p))
     r = batch_rank_mod_p(M, p)
     return (n - r) // d

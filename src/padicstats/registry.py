@@ -421,7 +421,8 @@ ISLAND_CAP_POW = ISLAND_MAX_J.bit_length()
 # 0.44-0.47 s for the whole chunk at once.  tracemalloc peaks at p = 2 and
 # p = 3 are 3.0 and 15.9 MiB at 2^19 and 6.0 and 32.0 MiB at 2^20,
 # against 48.8 and 78.1 MiB for the whole chunk; 2^19 is as fast at half
-# the memory.
+# the memory.  Those p = 3 figures are for int64 draws and float64 powers;
+# with int32 draws and float32 powers the p = 3 peak at 2^19 is 6.0 MiB.
 ISLAND_SLICE = 2 ** 19
 
 
@@ -440,7 +441,9 @@ def _island_law_chunk(spec, gen, size):
             mats = sample_f2_matrices(gen, b, n)
             mult = f2_primary_multiplicity(mats, coeffs, d, ISLAND_CAP_POW)
         else:
-            mats = gen.integers(0, p, size=(b, n, n), dtype=np.int64)
+            # the int64 draw's values and stream in half the memory: numpy
+            # draws 32-bit words for any range below 2^31
+            mats = gen.integers(0, p, size=(b, n, n), dtype=np.int32)
             mult = fp_primary_multiplicity(mats, coeffs, d, p, ISLAND_CAP_POW)
         hist += np.bincount(
             np.minimum(mult, ISLAND_MAX_J + 1), minlength=ISLAND_MAX_J + 2
@@ -524,12 +527,19 @@ def _cok_joint_chain_chunk(spec, gen, size):
     m_level = spec.params["m"]
     m = p ** N
     A = gen.integers(0, m, size=(size, n, n), dtype=np.int64)
-    B = gen.integers(0, m, size=(size, n, n), dtype=np.int64)
-    M2 = (A - p ** m_level * B) % m
-    parts, sat = batch_smith_parts(np.concatenate([A, M2]), p, N)
-    lam = _level_counts(parts, m_level + 1)
-    lam1, lam2 = lam[:size], lam[size:]
-    good = ~(sat[:size] | sat[size:])
+    # M2 = (A - p^m B) mod p^N, built in B's buffer
+    M2 = gen.integers(0, m, size=(size, n, n), dtype=np.int64)
+    M2 *= p ** m_level
+    np.subtract(A, M2, out=M2)
+    M2 %= m
+    # Smith forms are computed sample by sample, so each batch can run
+    # alone and be dropped once its parts are read
+    parts1, sat1 = batch_smith_parts(A, p, N)
+    del A
+    parts2, sat2 = batch_smith_parts(M2, p, N)
+    lam1 = _level_counts(parts1, m_level + 1)
+    lam2 = _level_counts(parts2, m_level + 1)
+    good = ~(sat1 | sat2)
     shared = (lam1[:, :m_level] == lam2[:, :m_level]).all(axis=1)
     keep = good & shared
     table = _tally((n + 1,) * 3, lam1[keep, m_level - 1], lam1[keep, m_level],
@@ -782,8 +792,13 @@ def _charpoly_det_identity_chunk(spec, gen, size):
     c = spec.params.get("c") or _nonresidue(p)
     m = p ** N
     mats = sample_matrices(gen, size, n, p, N)
-    za = (np.matmul(mats, mats) - c * np.eye(n, dtype=np.int64)[None]) % m
+    za = np.matmul(mats, mats)
+    del mats
+    diag = np.arange(n)
+    za[:, diag, diag] -= c
+    za %= m
     dets = batch_det(za, m)
+    del za  # before a0 and a1 are drawn
     vals = batch_valuation(dets, p, N)
     good = vals < N
     x = np.float64(p) ** (-np.float64(vals[good]))

@@ -1,6 +1,8 @@
 """The island-law chunk, drawn and counted in slices of ISLAND_SLICE entries,
 against one draw of the whole chunk (oracles.island_law_chunk), and the
-working set that the slices keep it to."""
+working sets of the linalg chunks: the island slices (int32 draws and
+float32 powers at odd p), and the charpoly/det identity and joint
+cokernel chain chunks, which drop each array once it is used."""
 
 import tracemalloc
 
@@ -9,6 +11,7 @@ import pytest
 
 from padicstats.experiment import build_experiment
 from padicstats.matrix_lab import Rng
+from padicstats import registry
 from padicstats.registry import ISLAND_SLICE, _island_law_chunk
 
 import oracles
@@ -43,20 +46,39 @@ def test_sliced_chunk_equals_the_one_shot_chunk(p, d, n, size):
         assert gen.integers(0, 2 ** 62) == ref.integers(0, 2 ** 62), key
 
 
-# Slices keep an island chunk's buffers to a few MiB (3.0 at p = 2 and
-# 15.9 at p = 3 for 2^19 entries); one draw of the whole chunk peaks at
-# 48.8 and 78.1 MiB.
-WORKING_SET_MIB = 24
+# tracemalloc peaks of one chunk at n = 50, each under its bound: the p = 2
+# island keeps a slice's bits and packed rows (3.0 MiB), the p = 3 island a
+# slice's int32 draw and two float32 buffers (6.0 MiB; an int64 draw with
+# float64 buffers reaches 15.9), the identity chunk 6.7 MiB (10.7 if it
+# keeps its first draw while it draws the quadratic pair) and the joint
+# chain 3.3 MiB (7.0 with one Smith pass over both batches concatenated).
+# One draw of a whole island chunk peaks at 48.8 MiB at p = 2 and 78.1 at
+# p = 3.
+ISLAND_WORKING_SET_MIB = {2: 4, 3: 8}
+
+
+def _peak_mib(chunk, spec, size):
+    gen = Rng(1).generator()
+    tracemalloc.start()
+    try:
+        chunk(spec, gen, size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / 2 ** 20
 
 
 @pytest.mark.parametrize("p,size", [(2, 4096), (3, 1024)])
 def test_island_chunk_working_set(p, size):
     spec = build_experiment("island_law", {"p": p, "d": 1, "n": 50})
-    gen = Rng(1).generator()
-    tracemalloc.start()
-    try:
-        _island_law_chunk(spec, gen, size)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < WORKING_SET_MIB * 2 ** 20, f"{peak / 2 ** 20:.1f} MiB"
+    peak = _peak_mib(_island_law_chunk, spec, size)
+    assert peak < ISLAND_WORKING_SET_MIB[p], f"{peak:.1f} MiB"
+
+
+@pytest.mark.parametrize("name,bound_mib", [
+    ("charpoly_det_identity", 8), ("cok_joint_chain", 6),
+])
+def test_linalg_chunk_working_set(name, bound_mib):
+    chunk = getattr(registry, f"_{name}_chunk")
+    peak = _peak_mib(chunk, build_experiment(name, {}), 4096)
+    assert peak < bound_mib, f"{peak:.1f} MiB"

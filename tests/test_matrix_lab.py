@@ -485,16 +485,43 @@ def test_f2_sampler_reads_the_int64_stream(seed, chunk, size):
     assert gen.integers(0, 2 ** 62) == ref.integers(0, 2 ** 62)
 
 
-def _float64_edge():
-    """A prime p and the largest n that check_float64_budget accepts at p."""
-    p = _prime_at_most(2 ** 25)
-    n = 2 ** 53 // (p - 1) ** 2
-    assert n * (p - 1) ** 2 <= 2 ** 53 < (n + 1) * (p - 1) ** 2
+@pytest.mark.parametrize("key", [(1, 0), (7, 3), (4242, 0)])
+@pytest.mark.parametrize("size", [1, 209, 1024])
+@pytest.mark.parametrize("p", [3, 5, 1009, 2 ** 31 - 1])
+def test_int32_draw_reads_the_int64_stream(p, size, key):
+    # the odd-p island draws its residues as int32; this holds while
+    # numpy's bounded sampler takes the same 32-bit path for both types
+    # below 2^31, so a change there fails here by name
+    n = 50
+    gen, ref = Rng(*key).generator(), Rng(*key).generator()
+    got = gen.integers(0, p, size=(size, n, n), dtype=np.int32)
+    want = ref.integers(0, p, size=(size, n, n), dtype=np.int64)
+    assert got.dtype == np.int32
+    assert np.array_equal(got, want)
+    # and both streams stop at the same place
+    assert gen.integers(0, 2 ** 62) == ref.integers(0, 2 ** 62)
+
+
+def _edge(bound, p_max):
+    """A prime p <= p_max and the largest n with n (p - 1)^2 <= bound."""
+    p = _prime_at_most(p_max)
+    n = bound // (p - 1) ** 2
+    assert n * (p - 1) ** 2 <= bound < (n + 1) * (p - 1) ** 2
     return p, n
 
 
-@pytest.mark.parametrize("p,n", [(3, 50), (1009, 60), _float64_edge()])
-def test_fp_poly_power_matches_a_power_reduced_at_every_step(p, n):
+_F32_EDGE = _edge(2 ** 24, 2 ** 11)  # p = 2039, n = 4
+_F64_EDGE = _edge(2 ** 53, 2 ** 25)
+
+
+@pytest.mark.parametrize("p,n,dtype", [
+    pytest.param(p, n, dtype, id=f"{p}-{n}") for p, n, dtype in [
+        (3, 50, np.float32), (*_F32_EDGE, np.float32),
+        (_F32_EDGE[0], _F32_EDGE[1] + 1, np.float64),
+        (1009, 60, np.float64), (*_F64_EDGE, np.float64),
+    ]
+])
+def test_fp_poly_power_matches_a_power_reduced_at_every_step(p, n, dtype):
     from padicstats.batched import _fp_poly_power, check_float64_budget
 
     check_float64_budget(n, p)
@@ -511,7 +538,7 @@ def test_fp_poly_power_matches_a_power_reduced_at_every_step(p, n):
         for _ in range(3):
             M = np.matmul(M, M) % p
         got = _fp_poly_power(mats, low, p, 3)
-        assert got.dtype == np.float64
+        assert got.dtype == dtype
         assert (got.astype(np.int64) == M).all()
 
 
@@ -581,33 +608,28 @@ def test_batch_charpoly_exact_at_int64_budget_edge(data):
         batch_charpoly(np.zeros((1, n, n), dtype=np.int64), m + 1)
 
 
-def _largest_prime_for_float64_at_n4():
-    from padicstats.padic_core import is_prime
+@pytest.mark.parametrize("dtype,top,p", [
+    pytest.param(dtype, top, p, id=f"{dtype.__name__}-{p}")
+    for dtype, top in [(np.float32, 2 ** 24), (np.float64, 2 ** 53)]
+    # the largest prime p with 4 (p - 1)^2 <= top
+    for p in (3, 1009, _prime_at_most(math.isqrt(top // 4) + 1))
+])
+def test_float_mod_inplace_is_exact(dtype, top, p):
+    from padicstats.batched import float_mod_inplace
 
-    p = math.isqrt(2 ** 53 // 4) + 1
-    while not is_prime(p):
-        p -= 1
-    return p
-
-
-@pytest.mark.parametrize("p", [3, 1009, _largest_prime_for_float64_at_n4()])
-def test_float64_mod_inplace_is_exact(p):
-    from padicstats.batched import MAX_FLOAT64_EXACT, float64_mod_inplace
-
-    top = MAX_FLOAT64_EXACT
     gen = Rng(p).generator()
     ks = np.concatenate([
         np.arange(0, 64), gen.integers(0, top // p + 1, 2000),
         np.arange(top // p - 64, top // p + 1),
     ])
     vals = {int(v) for k in ks.tolist() for v in (k * p - 1, k * p, k * p + 1)}
-    vals |= set(range(top - 256, top + 1))  # next to 2^53
+    vals |= set(range(top - 256, top + 1))  # next to the type's bound
     vals |= set(gen.integers(0, top + 1, 2000).tolist())
     ints = sorted(v for v in vals if 0 <= v <= top)
-    X = np.array(ints, dtype=np.float64)
+    X = np.array(ints, dtype=dtype)
     assert X.astype(np.int64).tolist() == ints  # every input is exact
     scratch = np.full_like(X, np.nan)
-    out = float64_mod_inplace(X, p, scratch)
+    out = float_mod_inplace(X, p, scratch)
     assert out is X
     assert X.astype(np.int64).tolist() == [v % p for v in ints]
 
