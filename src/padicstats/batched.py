@@ -1,7 +1,7 @@
 """Vectorized kernels for the Monte Carlo engines.
 
 Division-free characteristic polynomials, ranks over F_p, Smith forms over
-Z_p and quadratic rings of integers, packed F_2 linear algebra and
+Z_p and quadratic rings of integers, packed F_2 and F_3 linear algebra and
 row-wise polynomial arithmetic, each for a batch of samples.  The tests
 check every kernel against a scalar one-sample implementation: the
 Berkowitz recurrence, the F_p rank and the Smith eliminations are kept in
@@ -400,23 +400,36 @@ def _rank_dtype(p: int):
     raise ValueError(f"p = {p} too large for the F_p rank kernel")
 
 
-def batch_rank_mod_p(mats: np.ndarray, p: int) -> np.ndarray:
-    """Ranks over F_p of a batch of square matrices, by vectorized
-    elimination with a shared column schedule.
+def _residues(mats: np.ndarray, p: int) -> np.ndarray:
+    """mats mod p, or mats itself when every entry already lies in [0, p)."""
+    if mats.size and (mats.min() < 0 or mats.max() >= p):
+        return mats % p
+    return mats
 
-    Step col eliminates with the pivot in the rows not yet used as pivots,
-    and only in the trailing columns col+1.., since no later step reads
-    column col.  The elimination runs in _rank_dtype(p), and entries are
-    reduced mod p lazily: each step adds at most (p - 1)^2 to their
-    magnitude, and the trailing block is reduced only when the next update
-    could pass the type's largest value.
+
+def batch_rank_mod_p(mats: np.ndarray, p: int) -> np.ndarray:
+    """Ranks over F_p of a batch of square matrices, integer or float
+    entries.
+
+    At p <= 3 and n <= 63 the rows are packed as bits and ranked by f2_rank
+    or f3_rank.  Otherwise the rank is a vectorized elimination with a
+    shared column schedule: step col eliminates with the pivot in the rows
+    not yet used as pivots, and only in the trailing columns col+1.., since
+    no later step reads column col.  The elimination runs in _rank_dtype(p),
+    and entries are reduced mod p lazily: each step adds at most (p - 1)^2
+    to their magnitude, and the trailing block is reduced only when the
+    next update could pass the type's largest value.
     """
+    B, n, _ = mats.shape
+    mats = _residues(mats, p)
+    if p == 2 and n <= 63:
+        return f2_rank(f2_pack(mats), n)
+    if p == 3 and n <= 63:
+        return f3_rank(f2_pack(mats != 0), f2_pack(mats == 2), n)
     dtype = _rank_dtype(p)
     limit = np.iinfo(dtype).max
     # T[b, j, i] = A[b, i, j], so column j of A is the contiguous T[:, j]
-    T = np.remainder(mats.transpose(0, 2, 1), p, order="C").astype(
-        dtype, copy=False)
-    B, n, _ = T.shape
+    T = mats.transpose(0, 2, 1).astype(dtype, order="C")
     used = np.zeros((B, n), dtype=bool)
     rank = np.zeros(B, dtype=np.int64)
     idx = np.arange(B)
@@ -444,12 +457,16 @@ def batch_rank_mod_p(mats: np.ndarray, p: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Packed F_2 linear algebra: each matrix is a (n,) array of uint64 row
-# bitmasks, batched as (B, n).  Valid for n <= 63.  Products are 4-bit
-# Four-Russians products (M4RM: Albrecht, Bard & Hart, "Algorithm 910:
-# M4RI", ACM TOMS 37, 2010), and the p = 2 island law draws its matrices
-# straight as bits (sample_f2_matrices), so they stay in bits from the
-# draw to the rank.
+# Packed F_2 and F_3 linear algebra: each matrix over F_2 is a (n,) array
+# of uint64 row bitmasks, batched as (B, n).  Valid for n <= 63.  Products
+# are 4-bit Four-Russians products (M4RM: Albrecht, Bard & Hart, "Algorithm
+# 910: M4RI", ACM TOMS 37, 2010), and the p = 2 island law draws its
+# matrices straight as bits (sample_f2_matrices), so they stay in bits from
+# the draw to the rank.  A matrix over F_3 is bitsliced into two such
+# arrays, nz (entry != 0) and neg (entry = 2, within nz), so a row
+# operation is a few word operations on 63 entries at once (Boothby &
+# Bradshaw, "Bitslicing and the Method of Four Russians Over Larger Finite
+# Fields", arXiv:0901.1413).
 # ---------------------------------------------------------------------------
 
 
@@ -523,6 +540,46 @@ def f2_rank(rows: np.ndarray, n: int) -> np.ndarray:
     return np.count_nonzero(R, axis=0)
 
 
+def f3_rank(nz: np.ndarray, neg: np.ndarray, n: int) -> np.ndarray:
+    """Batched rank over F_3 of bitsliced (B, n) matrices: bit j of nz[b, i]
+    is set when entry (i, j) is nonzero, and of neg[b, i] when it is 2.
+
+    The elimination is f2_rank's: row i pivots on its lowest set bit, and
+    each row r below it that holds a value v there becomes r - v row_i,
+    with row_i scaled so its pivot is 1.
+    """
+    N, S = nz.T.copy(), neg.T.copy()
+    one = np.uint64(1)
+    for i in range(n - 1):
+        pn = N[i]
+        low = pn & (~pn + one)  # the lowest set bit; 0 for a zero row
+        ps = S[i] ^ ((S[i] & low) != 0) * pn  # row i scaled to pivot 1
+        # pn has no bit below low, so low * (pn // low) is pn again; the
+        # planes of row i and -row i, divided so: a zero row divides by 1
+        shift = low | (pn == 0)
+        a, a_neg = pn // shift, (ps ^ pn) // shift
+        rn, rs = N[i + 1:], S[i + 1:]
+        hit, two = rn & low, rs & low  # v != 0 and v = 2, as low or 0
+        # add -v row_i: -row_i where v = 1, row_i where v = 2, else 0
+        qs = hit * a_neg
+        qs ^= two * a
+        f3_add(rn, rs, hit * a, qs)
+    return np.count_nonzero(N, axis=0)
+
+
+def f3_add(xn: np.ndarray, xs: np.ndarray, yn: np.ndarray,
+           ys: np.ndarray):
+    """x += y over F_3 entry by entry, in place, on bitsliced words (nz, neg):
+    with both = xn & yn, the sum's nz is both ^ ((xn ^ yn) | (xs ^ ys)) and
+    its neg is both ^ (xs | ys).  x - y is x + (yn, ys ^ yn)."""
+    both = xn & yn
+    xn ^= yn
+    xn |= xs ^ ys
+    xn ^= both
+    xs |= ys
+    xs ^= both
+
+
 def f2_poly_of_matrix(packed: np.ndarray, coeffs, n: int) -> np.ndarray:
     """Evaluate a monic F_2[x] polynomial (coefficients low degree first,
     degree >= 1) at a packed matrix batch, by Horner from A + c_{d-1} I."""
@@ -591,14 +648,14 @@ def _fp_poly_power(mats: np.ndarray, low: list, p: int,
     _fp_dtype and check_float64_budget(n, p) make a product of reduced
     factors exact.  Each product is written to a second buffer, and a
     reduction uses that buffer as scratch, so no step allocates a
-    full-size array.  The entries are reduced mod p in mats' integer type
-    before the cast, and at d = 1 A itself becomes the Horner result, since
-    no product reads it.
+    full-size array.  An input with an entry outside [0, p) is reduced mod
+    p in its own type before the cast, and at d = 1 A itself becomes the
+    Horner result, since no product reads it.
     """
     n = mats.shape[1]
     dtype = _fp_dtype(n, p)
     exact = MAX_FLOAT32_EXACT if dtype is np.float32 else MAX_FLOAT64_EXACT
-    A = (mats % p).astype(dtype)
+    A = _residues(mats, p).astype(dtype)
     diag = np.arange(n)
     # Horner from A + c_{d-1} I; the diagonal is reduced after each + c I
     M = A.copy() if len(low) > 1 else A
@@ -642,9 +699,7 @@ def fp_primary_multiplicity(mats: np.ndarray, coeffs, d: int, p: int,
     *low, lead = [c % p for c in coeffs]
     if lead != 1 or not low:
         raise ValueError("expected a monic polynomial of degree >= 1")
-    # the float buffers are freed before the elimination runs
-    M = _fp_poly_power(mats, low, p, cap_pow).astype(_rank_dtype(p))
-    r = batch_rank_mod_p(M, p)
+    r = batch_rank_mod_p(_fp_poly_power(mats, low, p, cap_pow), p)
     return (n - r) // d
 
 
@@ -674,11 +729,7 @@ def sample_matrices(gen: np.random.Generator, B: int, n: int, p: int, N: int,
         return out
     bad = np.arange(B)
     for _ in range(10 ** 6):
-        if p == 2:
-            ranks = f2_rank(f2_pack(out[bad] % 2), n)
-        else:
-            ranks = batch_rank_mod_p(out[bad], p)
-        bad = bad[ranks < n]
+        bad = bad[batch_rank_mod_p(out[bad], p) < n]
         if bad.size == 0:
             return out
         out[bad] = gen.integers(0, m, size=(bad.size, n, n), dtype=np.int64)

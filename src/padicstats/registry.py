@@ -421,8 +421,12 @@ ISLAND_CAP_POW = ISLAND_MAX_J.bit_length()
 # 0.44-0.47 s for the whole chunk at once.  tracemalloc peaks at p = 2 and
 # p = 3 are 3.0 and 15.9 MiB at 2^19 and 6.0 and 32.0 MiB at 2^20,
 # against 48.8 and 78.1 MiB for the whole chunk; 2^19 is as fast at half
-# the memory.  Those p = 3 figures are for int64 draws and float64 powers;
-# with int32 draws and float32 powers the p = 3 peak at 2^19 is 6.0 MiB.
+# the memory.  Those p = 3 figures are for int64 draws, float64 powers and
+# int8 ranks.  With int32 draws, float32 powers and packed F_3 ranks the
+# p = 3 chunk alone takes (best of 12 rounds, two runs) 57-58 ms at 2^17,
+# 49-51 at 2^18, 48-50 at 2^19, 50-52 at 2^20, 53-54 at 2^21 and 55-56 ms
+# at once, against 130-133 ms at 2^19 with int8 ranks; its peak at 2^19 is
+# 6.0 MiB.
 ISLAND_SLICE = 2 ** 19
 
 

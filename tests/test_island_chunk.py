@@ -1,15 +1,16 @@
 """The island-law chunk, drawn and counted in slices of ISLAND_SLICE entries,
-against one draw of the whole chunk (oracles.island_law_chunk), and the
-working sets of the linalg chunks: the island slices (int32 draws and
-float32 powers at odd p), and the charpoly/det identity and joint
-cokernel chain chunks, which drop each array once it is used."""
+against one draw of the whole chunk (oracles.island_law_chunk), the p = 3
+island counts at the benchmark's parameters, and the working sets of the
+linalg chunks: the island slices (int32 draws and float32 powers at odd p),
+and the charpoly/det identity and joint cokernel chain chunks, which drop
+each array once it is used."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from padicstats.experiment import build_experiment
+from padicstats.experiment import build_experiment, run_experiment
 from padicstats.matrix_lab import Rng
 from padicstats import registry
 from padicstats.registry import ISLAND_SLICE, _island_law_chunk
@@ -44,6 +45,25 @@ def test_sliced_chunk_equals_the_one_shot_chunk(p, d, n, size):
         assert got.sum() == size
         # and both streams stop at the same place
         assert gen.integers(0, 2 ** 62) == ref.integers(0, 2 ** 62), key
+
+
+# The p = 3 island law at the benchmark's parameters (d = 1, n = 50, 1,024
+# trials), pinned at three seeds.  oracles.island_law_chunk counts with the
+# same kernel as the chunk, so these counts are what checks that kernel's
+# whole path, from the int32 draw through the rank, on its own.
+P3_ISLAND_COUNTS = {
+    1: "579,280,115,38,9,3,0,0",
+    7: "558,291,112,43,14,4,1,1",
+    20240801: "606,258,110,37,11,1,1,0",
+}
+
+
+@pytest.mark.parametrize("seed", P3_ISLAND_COUNTS)
+def test_p3_island_counts_at_the_benchmark_parameters(seed):
+    spec = build_experiment("island_law", {"p": 3, "d": 1, "n": 50,
+                                           "trials": 1024, "seed": seed})
+    (report,) = run_experiment(spec)
+    assert report.details == "counts " + P3_ISLAND_COUNTS[seed]
 
 
 # tracemalloc peaks of one chunk at n = 50, each under its bound: the p = 2

@@ -146,16 +146,12 @@ def test_sampling_determinism_and_gl():
 def _gl_full_rerank(gen, B, n, p, N):
     """GL rejection that re-ranks the whole batch every round: the oracle
     of sample_matrices(gl=True), which re-ranks only the rows it redrew."""
-    from padicstats.batched import batch_rank_mod_p, f2_pack, f2_rank
+    from padicstats.batched import batch_rank_mod_p
 
     m = p ** N
     out = gen.integers(0, m, size=(B, n, n), dtype=np.int64)
     while True:
-        if p == 2:
-            ranks = f2_rank(f2_pack(out % 2), n)
-        else:
-            ranks = batch_rank_mod_p(out, p)
-        bad = np.flatnonzero(ranks < n)
+        bad = np.flatnonzero(batch_rank_mod_p(out, p) < n)
         if bad.size == 0:
             return out
         out[bad] = gen.integers(0, m, size=(bad.size, n, n), dtype=np.int64)
@@ -291,6 +287,85 @@ def test_batch_rank_mod_p_matches_scalar_rank(data):
     lift = data.draw(st.integers(0, 3))
     got = batch_rank_mod_p(arr + p * lift, p)
     assert got.tolist() == [_rank_mod_p(A, p) for A in mats]
+
+
+def _check_p3_ranks(gen, n, count):
+    """batch_rank_mod_p at p = 3 against the scalar rank, on `count`
+    planted ranks L R and an all-(p - 1) matrix: as int64 residues, as the
+    float32 residues fp_primary_multiplicity passes, and lifted by p times
+    entries in [-3, 3]."""
+    from padicstats.batched import batch_rank_mod_p
+
+    p = 3
+    mats = []
+    for r in gen.integers(0, n + 1, size=count):
+        L = gen.integers(0, p, size=(n, r), dtype=np.int64)
+        R = gen.integers(0, p, size=(r, n), dtype=np.int64)
+        mats.append(L @ R % p)
+    mats.append(np.full((n, n), p - 1, dtype=np.int64))
+    arr = np.array(mats)
+    want = [_rank_mod_p(A, p) for A in arr.tolist()]
+    assert batch_rank_mod_p(arr, p).tolist() == want
+    assert batch_rank_mod_p(arr.astype(np.float32), p).tolist() == want
+    lift = gen.integers(-3, 4, size=arr.shape)
+    assert batch_rank_mod_p(arr + p * lift, p).tolist() == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_batch_rank_mod_p_at_p3_matches_scalar_rank(data):
+    # packed F_3 rows up to n = 63, the elimination at n = 64
+    n = data.draw(st.integers(1, 64))
+    gen = Rng(data.draw(st.integers(0, 2 ** 32 - 1))).generator()
+    _check_p3_ranks(gen, n, data.draw(st.integers(1, 3)))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_batch_rank_mod_p_packs_rows_up_to_n63(p, monkeypatch):
+    from padicstats import batched
+
+    packed = []
+    for name in ("f2_rank", "f3_rank"):
+        kernel = getattr(batched, name)
+        monkeypatch.setattr(batched, name, lambda *args, kernel=kernel: (
+            packed.append(args[-1]) or kernel(*args)))
+    for n in (63, 64):
+        if p == 3:
+            _check_p3_ranks(Rng(n).generator(), n, 2)
+        else:
+            mats = Rng(n).generator().integers(0, 2, size=(4, n, n))
+            assert batched.batch_rank_mod_p(mats, p).tolist() == [
+                _rank_mod_p(A, p) for A in mats.tolist()]
+    assert set(packed) == {63}
+
+
+def test_f3_add_and_subtract_on_every_residue_pair():
+    # bit k of the planes holds pair k; the sum and difference of each pair
+    # come back as residues, with neg within nz
+    from padicstats.batched import batch_rank_mod_p, f3_add
+
+    pairs = [(a, b) for a in range(3) for b in range(3)]
+
+    def planes(vals):
+        nz = sum(1 << k for k, v in enumerate(vals) if v)
+        neg = sum(1 << k for k, v in enumerate(vals) if v == 2)
+        return np.array([nz, neg], dtype=np.uint64)
+
+    def residues(xn, xs):
+        assert xs & ~xn == 0
+        return [(int(xn) >> k & 1) * (1 + (int(xs) >> k & 1))
+                for k in range(len(pairs))]
+
+    y = planes([b for _, b in pairs])
+    for sign, (yn, ys) in ((1, y), (-1, (y[0], y[1] ^ y[0]))):
+        xn, xs = planes([a for a, _ in pairs])[:, None]
+        f3_add(xn, xs, yn, ys)
+        assert residues(xn[0], xs[0]) == [(a + sign * b) % 3 for a, b in pairs]
+    # the elimination's r - v row_i, for every pivot u, value v and pair
+    mats = np.array([[[u, a], [v, b]] for u in (1, 2) for v in (1, 2)
+                     for a, b in pairs])
+    assert batch_rank_mod_p(mats, 3).tolist() == [
+        _rank_mod_p(A, 3) for A in mats.tolist()]
 
 
 @pytest.mark.parametrize("p,coeffs", [
@@ -540,6 +615,48 @@ def test_fp_poly_power_matches_a_power_reduced_at_every_step(p, n, dtype):
         got = _fp_poly_power(mats, low, p, 3)
         assert got.dtype == dtype
         assert (got.astype(np.int64) == M).all()
+
+
+@pytest.mark.parametrize("p,n", [(5, 61), (5801, 3)])
+def test_fp_poly_power_reduces_before_the_first_inexact_square(p, n):
+    # M = (p - 2) J squares to n (p - 2)^2 J and then to n^3 (p - 2)^4 J,
+    # odd and within 4x past the exact bound: (2^24, 2^26] in float32 at
+    # (5, 61), (2^53, 2^55] in float64 at (5801, 3).  Only a reduction
+    # before the second square keeps it exact, and the bound that calls for
+    # it, n top^2 with top = n (p - 1)^2, is also within 4x of the exact one.
+    # (At p = 5003 the float64 rounding and the inexact reduction of the
+    # rounded value cancel, so a loose bound went unseen there.)
+    from padicstats.batched import (
+        MAX_FLOAT32_EXACT, MAX_FLOAT64_EXACT, _fp_dtype, _fp_poly_power)
+
+    dtype = _fp_dtype(n, p)
+    exact = MAX_FLOAT32_EXACT if dtype is np.float32 else MAX_FLOAT64_EXACT
+    fourth = n ** 3 * (p - 2) ** 4
+    assert fourth % 2 == 1 and exact < fourth <= 4 * exact
+    assert exact < n * (n * (p - 1) ** 2) ** 2 <= 4 * exact
+    assert dtype is (np.float32 if p == 5 else np.float64)
+    got = _fp_poly_power(np.full((2, n, n), p - 2), [0], p, 2)
+    assert (got == fourth % p).all()
+
+
+@pytest.mark.parametrize("p,n", [(3, 50), (5003, 3)])
+def test_fp_poly_power_reduces_entries_outside_0_p(p, n):
+    # negative entries and entries >= p, past float32's and float64's exact
+    # range, are reduced before the cast; at cap 0 the off-diagonal entries
+    # are returned as they are
+    from padicstats.batched import _fp_poly_power, fp_primary_multiplicity
+
+    gen = Rng(17).generator()
+    mats = gen.integers(0, p, size=(4, n, n), dtype=np.int64)
+    lift = gen.integers(-(2 ** 62 // p), 2 ** 62 // p, size=mats.shape)
+    lifted = mats + p * lift
+    assert lifted.min() < -2 ** 53 and lifted.max() > 2 ** 53
+    for low, cap in (([p - 1], 0), ([p - 1], 3), ([1, 0, p - 1], 1)):
+        want = _fp_poly_power(mats, low, p, cap)
+        assert np.array_equal(_fp_poly_power(lifted, low, p, cap), want)
+        assert 0 <= want.min() and want.max() < p
+    assert np.array_equal(fp_primary_multiplicity(lifted, [0, 1], 1, p, 3),
+                          fp_primary_multiplicity(mats, [0, 1], 1, p, 3))
 
 
 def _planted_island_batch(p, seed):
