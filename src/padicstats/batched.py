@@ -407,6 +407,12 @@ def _residues(mats: np.ndarray, p: int) -> np.ndarray:
     return mats
 
 
+def _packs(p: int, n: int) -> bool:
+    """Whether batch_rank_mod_p ranks n x n matrices over F_p on packed
+    rows rather than by elimination."""
+    return p <= 3 and n <= 63
+
+
 def batch_rank_mod_p(mats: np.ndarray, p: int) -> np.ndarray:
     """Ranks over F_p of a batch of square matrices, integer or float
     entries.
@@ -422,9 +428,9 @@ def batch_rank_mod_p(mats: np.ndarray, p: int) -> np.ndarray:
     """
     B, n, _ = mats.shape
     mats = _residues(mats, p)
-    if p == 2 and n <= 63:
-        return f2_rank(f2_pack(mats), n)
-    if p == 3 and n <= 63:
+    if _packs(p, n):
+        if p == 2:
+            return f2_rank(f2_pack(mats), n)
         return f3_rank(f2_pack(mats != 0), f2_pack(mats == 2), n)
     dtype = _rank_dtype(p)
     limit = np.iinfo(dtype).max
@@ -699,8 +705,11 @@ def fp_primary_multiplicity(mats: np.ndarray, coeffs, d: int, p: int,
     *low, lead = [c % p for c in coeffs]
     if lead != 1 or not low:
         raise ValueError("expected a monic polynomial of degree >= 1")
-    r = batch_rank_mod_p(_fp_poly_power(mats, low, p, cap_pow), p)
-    return (n - r) // d
+    M = _fp_poly_power(mats, low, p, cap_pow)
+    if not _packs(p, n):
+        # the elimination copies its input: free the float buffer first
+        M = M.astype(_rank_dtype(p))
+    return (n - batch_rank_mod_p(M, p)) // d
 
 
 def sample_f2_matrices(gen: np.random.Generator, B: int, n: int) -> np.ndarray:

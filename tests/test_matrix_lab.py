@@ -260,6 +260,26 @@ def test_fp_primary_multiplicity_exact_at_p1009_n60():
     assert min(want) >= 3
 
 
+def test_fp_primary_multiplicity_frees_its_float_power_before_elimination(
+        monkeypatch):
+    # packed rows read the float32 power itself; the elimination copies its
+    # input, so it is handed int8 residues and the float buffer is freed
+    from padicstats import batched
+
+    seen = []
+    rank = batched.batch_rank_mod_p
+    monkeypatch.setattr(batched, "batch_rank_mod_p", lambda M, p: (
+        seen.append((p, M.shape[1], M.dtype)) or rank(M, p)))
+    for p, n in ((3, 63), (3, 64), (5, 6)):
+        mats = Rng(p * n).generator().integers(0, p, size=(3, n, n))
+        got = batched.fp_primary_multiplicity(mats, [1, 1], 1, p,
+                                              _exact_cap(n, 1))
+        if n < 10:  # the scalar multiplicity is O(n^4)
+            assert got.tolist() == [_exact_multiplicity(A, [1, 1], p)
+                                    for A in mats.tolist()]
+    assert seen == [(3, 63, np.float32), (3, 64, np.int8), (5, 6, np.int8)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_batch_rank_mod_p_matches_scalar_rank(data):
