@@ -13,9 +13,11 @@ undetermined.
 from __future__ import annotations
 
 import csv
+import importlib.util
 import io
 import json
 import math
+import sys
 import threading
 import time
 from collections import OrderedDict
@@ -409,15 +411,61 @@ def exact_report(spec, estimand, lo, hi, enumeration_size, exact,
     return rep
 
 
+_chdtrc = None
+_chdtrc_lock = threading.Lock()  # sys.modules is shared by every thread
+
+
+def _load_chdtrc():
+    """scipy.special's chdtrc ufunc, from its _ufuncs extension alone.
+
+    The extension's relative imports need a scipy.special package in
+    sys.modules, so an empty stand-in with the real package's __path__ sits
+    there while the extension loads, and is removed afterwards.  If the real
+    package is already imported, or the extension cannot be found or
+    loaded, the package import gives the same ufunc.
+    """
+    if "scipy.special" not in sys.modules:
+        sys.modules["scipy.special"] = importlib.util.module_from_spec(
+            importlib.util.find_spec("scipy.special"))
+        try:
+            spec = importlib.util.find_spec("scipy.special._ufuncs")
+            if spec is not None:
+                ufuncs = importlib.util.module_from_spec(spec)
+                sys.modules[spec.name] = ufuncs
+                try:
+                    spec.loader.exec_module(ufuncs)
+                except BaseException as exc:
+                    del sys.modules[spec.name]  # as a failed import does
+                    if not isinstance(exc, ImportError):
+                        raise
+                else:
+                    return ufuncs.chdtrc
+        finally:
+            del sys.modules["scipy.special"]
+    from scipy.special import chdtrc
+
+    return chdtrc
+
+
 def chi2_sf(x: float, dof: int) -> float:
     """Upper tail P(X > x) of the chi-square law with dof degrees of freedom.
 
-    scipy's chi2.sf is this same chdtrc call, but importing its stats
-    module costs about a second and tens of MB; scipy.special does not.
+    scipy's chi2.sf is this same chdtrc ufunc.  Importing the stats module
+    costs about a second and tens of MB, and importing the scipy.special
+    package about 0.2 s and 13 MB of peak memory; loading only its _ufuncs
+    extension takes about 20 ms.  A later import of the real package reuses
+    the loaded extension, so scipy.special.chdtrc is this same ufunc, but
+    that package then lacks the attributes _ufuncs_cxx, _special_ufuncs,
+    _gufuncs and _ellip_harm_2: the submodules were bound to the stand-in
+    (importing them by name still works).  Another thread that imports
+    scipy.special while the extension loads gets the empty stand-in.
     """
-    from scipy.special import chdtrc
-
-    return float(chdtrc(dof, x))
+    global _chdtrc
+    if _chdtrc is None:
+        with _chdtrc_lock:
+            if _chdtrc is None:
+                _chdtrc = _load_chdtrc()
+    return float(_chdtrc(dof, x))
 
 
 def chi_square_pvalue(observed: np.ndarray, probs: np.ndarray,

@@ -1,3 +1,4 @@
+import ast
 import csv
 import io
 import json
@@ -425,7 +426,7 @@ def test_run_parameter_edges_accepted():
 
 
 # ---------------------------------------------------------------------------
-# Chi-square tails from scipy.special.
+# Chi-square tails from scipy.special's _ufuncs extension.
 # ---------------------------------------------------------------------------
 
 
@@ -462,23 +463,127 @@ def test_chi_square_pvalue_equals_the_stats_module_bitwise():
     assert seen_pooled > 0  # the pooled-cell branch was exercised
 
 
-def test_cokernel_chain_p_values_skip_the_stats_import():
-    # the p-value step of both cokernel chains needs scipy.special only
-    code = (
-        "import sys\n"
-        "from padicstats.experiment import build_experiment, run_experiment\n"
-        "for name in ('cok_markov', 'cok_joint_chain'):\n"
-        "    reps = run_experiment(build_experiment(name, {'trials': 4096}))\n"
-        "    assert 'dof 0' not in reps[0].details and 'dof' in reps[0].details\n"
-        "assert 'scipy.special' in sys.modules\n"
-        "assert 'scipy.stats' not in sys.modules, 'scipy.stats was imported'\n"
-    )
+def _run_fresh(code):
+    """Run code in a new interpreter that imports the package from src/.
+
+    Its stdout, which must be the repr of a Python literal, is returned
+    evaluated.
+    """
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stdout or "None")
+
+
+# the (x, dof) grid, dof 1..59, of the fresh-interpreter chi2_sf tests
+SF_XS = (0.0, 1e-300, 1e-12, 0.5, 1.0, 2.5, 7.0, 20.0, 55.5, 100.0, 1e4)
+SF_GRID = (f"xs = {SF_XS!r}\n"
+           "grid = [(x, dof) for dof in range(1, 60) for x in xs]\n")
+
+
+def _sf_on_grid():
+    return [experiment.chi2_sf(x, dof)
+            for dof in range(1, 60) for x in SF_XS]
+
+
+def test_cokernel_chain_p_values_skip_the_stats_import():
+    # the p-value step of both cokernel chains loads the _ufuncs extension
+    # alone: no scipy.special package, stand-in or real, is left behind
+    _run_fresh(
+        "import sys\n"
+        "from padicstats.experiment import build_experiment, run_experiment\n"
+        "for name in ('cok_markov', 'cok_joint_chain'):\n"
+        "    reps = run_experiment(build_experiment(name, {'trials': 4096}))\n"
+        "    assert 'dof 0' not in reps[0].details and 'dof' in reps[0].details\n"
+        "assert 'scipy.special._ufuncs' in sys.modules\n"
+        "assert 'scipy.special' not in sys.modules, 'scipy.special was left'\n"
+        "assert 'scipy.stats' not in sys.modules, 'scipy.stats was imported'\n"
+    )
+
+
+def test_chi2_sf_ufunc_is_the_one_a_later_import_gives():
+    out = _run_fresh(
+        "import sys\n"
+        "from padicstats import experiment\n" + SF_GRID +
+        "first = [experiment.chi2_sf(x, dof) for x, dof in grid]\n"
+        "assert 'scipy.special' not in sys.modules\n"
+        "import scipy.special, scipy.stats\n"
+        "assert scipy.special.chdtrc is experiment._chdtrc\n"
+        "assert first == [float(scipy.stats.chi2.sf(x, dof)) for x, dof in grid]\n"
+        "assert first == [experiment.chi2_sf(x, dof) for x, dof in grid]\n"
+        "print(repr(first))\n"
+    )
+    assert out == _sf_on_grid()
+
+
+@pytest.mark.parametrize("prelude, check", [
+    # the extension cannot be found
+    ("import importlib.util\n"
+     "find_spec, asked = importlib.util.find_spec, []\n"
+     "def no_ufuncs(name, *args):\n"
+     "    if name == 'scipy.special._ufuncs':\n"
+     "        asked.append(name)\n"
+     "        return None\n"
+     "    return find_spec(name, *args)\n"
+     "importlib.util.find_spec = no_ufuncs\n",
+     "assert asked\n"),
+    # its first load fails
+    ("from importlib.machinery import ExtensionFileLoader as Loader\n"
+     "exec_module = Loader.exec_module\n"
+     "def fail_once(self, module):\n"
+     "    if module.__name__ != 'scipy.special._ufuncs':\n"
+     "        return exec_module(self, module)\n"
+     "    Loader.exec_module = exec_module\n"
+     "    raise ImportError('refused')\n"
+     "Loader.exec_module = fail_once\n",
+     "assert Loader.exec_module is exec_module\n"),
+    # the real package is already imported
+    ("import scipy.special\n", "assert special is scipy.special\n"),
+], ids=["not_found", "load_fails", "imported_first"])
+def test_chi2_sf_falls_back_to_the_package_import(prelude, check):
+    out = _run_fresh(
+        prelude + "import sys\n"
+        "from padicstats import experiment\n" + SF_GRID +
+        "sf = [experiment.chi2_sf(x, dof) for x, dof in grid]\n"
+        "special = sys.modules['scipy.special']\n"
+        "assert hasattr(special, 'gamma'), 'the stand-in was left'\n"
+        "assert special._ufuncs is sys.modules['scipy.special._ufuncs']\n"
+        "assert special.chdtrc is experiment._chdtrc\n" + check +
+        "print(repr(sf))\n"
+    )
+    assert out == _sf_on_grid()
+
+
+def test_chi2_sf_first_called_from_threads_loads_once():
+    out = _run_fresh(
+        "import sys, threading\n"
+        "from padicstats import experiment\n" + SF_GRID +
+        "load, loads = experiment._load_chdtrc, []\n"
+        "def counted():\n"
+        "    loads.append(1)\n"
+        "    return load()\n"
+        "experiment._load_chdtrc = counted\n"
+        "barrier = threading.Barrier(8)\n"
+        "out = [None] * 8\n"
+        "def work(i):\n"
+        "    barrier.wait(timeout=60)\n"
+        "    out[i] = [experiment.chi2_sf(x, dof) for x, dof in grid]\n"
+        "threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]\n"
+        "sys.setswitchinterval(1e-6)\n"
+        "for t in threads:\n"
+        "    t.start()\n"
+        "for t in threads:\n"
+        "    t.join(timeout=120)\n"
+        "assert not any(t.is_alive() for t in threads)\n"
+        "assert out[0] is not None and all(o == out[0] for o in out)\n"
+        "assert len(loads) == 1, loads\n"
+        "assert 'scipy.special' not in sys.modules\n"
+        "print(repr(out[0]))\n"
+    )
+    assert out == _sf_on_grid()
 
 
 # ---------------------------------------------------------------------------
