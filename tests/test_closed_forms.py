@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from padicstats import closed_forms as cf
+from padicstats import closed_forms as cf, root_census
 from padicstats.closed_forms import (
     INF,
     DivergentParameters,
@@ -337,6 +337,18 @@ def test_generator_count_and_bounds():
     assert iv.lo == pytest.approx(s - 3.0 ** (-3))
     assert iv.hi == pytest.approx(s + 3 * 3.0 ** (-3) / (1 - 3.0 ** (-3)))
     assert iv.lo <= s <= iv.hi
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_generator_count_counts_the_factor_table_irreducibles(p):
+    # the generators of F_{p^f} over F_p are the roots of the monic
+    # irreducibles of degree f, f apiece; count those of every degree the
+    # census's factor table covers
+    n = max(k for k in range(1, 64) if p ** k <= root_census.FACTOR_TABLE_BUDGET)
+    table = root_census._factor_table(p, n)
+    for f in range(1, n + 1):
+        irreducible = sum(1 for fac in table[f] if len(fac) == 1 and fac[0][2] == 1)
+        assert cf.generator_count(p, f).value == f * irreducible
 
 
 def test_repulsion_bounds():

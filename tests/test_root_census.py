@@ -1,3 +1,5 @@
+import sys
+import threading
 from collections import Counter
 from functools import reduce
 from itertools import combinations, product
@@ -155,6 +157,107 @@ def test_factor_mod_p_cache_matches_uncached(case):
             prod_ = poly_mul(prod_, list(k), p)
     inv = pow(residue[-1], -1, p)
     assert prod_ == [(c * inv) % p for c in residue]
+
+
+def _chain(f, p):
+    return root_census._factor.__wrapped__(f, p)
+
+
+def _monic(code, p, k):
+    """The code-th monic residue of degree k, in the factor table's order."""
+    return _decode_residue(code, p, k) + (1,)
+
+
+@pytest.mark.parametrize("p, n", [(2, 10), (3, 7), (5, 4), (7, 3)])
+def test_factor_table_matches_the_chain(p, n):
+    # every monic residue of degree 1..n, order of the factors included
+    table = root_census._factor_table(p, n)
+    assert table[0] == ((),)
+    for k in range(1, n + 1):
+        assert len(table[k]) == p ** k
+        assert list(table[k]) == [_chain(_monic(c, p, k), p)
+                                  for c in range(p ** k)]
+
+
+def test_factor_table_budget_edges():
+    budget = root_census.FACTOR_TABLE_BUDGET
+    # p = 11: every residue of the largest degree n with 11^n within the
+    # budget is read from the table, and degree n + 1 takes the chain and
+    # builds no table level
+    p = 11
+    n = max(k for k in range(1, 64) if p ** k <= budget)
+    table = root_census._factor_table(p, n)
+    for code in range(p ** n):
+        f = _monic(code, p, n)
+        assert factor_mod_p(f, p) is table[n][code]
+        assert table[n][code] == _chain(f, p)
+    f = _monic(p ** n + 1, p, n + 1)
+    calls = sum(root_census._factor.cache_info()[:2])
+    fact = factor_mod_p(f, p)
+    assert fact == _chain(f, p)
+    assert len(root_census._factor_tables[p]) == n + 1
+    assert sum(root_census._factor.cache_info()[:2]) == calls + 1
+    assert factor_mod_p(f, p) is fact  # the chain's cache hit
+    # at p = 2 the largest degree within the budget, where 2^k meets it,
+    # is read from the table too
+    k = max(k for k in range(1, 64) if 2 ** k <= budget)
+    for code in (0, 1, 2 ** k - 1):
+        f = _monic(code, 2, k)
+        assert factor_mod_p(f, 2) is root_census._factor_table(2, k)[k][code]
+        assert factor_mod_p(f, 2) == _chain(f, 2)
+
+
+def test_factor_table_takes_non_monic_residues_past_p():
+    # (2x^2 + 1) mod 3 = 2 (x^2 + 2) = 2 (x + 1)(x + 2): coefficients given
+    # past p, or a leading coefficient other than 1, reach the monic entry
+    want = (((1, 1), 1, 1), ((2, 1), 1, 1))
+    assert factor_mod_p((4, 3, -1), 3) == want
+    assert factor_mod_p((1, 0, 2), 3) is factor_mod_p((7, 0, 5), 3)
+    gen = Rng(27).generator()
+    for _ in range(200):
+        p = int(gen.choice([2, 3, 5, 7]))
+        k = int(gen.integers(0, 5))
+        coeffs = [int(c) for c in gen.integers(-p ** 3, p ** 3, size=k)]
+        coeffs.append(int(gen.integers(1, p)) + p * int(gen.integers(-3, 4)))
+        residue = tuple(c % p for c in coeffs)
+        assert factor_mod_p(coeffs, p) == _chain(residue, p)
+        code = sum(c * pow(residue[-1], -1, p) % p * p ** i
+                   for i, c in enumerate(residue[:-1]))
+        assert factor_mod_p(coeffs, p) is root_census._factor_table(p, k)[k][code]
+
+
+def test_factor_table_is_built_once_under_threads(monkeypatch):
+    monkeypatch.setattr(root_census, "_factor_tables", {})
+    builds = []
+    real = root_census._sieve_degree
+
+    def counting(table, p, k):
+        builds.append((p, k))
+        return real(table, p, k)
+
+    monkeypatch.setattr(root_census, "_sieve_degree", counting)
+    f = (1, 2, 0, 1, 1, 2, 1)
+    barrier = threading.Barrier(8, timeout=30)
+    results = [None] * 8
+
+    def first_call(i):
+        barrier.wait()
+        results[i] = factor_mod_p(f, 3)
+
+    threads = [threading.Thread(target=first_call, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert builds == [(3, k) for k in range(1, 7)]
+    assert all(r is results[0] for r in results)
+    assert results[0] == _chain(f, 3)
 
 
 def test_factor_mod_p_factors_are_irreducible():
