@@ -12,6 +12,8 @@ for the row-wise polynomial kernels, by its caller.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 MAX_INT64_PRODUCT = 2 ** 62
@@ -251,19 +253,61 @@ def batch_hensel_lift(f: np.ndarray, g: np.ndarray, h: np.ndarray,
     return g, h
 
 
+# Entries of the largest valuation digit table: a table of p^h int8 counts
+# stays within 64 KiB.
+VALUATION_TABLE_MAX = 2 ** 16
+
+
+@lru_cache(maxsize=None)
+def _valuation_table(p: int, h: int) -> np.ndarray:
+    """int8 table t over 0 <= x < p^h with t[x] the number of k in 1..h
+    such that p^k divides x, so t[0] = h; read-only, built once per (p, h)."""
+    t = np.zeros(p ** h, dtype=np.int8)
+    for k in range(1, h + 1):
+        t[:: p ** k] += 1
+    t.flags.writeable = False
+    return t
+
+
 def batch_valuation(vals: np.ndarray, p: int, N: int) -> np.ndarray:
     """Valuations of residues mod p^N, counted as the k = 1..N with p^k
-    dividing the residue; saturated residues report N."""
-    vals = vals % (p ** N)
-    v = np.zeros(vals.shape, dtype=np.int64)
-    pk = 1
-    for _ in range(N):
-        pk *= p
-        divides = vals % pk == 0
-        if not divides.any():
-            break
-        v += divides
-    return v
+    dividing the residue; saturated residues report N.
+
+    The residues are read h base-p digits at a time, h the most with
+    p^h <= VALUATION_TABLE_MAX (capped at N): the valuation of x mod p^h is
+    looked up in _valuation_table(p, h), and only the entries whose h low
+    digits are all zero are divided by p^h and read again, at min(h, digits
+    left).  For p > VALUATION_TABLE_MAX a level is one digit, tested by
+    x % p == 0.  The reference it is tested against, which tests every
+    residue against p, p^2, ..., p^N, is tests/oracles.valuation_by_powers.
+    """
+    m = p ** N
+    # at p = 2, & (m - 1) is the residue of a two's-complement integer, and
+    # costs far less than the int64 division behind %
+    vals = vals & (m - 1) if p == 2 else vals % m
+    h = 0
+    while h < N and p ** (h + 1) <= VALUATION_TABLE_MAX:
+        h += 1
+    x = np.ravel(vals)
+    v = np.zeros(x.size, dtype=np.int64)
+    live = None  # flat indices of the entries still being read; None: all
+    left = N
+    while left and x.size:
+        k = min(h, left) if h else 1
+        if h:
+            # x < p^left, so at k = left x is its own low digits
+            digits = _valuation_table(p, k)[x if k == left else x % p ** k]
+        else:
+            digits = (x % p == 0).view(np.int8)
+        if live is None:
+            v += digits
+        else:
+            v[live] += digits
+        full = np.flatnonzero(digits == k)
+        live = full if live is None else live[full]
+        x = x[full] // p ** k
+        left -= k
+    return v.reshape(np.shape(vals))
 
 
 def _unit_inverses(a: np.ndarray, p: int, modulus: int) -> np.ndarray:
@@ -717,14 +761,33 @@ def sample_f2_matrices(gen: np.random.Generator, B: int, n: int) -> np.ndarray:
     gen.integers(0, 2, (B, n, n), dtype=np.int64) != 0.
 
     numpy's bounded sampler draws one 32-bit word per entry for a range of
-    2 and returns its top bit, with no rejection; drawing the words
-    outright gives the same bits from the same stream without an int64
-    array.  tests/test_matrix_lab.py pins this identity.  The generator
-    keeps its place between calls, so batches drawn one after another
-    continue the same stream: slices of B1, B2, ... matrices are, entry for
-    entry, the first B1 + B2 + ... of one larger draw.
+    2 and returns its top bit, with no rejection.  Those words are Philox's
+    next_uint32: the low half of a raw 64-bit word, then its high half.  So
+    the words are read straight from gen.bit_generator.random_raw as
+    little-endian uint32 pairs, and each entry is its word's top bit.  A
+    half-word the generator holds from an earlier uint32 draw is taken
+    first, and an odd last word is drawn through gen.integers, which leaves
+    the other half held just as a plain draw would.  tests/test_matrix_lab.py
+    pins this identity.  The generator keeps its place between calls, so
+    batches drawn one after another continue the same stream: slices of
+    B1, B2, ... matrices are, entry for entry, the first B1 + B2 + ... of
+    one larger draw.  Any bit generator but Philox is refused with
+    ValueError: its raw words need not be two 32-bit halves.
     """
-    return gen.integers(0, 2 ** 32, size=(B, n, n), dtype=np.uint32) >= 2 ** 31
+    bitgen = gen.bit_generator
+    if not isinstance(bitgen, np.random.Philox):
+        raise ValueError(f"sample_f2_matrices reads Philox words, not "
+                         f"{type(bitgen).__name__}'s")
+    size = B * n * n
+    parts = []
+    if size and bitgen.state["has_uint32"]:
+        parts.append(gen.integers(0, 2 ** 32, size=1, dtype=np.uint32))
+    pairs, odd = divmod(size - len(parts), 2)
+    parts.append(np.asarray(bitgen.random_raw(pairs), dtype="<u8").view("<u4"))
+    if odd:
+        parts.append(gen.integers(0, 2 ** 32, size=1, dtype=np.uint32))
+    words = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return (words >= 2 ** 31).reshape(B, n, n)
 
 
 def sample_matrices(gen: np.random.Generator, B: int, n: int, p: int, N: int,

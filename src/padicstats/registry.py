@@ -426,7 +426,10 @@ ISLAND_CAP_POW = ISLAND_MAX_J.bit_length()
 # p = 3 chunk alone takes (best of 12 rounds, two runs) 57-58 ms at 2^17,
 # 49-51 at 2^18, 48-50 at 2^19, 50-52 at 2^20, 53-54 at 2^21 and 55-56 ms
 # at once, against 130-133 ms at 2^19 with int8 ranks; its peak at 2^19 is
-# 6.0 MiB.
+# 6.0 MiB.  With the p = 2 draw read from raw Philox words, the two p = 2
+# chunks take (best / median of 20 rounds) 199/226 ms at 2^18, 175/198 at
+# 2^19, 170/180 at 2^20 and 167/181 ms at 2^21, against a best of 205 ms
+# at 2^19 with one bounded draw per word; 2^19 keeps half the memory of 2^20.
 ISLAND_SLICE = 2 ** 19
 
 

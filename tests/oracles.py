@@ -15,7 +15,10 @@ them:
   against root_census.batch_roots root for root, and census_of_poly with
   _lift_factors against root_census.batch_census row by row;
 - island_law_chunk, one draw of a whole island chunk, against
-  registry._island_law_chunk, which draws and counts it in slices.
+  registry._island_law_chunk, which draws and counts it in slices;
+- valuation_by_powers, which tests every residue against p, p^2, ...,
+  p^N, against batched.batch_valuation, which reads base-p digits from a
+  table.
 
 The package keeps the names that its tracer wraps (zp_roots,
 _zp_roots_raw, unramified_roots, census_of_poly, hensel_split,
@@ -816,3 +819,23 @@ def island_law_chunk(spec, gen, size):
         np.minimum(mult, ISLAND_MAX_J + 1), minlength=ISLAND_MAX_J + 2
     ).astype(np.float64)
     return {"hist": hist}
+
+
+# ---------------------------------------------------------------------------
+# Valuations one power of p at a time.
+# ---------------------------------------------------------------------------
+
+
+def valuation_by_powers(vals, p, N):
+    """batched.batch_valuation by testing every residue against p, p^2,
+    ..., p^N: the count of k with p^k dividing it, N when saturated."""
+    vals = vals % (p ** N)
+    v = np.zeros(vals.shape, dtype=np.int64)
+    pk = 1
+    for _ in range(N):
+        pk *= p
+        divides = vals % pk == 0
+        if not divides.any():
+            break
+        v += divides
+    return v

@@ -183,6 +183,27 @@ def test_worker_invariance_census_pipeline():
     assert r1[0].used == r16[0].used
 
 
+MONTE_CARLO = sorted(name for name, e in REGISTRY.items() if e.kind == "mc")
+
+
+@pytest.mark.parametrize("name", MONTE_CARLO)
+def test_every_monte_carlo_entry_is_worker_invariant(name, shared_store,
+                                                     monkeypatch):
+    # two chunks, the last one partial, at the entry's default parameters;
+    # the store is emptied before each run, so the run at two workers draws
+    # its own chunks rather than reading the first run's
+    monkeypatch.setattr(experiment, "CHUNK_TRIALS", 256)
+    runs = []
+    for workers in (1, 2):
+        experiment.clear_shared_chunks()
+        spec = build_experiment(name, {"trials": 400, "seed": 11,
+                                       "workers": workers})
+        reports = _strip_wall([r.to_dict() for r in run_experiment(spec)])
+        # as JSON text, so that a NaN field compares equal to itself
+        runs.append(json.dumps(reports, sort_keys=True))
+    assert runs[0] == runs[1]
+
+
 def test_json_round_trip_and_csv():
     reports = run_experiment(build_experiment("det_moment", {"trials": 2000}))
     text = reports_to_json(reports)

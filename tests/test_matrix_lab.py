@@ -580,6 +580,39 @@ def test_f2_sampler_reads_the_int64_stream(seed, chunk, size):
     assert gen.integers(0, 2 ** 62) == ref.integers(0, 2 ** 62)
 
 
+@pytest.mark.parametrize("n", [1, 3, 5, 50, 51, 63])
+@pytest.mark.parametrize("ahead", [0, 1, 2, 3])
+def test_f2_sampler_keeps_the_stream_at_its_edges(n, ahead):
+    # the sampler reads raw Philox words two 32-bit halves at a time; after
+    # an odd count of uint32 words the generator holds the other half, and
+    # a draw must take that half first and leave one held when its own
+    # count is odd.  Slices of 1, 2, 7 and 17 matrices in a row, after
+    # `ahead` words drawn first, give both parities at entry and exit.
+    from padicstats.batched import sample_f2_matrices
+
+    gen, ref = Rng(5, 2).generator(), Rng(5, 2).generator()
+    assert np.array_equal(gen.integers(0, 2 ** 32, size=ahead, dtype=np.uint32),
+                          ref.integers(0, 2 ** 32, size=ahead, dtype=np.uint32))
+    for B in (1, 2, 7, 17):
+        bits = sample_f2_matrices(gen, B, n)
+        want = ref.integers(0, 2, (B, n, n), dtype=np.int64) != 0
+        assert bits.dtype == bool and bits.shape == (B, n, n)
+        assert np.array_equal(bits, want), B
+    # both streams stop at the same place, for 32-bit and 64-bit draws
+    for dtype in (np.uint32, np.uint64):
+        top = np.iinfo(dtype).max
+        assert (gen.integers(0, top, dtype=dtype, endpoint=True)
+                == ref.integers(0, top, dtype=dtype, endpoint=True)), dtype
+
+
+@pytest.mark.parametrize("bitgen", [np.random.PCG64, np.random.MT19937])
+def test_f2_sampler_refuses_other_bit_generators(bitgen):
+    from padicstats.batched import sample_f2_matrices
+
+    with pytest.raises(ValueError, match="Philox"):
+        sample_f2_matrices(np.random.Generator(bitgen(1)), 2, 5)
+
+
 @pytest.mark.parametrize("key", [(1, 0), (7, 3), (4242, 0)])
 @pytest.mark.parametrize("size", [1, 209, 1024])
 @pytest.mark.parametrize("p", [3, 5, 1009, 2 ** 31 - 1])
@@ -809,6 +842,59 @@ def test_batch_charpoly_quad_exact_at_int64_budget_edge(data):
     zeros = np.zeros((1, n, n), dtype=np.int64)
     with pytest.raises(ValueError, match="too large"):
         batch_charpoly_quad(zeros, zeros, c, m + 1)
+
+
+def _valuation_cases(p):
+    """(N, values) pairs at N = 1, h, h + 1 and 2h + 1 within the int64
+    budget, h the digits of one table level (1 for p past the table's size), with
+    negatives, 0, +-p^N and planted powers of p times units."""
+    from padicstats.batched import VALUATION_TABLE_MAX
+
+    h = 1
+    while p ** (h + 1) <= VALUATION_TABLE_MAX:
+        h += 1
+    gen = np.random.default_rng(p)
+    for N in sorted({1, h, h + 1, 2 * h + 1}):
+        m = p ** N
+        if m > 2 ** 62:
+            continue
+        ks = gen.integers(0, N + 3, 64)
+        units = gen.integers(1, 2 ** 20, 64) * gen.choice([-1, 1], 64)
+        planted = [int(u) * p ** int(k) for u, k in zip(units, ks)]
+        planted = [x for x in planted if abs(x) < 2 ** 63]
+        raw = gen.integers(-(2 ** 63), 2 ** 63 - 1, 64, endpoint=True)
+        edges = [0, m, -m, m - 1, 1 - m, 2 * m, -(2 ** 63), 2 ** 63 - 1]
+        yield N, np.array(planted + raw.tolist() + edges, dtype=np.int64)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 1009, 65537])
+def test_batch_valuation_matches_the_power_loop(p):
+    from padicstats.batched import VALUATION_TABLE_MAX, _valuation_table
+
+    _valuation_table.cache_clear()
+    for N, vals in _valuation_cases(p):
+        want = oracles.valuation_by_powers(vals, p, N)
+        shaped = [np.array(vals[-8]), np.array(vals[0]), vals]  # 0-d, (B,)
+        for shape in ((-1, 2, 2), (-1, 4, 1)):  # (B, k, k) and (G, L, d)
+            cut = vals[: vals.size // 4 * 4]
+            shaped.append(cut.reshape(shape))
+            # a strided view, as a column of a larger array
+            shaped.append(cut.reshape(shape)[:, ::-1])
+        for x in shaped:
+            got = batch_valuation(x, p, N)
+            assert got.dtype == np.int64 and got.shape == np.shape(x)
+            assert np.array_equal(got, oracles.valuation_by_powers(x, p, N))
+        assert want[-8:-6].tolist() == [N, N]  # 0 and p^N saturate
+    # every table the calls cached is int8, within the size bound and read
+    # only: asking again for every table that could exist hits each one
+    info = _valuation_table.cache_info()
+    hits = info.hits
+    for h in range(1, 17):
+        if p ** h <= VALUATION_TABLE_MAX:
+            t = _valuation_table(p, h)
+            assert t.dtype == np.int8 and t.size == p ** h <= 2 ** 16
+            assert t[0] == h and not t.flags.writeable
+    assert _valuation_table.cache_info().hits - hits == info.currsize
 
 
 @settings(max_examples=80, deadline=None)
