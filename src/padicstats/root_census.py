@@ -513,9 +513,9 @@ def unramified_roots(f: PadicPoly, d: int):
 # Batched roots by residue disks.  An element of Z_q/p^k, q = p^d, is an
 # int64 vector of its d coordinates on the basis of unramified_modulus(p, d)
 # (d = 1 is Z/p^k), and a polynomial a (L, d) block, constant term first.
-# Every product of two residues is reduced mod p^k before it is added or
-# reduced by the modulus polynomial, so values stay below
-# p^k + (p^k - 1)^2, which check_modulus_budget bounds.
+# Multiplication by a fixed element x is its d x d multiplication matrix
+# (the regular representation; H. Cohen, A Course in Computational
+# Algebraic Number Theory, GTM 138), applied by _matmul_mod.
 # ---------------------------------------------------------------------------
 
 
@@ -532,27 +532,47 @@ class Roots(NamedTuple):
     ok: np.ndarray      # (R,) False when some branch of the row failed
 
 
+def _matmul_mod(a, b, m, c=0):
+    """(a @ b + c) mod m of broadcastable int64 arrays, entries in [0, m).
+    A sum of n products and c reaches n (m - 1)^2 + m - 1, so the terms are
+    summed in the longest runs that stay below 2^63 and reduced between
+    runs; check_modulus_budget's (m - 1)^2 <= 2^62 admits a run of one."""
+    n = a.shape[-1]
+    if n == 1:
+        return (a * b + c) % m
+    run = (2 ** 63 - m) // (m - 1) ** 2
+    for s in range(0, n, run):
+        c = (a[..., s:s + run] @ b[..., s:s + run, :] + c) % m
+    return c
+
+
+def _mul_matrix(x, w, m):
+    """(..., d, d) matrices of multiplication by (..., d) elements x of
+    Z/m[t]/(t^d + w(t)): column j is x t^j, the column before it shifted up
+    one degree less its top coordinate times w."""
+    cols = [x % m]
+    for _ in range(x.shape[-1] - 1):
+        col = cols[-1][..., -1:] * -w
+        col[..., 1:] += cols[-1][..., :-1]
+        cols.append(col % m)
+    return np.stack(cols, axis=-1)
+
+
 def _rmul(a, b, w, m):
     """Products in Z/m[x]/(x^d + w(x)) of broadcastable (..., d) arrays."""
-    d = a.shape[-1]
-    if d == 1:
+    if a.shape[-1] == 1:
         return a * b % m
-    t = [0] * (2 * d - 1)
-    for i in range(d):
-        for j in range(d):
-            t[i + j] = (t[i + j] + a[..., i] * b[..., j] % m) % m
-    for s in range(2 * d - 2, d - 1, -1):  # x^s = -x^(s-d) w(x)
-        for i in range(d):
-            t[s - d + i] = (t[s - d + i] - t[s] * w[i] % m) % m
-    return np.stack(t[:d], axis=-1)
+    return _matmul_mod(_mul_matrix(a, w, m), b[..., None], m)[..., 0]
 
 
 def _horner(f, x, w, m):
-    """Values f(x) mod m of (..., L, d) polynomials at (..., d) points."""
-    acc = f[..., -1, :] % m
+    """Values f(x) mod m of (..., L, d) polynomials at (..., d) points, by
+    Horner steps on the multiplication matrix of x."""
+    mat = _mul_matrix(x, w, m)
+    acc = f[..., -1, :, None] % m
     for i in range(f.shape[-2] - 2, -1, -1):
-        acc = (_rmul(acc, x, w, m) + f[..., i, :]) % m
-    return acc
+        acc = _matmul_mod(mat, acc, m, f[..., i, :, None])
+    return acc[..., 0]
 
 
 def _ring_inverse(b, w, p, m):
@@ -578,21 +598,43 @@ def _ring_inverse(b, w, p, m):
     return y
 
 
-# (row, candidate) pairs screened at a time.  The Horner temporaries are
-# (pairs, d) int64, so a block holds them to a few MB.  Blocks only split
-# a batch when q = p^d is large: at p = 101, d = 2 a block is 6 rows of
-# 10,201 candidates, where one 1,024-row pass would take about 0.4 GB.
+# (row, candidate) pairs screened at a time: a block's temporaries are
+# (pairs, d) int64.  _screen of 1,024 degree-4 rows at p = 101, d = 2
+# (blocks of 6 rows of 10,201 candidates), best of 3 on a 2-core Xeon,
+# tracemalloc peak with the 10 MB mask: 2^12 0.44 s / 20.1 MiB, 2^16
+# 0.38 s / 19.9 MiB, 2^20 0.38 s / 40.7 MiB.
 SCREEN_BLOCK = 2 ** 16
 
 
-def _screen(res, elems, w, p):
+@lru_cache(maxsize=16)
+def _power_table(p: int, d: int, L: int) -> np.ndarray:
+    """Read-only (L d, q d) int64 table, q = p^d, whose entry (i d + k,
+    e d + r) is coordinate r of t^k e^i mod p, e the code-th residue of
+    F_q: the product of a polynomial's L d coordinates with it is its value
+    at every residue.  A table takes 8 L d^2 q bytes."""
+    w = np.array(unramified_modulus(p, d)[:-1], dtype=np.int64)
+    elems = (np.arange(p ** d)[:, None] // p ** np.arange(d)) % p
+    pows = [np.eye(1, d, dtype=np.int64).repeat(p ** d, axis=0)]
+    for _ in range(L - 1):
+        pows.append(_rmul(pows[-1], elems, w, p))
+    mats = _mul_matrix(np.stack(pows), w, p)  # (i, e, r, k)
+    table = mats.transpose(0, 3, 1, 2).reshape(L * d, p ** d * d)
+    table.flags.writeable = False
+    return table
+
+
+def _screen(res, p, d):
     """(G, q) mask of the residue roots, in code order, of (G, L, d)
-    polynomials mod p."""
-    q = len(elems)
+    polynomials mod p.  A value sums L d products below p^2, which
+    _matmul_mod keeps in int64."""
+    G, L, _ = res.shape
+    q = p ** d
+    table = _power_table(p, d, L)
+    flat = res.reshape(G, L * d)
     step = max(1, SCREEN_BLOCK // q)
     return np.concatenate(
-        [~_horner(res[i:i + step, None], elems, w, p).any(axis=-1)
-         for i in range(0, max(len(res), 1), step)])
+        [~_matmul_mod(flat[i:i + step], table, p).reshape(-1, q, d).any(axis=-1)
+         for i in range(0, max(G, 1), step)])
 
 
 def batch_roots(coeffs, prec, p: int, d: int = 1) -> Roots:
@@ -639,7 +681,7 @@ def batch_roots(coeffs, prec, p: int, d: int = 1) -> Roots:
         rows, depth, prefix, path, f = (np.concatenate(x) for x in
                                         zip(*frontier.pop(k)))
         m = p ** k
-        node, code = np.nonzero(_screen(f % p, elems, w, p))
+        node, code = np.nonzero(_screen(f % p, p, d))
         rows, depth, prefix, path, f = (rows[node], depth[node], prefix[node],
                                         path[node].copy(), f[node])
         path[np.arange(node.size), depth] = code
@@ -678,13 +720,15 @@ def batch_roots(coeffs, prec, p: int, d: int = 1) -> Roots:
 
 
 def _taylor_shift_rows(f, a, w, m):
-    """f(a + x) mod m of (G, L, d) polynomials, a (G, d): in-place Horner."""
-    f = f.copy()
+    """f(a + x) mod m of (G, L, d) polynomials, a (G, d): in-place Horner
+    on the multiplication matrix of a."""
+    mat = _mul_matrix(a, w, m)
+    f = f[..., None].copy()
     L = f.shape[1]
     for i in range(L - 1):
         for j in range(L - 2, i - 1, -1):
-            f[:, j] = (f[:, j] + _rmul(a, f[:, j + 1], w, m)) % m
-    return f
+            f[:, j] = _matmul_mod(mat, f[:, j + 1], m, f[:, j])
+    return f[..., 0]
 
 
 def _newton(f, df, x, w, p, m, k):
@@ -793,8 +837,7 @@ def batch_census(polys, p: int, N: int) -> CensusCounts:
     check_modulus_budget(max(n, 1), m)
     polys = np.asarray(polys, dtype=np.int64) % m
     _check_monic(polys)
-    residues, inv = np.unique(polys % p, axis=0, return_inverse=True)
-    inv = inv.reshape(-1)
+    residues, inv = _distinct_rows(polys % p, p)
     residues = [tuple(r) for r in residues.tolist()]
     factors = [factor_mod_p(r, p) for r in residues]
     heads = [tuple(e for e in fac if e[2] > 1) for fac in factors]
@@ -830,6 +873,19 @@ def batch_census(polys, p: int, N: int) -> CensusCounts:
         sel = ds == d
         _census_unram_heads(out, rows[sel], gs[sel], p, N, d)
     return out
+
+
+def _distinct_rows(res, p: int) -> tuple:
+    """np.unique(res, axis=0, return_inverse=True) of (B, L) rows of
+    digits mod p, found as unique 1-D base-p codes, the first digit most
+    significant (so in the same order), wherever p^L fits int64."""
+    L = res.shape[1]
+    if p ** L > 2 ** 63:
+        rows, inv = np.unique(res, axis=0, return_inverse=True)
+        return rows, inv.reshape(-1)
+    _, first, inv = np.unique(res @ p ** np.arange(L - 1, -1, -1),
+                              return_index=True, return_inverse=True)
+    return res[first], inv
 
 
 def _census_linear_heads(out, rows, g, mult, p, N):

@@ -14,6 +14,9 @@ them:
 - _zp_roots_raw and _unram_roots_raw, the recursive residue refinements,
   against root_census.batch_roots root for root, and census_of_poly with
   _lift_factors against root_census.batch_census row by row;
+- _rmul, _horner, _taylor_shift_rows and _screen, the ring products of
+  the root engine as loops of coordinate products, against the
+  multiplication-matrix versions of root_census;
 - island_law_chunk, one draw of a whole island chunk, against
   registry._island_law_chunk, which draws and counts it in slices;
 - valuation_by_powers, which tests every residue against p, p^2, ...,
@@ -51,6 +54,7 @@ from padicstats.root_census import (
     Census,
     PrecisionExhausted,
     QUAD_UNRAMIFIED,
+    SCREEN_BLOCK,
     UnsupportedPrime,
     _check_monic,
     _decode_residue,
@@ -797,6 +801,56 @@ def _resolve_unram_pairs(coeffs, p, N, quad_orbits):
         return False
     pairs = _pair_unram_quadratic(rts, p, quad_orbits)
     return pairs is not None and (len(coeffs) - 1) - 2 * pairs < 2
+
+
+# ---------------------------------------------------------------------------
+# Ring products of the batched root engine, one coordinate product at a
+# time: elements of Z/m[x]/(x^d + w(x)) are (..., d) int64 arrays, and every
+# product of two residues is reduced mod m before it is added.
+# ---------------------------------------------------------------------------
+
+
+def _rmul(a, b, w, m):
+    """Products in Z/m[x]/(x^d + w(x)) of broadcastable (..., d) arrays."""
+    d = a.shape[-1]
+    if d == 1:
+        return a * b % m
+    t = [0] * (2 * d - 1)
+    for i in range(d):
+        for j in range(d):
+            t[i + j] = (t[i + j] + a[..., i] * b[..., j] % m) % m
+    for s in range(2 * d - 2, d - 1, -1):  # x^s = -x^(s-d) w(x)
+        for i in range(d):
+            t[s - d + i] = (t[s - d + i] - t[s] * w[i] % m) % m
+    return np.stack(t[:d], axis=-1)
+
+
+def _horner(f, x, w, m):
+    """Values f(x) mod m of (..., L, d) polynomials at (..., d) points."""
+    acc = f[..., -1, :] % m
+    for i in range(f.shape[-2] - 2, -1, -1):
+        acc = (_rmul(acc, x, w, m) + f[..., i, :]) % m
+    return acc
+
+
+def _taylor_shift_rows(f, a, w, m):
+    """f(a + x) mod m of (G, L, d) polynomials, a (G, d): in-place Horner."""
+    f = f.copy()
+    L = f.shape[1]
+    for i in range(L - 1):
+        for j in range(L - 2, i - 1, -1):
+            f[:, j] = (f[:, j] + _rmul(a, f[:, j + 1], w, m)) % m
+    return f
+
+
+def _screen(res, elems, w, p):
+    """(G, q) mask of the residue roots, in code order, of (G, L, d)
+    polynomials mod p."""
+    q = len(elems)
+    step = max(1, SCREEN_BLOCK // q)
+    return np.concatenate(
+        [~_horner(res[i:i + step, None], elems, w, p).any(axis=-1)
+         for i in range(0, max(len(res), 1), step)])
 
 
 # ---------------------------------------------------------------------------

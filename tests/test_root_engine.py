@@ -31,12 +31,14 @@ from padicstats.registry import (
 from padicstats.root_census import (
     QUAD_RAMIFIED,
     QUAD_UNRAMIFIED,
+    SCREEN_BLOCK,
     batch_census,
     batch_roots,
     factor_mod_p,
     unramified_modulus,
 )
 
+import oracles
 from oracles import (
     QuotientRing,
     _lift_factors,
@@ -190,6 +192,106 @@ def test_census_at_the_largest_admitted_precision():
     p, n, N = 3, 6, 18
     polys = _charpolys(Rng(4).generator(), 200, p, n, N, MAT)[:, ::-1]
     _assert_census_matches(batch_census(polys, p, N), polys, p, N)
+
+
+# ---------------------------------------------------------------------------
+# The ring products on multiplication matrices against their loops.
+# ---------------------------------------------------------------------------
+
+
+# pairs of broadcastable batch shapes
+SHAPES = [((), ()), ((3,), (3,)), ((2, 1), (3,)), ((1, 4), (2, 1)),
+          ((5,), (1,))]
+
+
+def _largest_precision(p):
+    """The largest N with (p^N - 1)^2 <= 2^62, the budget of a degree-1 row."""
+    return max(N for N in range(1, 64) if (p ** N - 1) ** 2 <= 2 ** 62)
+
+
+def _residues(rng, shape, m):
+    """Residues mod m with m - 1, the largest, at about a third of them."""
+    return np.where(rng.random(shape) < 0.3, m - 1, rng.integers(0, m, shape))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 101]), st.integers(1, 4),
+       st.integers(1, 5), st.sampled_from(SHAPES), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_ring_products_match_the_loop_oracles(p, d, L, shapes, edge, seed):
+    # up to the modulus of a degree-1 row at the budget edge, where a sum
+    # of d >= 3 products passes int64 and _matmul_mod splits it
+    top = _largest_precision(p)
+    rng = np.random.default_rng(seed)
+    m = p ** (top if edge else int(rng.integers(1, top + 1)))
+    w = np.array(unramified_modulus(p, d)[:-1], dtype=np.int64)
+    sa, sb = shapes
+    a, b = _residues(rng, sa + (d,), m), _residues(rng, sb + (d,), m)
+    f = _residues(rng, sa + (L, d), m)
+    assert np.array_equal(root_census._rmul(a, b, w, m),
+                          oracles._rmul(a, b, w, m))
+    assert np.array_equal(root_census._horner(f, b, w, m),
+                          oracles._horner(f, b, w, m))
+    g, x = _residues(rng, (3, L, d), m), _residues(rng, (3, d), m)
+    assert np.array_equal(root_census._taylor_shift_rows(g, x, w, m),
+                          oracles._taylor_shift_rows(g, x, w, m))
+    # at L = 1 the loop screen makes no Horner step, which is where its
+    # values broadcast against the residues, and returns one column
+    if p ** d <= 101 ** 2 and L > 1:
+        elems = (np.arange(p ** d)[:, None] // p ** np.arange(d)) % p
+        res = g % p
+        root = elems[int(rng.integers(p ** d))]  # made a root of row 0
+        res[0, 0] = (res[0, 0] - oracles._horner(res[0], root, w, p)) % p
+        assert np.array_equal(root_census._screen(res, p, d),
+                              oracles._screen(res, elems, w, p))
+
+
+def test_degree_one_rows_at_d_3_at_the_largest_admitted_precision():
+    # p^N near 2^31, where three products of residues pass int64, so the
+    # Horner steps, Newton steps and inverses of batch_roots must reduce
+    # between terms.  (At p = 2 an int64 wrap is exact mod 2^N.)  Row 0
+    # has the root -1 - t - t^2 and leading coefficient -1 - t - t^2, so
+    # f(x) at the root sums three products (p^N - 1)^2.
+    p, d = 7, 3
+    N = _largest_precision(p)
+    m = p ** N
+    assert 3 * (m - 1) ** 2 >= 2 ** 63
+    w = np.array(unramified_modulus(p, d)[:-1], dtype=np.int64)
+    rows = _residues(np.random.default_rng(p), (40, 2, d), m)
+    rows[0, 1] = m - 1
+    rows[0, 0] = -oracles._rmul(rows[0, 1], rows[0, 1], w, m) % m
+    rows[1:4, 1] = [(1, 0, 0), (p, 0, 0), (0, 0, 0)]
+    found = _kernel(rows, N, p, d)
+    assert found[0] == ([((m - 1,) * d, N)], True)
+    assert found == _oracle(rows, N, p, d)
+
+
+def test_screen_at_p_101_crosses_a_block_boundary():
+    p, d = 101, 2
+    q = p ** d
+    assert SCREEN_BLOCK // q == 6
+    rng = np.random.default_rng(101)
+    res = rng.integers(0, p, (13, 5, d))
+    w = np.array(unramified_modulus(p, d)[:-1], dtype=np.int64)
+    elems = (np.arange(q)[:, None] // p ** np.arange(d)) % p
+    for i, code in enumerate(rng.integers(0, q, 13)):  # one root per row
+        res[i, 0] = (res[i, 0] - oracles._horner(res[i], elems[code], w, p)) % p
+    want = oracles._screen(res, elems, w, p)
+    assert want.sum(axis=1).min() >= 1
+    assert np.array_equal(root_census._screen(res, p, d), want)
+
+
+@pytest.mark.parametrize("p, L", [(3, 7), (2, 63), (2, 64), (101, 11)])
+def test_distinct_rows_match_unique_rows(p, L):
+    # base-p codes while p^L <= 2^63 (2^63 - 1 at the all-ones p = 2 row),
+    # np.unique's axis=0 path past it
+    rng = np.random.default_rng(L)
+    res = rng.integers(0, p, (50, L))[rng.integers(0, 20, 400)]
+    res[0] = p - 1
+    rows, inv = root_census._distinct_rows(res, p)
+    want, want_inv = np.unique(res, axis=0, return_inverse=True)
+    assert np.array_equal(rows, want)
+    assert np.array_equal(inv, want_inv.reshape(-1))
 
 
 # ---------------------------------------------------------------------------
