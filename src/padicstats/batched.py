@@ -225,8 +225,11 @@ def batch_hensel_lift(f: np.ndarray, g: np.ndarray, h: np.ndarray,
     s g + t h = 1 mod p.  Returns the monic lifts (g, h), which are unique,
     so they equal any other lift of the same residues.  The caller checks
     check_modulus_budget(n, p^target_exp): every product is then below
-    (p^target_exp)^2 and every intermediate fits int64 (see above).
+    (p^target_exp)^2 and every intermediate fits int64 (see above).  A
+    cofactor of degree 0 is h = 1, so g = f: that returns at once.
     """
+    if h.shape[1] == 1:
+        return f % p ** target_exp, h
     one = np.ones((f.shape[0], 1), dtype=np.int64)
     exp = 1
     while exp < target_exp:
@@ -644,22 +647,29 @@ def f2_poly_of_matrix(packed: np.ndarray, coeffs, n: int) -> np.ndarray:
     return out
 
 
-def f2_primary_multiplicity(mats: np.ndarray, coeffs, d: int,
+def f2_primary_multiplicity(mats: np.ndarray, factors,
                             cap_pow: int) -> np.ndarray:
-    """Multiplicity of an irreducible degree-d factor F in the
-    characteristic polynomial of each F_2 matrix in the batch.
+    """Multiplicities of irreducible factors F in the characteristic
+    polynomial of each F_2 matrix in the batch: a (len(factors), B) array
+    whose row i counts factors[i] (monic coefficients, low degree first).
 
-    Computed as (n - rank(F(A)^K)) / d with K = 2^cap_pow.  A cap that
-    takes K to the largest possible multiplicity n/d or past it makes the
-    generalized kernel dimension, hence the count, exact.
+    Row i is (n - rank(F(A)^K)) / d with K = 2^cap_pow and d the degree of
+    F.  A cap that takes K to the largest possible multiplicity n/d or past
+    it makes the generalized kernel dimension, hence the count, exact.
+    Over F_2 squaring is additive on polynomials in A and fixes every
+    coefficient (Frobenius), so F(A)^2 = F(A^2) and F(A)^K = F(A^K): A is
+    squared cap_pow times once, and each factor is evaluated at A^K and
+    ranked.  tests/oracles.f2_multiplicity_by_powers counts by F(A)^K.
     """
     n = mats.shape[1]
-    packed = f2_pack(mats)
-    M = f2_poly_of_matrix(packed, coeffs, n)
+    power = f2_pack(mats)
     for _ in range(cap_pow):
-        M = f2_matmul(M, M, n)
-    r = f2_rank(M, n)
-    return (n - r) // d
+        power = f2_matmul(power, power, n)
+    counts = []
+    for coeffs in factors:
+        r = f2_rank(f2_poly_of_matrix(power, coeffs, n), n)
+        counts.append((n - r) // (len(coeffs) - 1))
+    return np.array(counts, dtype=np.int64)
 
 
 def _fp_dtype(n: int, p: int):
@@ -737,7 +747,8 @@ def _fp_poly_power(mats: np.ndarray, low: list, p: int,
 
 def fp_primary_multiplicity(mats: np.ndarray, coeffs, d: int, p: int,
                             cap_pow: int) -> np.ndarray:
-    """Odd-p counterpart of f2_primary_multiplicity via float matmuls.
+    """Odd-p counterpart of f2_primary_multiplicity, for one factor, via
+    float matmuls.
 
     A float product of residues mod p is exact while its row sums
     n * (p - 1)^2 stay within 2^24 in float32 or 2^53 in float64; the

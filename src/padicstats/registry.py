@@ -12,7 +12,7 @@ constructors in ``experiment``: ``estimate_report`` (or
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 
@@ -426,42 +426,62 @@ ISLAND_CAP_POW = ISLAND_MAX_J.bit_length()
 # p = 3 chunk alone takes (best of 12 rounds, two runs) 57-58 ms at 2^17,
 # 49-51 at 2^18, 48-50 at 2^19, 50-52 at 2^20, 53-54 at 2^21 and 55-56 ms
 # at once, against 130-133 ms at 2^19 with int8 ranks; its peak at 2^19 is
-# 6.0 MiB.  With the p = 2 draw read from raw Philox words, the two p = 2
-# chunks take (best / median of 20 rounds) 199/226 ms at 2^18, 175/198 at
-# 2^19, 170/180 at 2^20 and 167/181 ms at 2^21, against a best of 205 ms
-# at 2^19 with one bounded draw per word; 2^19 keeps half the memory of 2^20.
+# 6.0 MiB.  With both p = 2 degrees counted from one draw and one A^K, the
+# two p = 2 chunks are one chunk call, whose best of 20 rounds (four runs)
+# is 123-132 ms at 2^18, 107-114 at 2^19, 103-107 at 2^20 and 95-102 ms
+# at 2^21, against 168-172 ms at 2^19 for two calls that each draw and
+# raise their own F(A) to the K; 2^19 keeps half the memory of 2^20.
 ISLAND_SLICE = 2 ** 19
 
 
+# The island degrees one p = 2 chunk counts together: the matrices drawn at
+# (p, n, seed) do not depend on d, and f2_primary_multiplicity evaluates
+# every factor at one A^K, so a run at any of these degrees counts them all
+# and the others read its chunks from the shared pass "island".
+ISLAND_SHARED_DEGREES = (1, 2)
+
+
+def _island_degrees(p: int, d: int) -> tuple:
+    """The degrees an island chunk at (p, d) counts."""
+    if p == 2 and d in ISLAND_SHARED_DEGREES:
+        return ISLAND_SHARED_DEGREES
+    return (d,)
+
+
 def _island_law_chunk(spec, gen, size):
-    """Histogram of min(mult, ISLAND_MAX_J + 1) over `size` matrices, drawn
-    and counted ISLAND_SLICE entries at a time.  Slices drawn in sequence
-    from gen continue its one stream, so the histogram equals that of one
-    draw of the whole chunk."""
-    p, n, d = spec.p, spec.n, spec.params["d"]
-    coeffs = list(unramified_modulus(p, d))
+    """Histograms of min(mult, ISLAND_MAX_J + 1) over `size` matrices, one
+    per degree e of _island_degrees as "hist_d<e>", drawn and counted
+    ISLAND_SLICE entries at a time.  Slices drawn in sequence from gen
+    continue its one stream, so the histograms equal those of one draw of
+    the whole chunk."""
+    p, n = spec.p, spec.n
+    degrees = _island_degrees(p, spec.params["d"])
+    factors = [list(unramified_modulus(p, e)) for e in degrees]
     step = max(1, ISLAND_SLICE // (n * n))
-    hist = np.zeros(ISLAND_MAX_J + 2, dtype=np.int64)
+    hist = np.zeros((len(degrees), ISLAND_MAX_J + 2), dtype=np.int64)
     for start in range(0, size, step):
         b = min(step, size - start)
         if p == 2:
             mats = sample_f2_matrices(gen, b, n)
-            mult = f2_primary_multiplicity(mats, coeffs, d, ISLAND_CAP_POW)
+            mult = f2_primary_multiplicity(mats, factors, ISLAND_CAP_POW)
         else:
             # the int64 draw's values and stream in half the memory: numpy
             # draws 32-bit words for any range below 2^31
             mats = gen.integers(0, p, size=(b, n, n), dtype=np.int32)
-            mult = fp_primary_multiplicity(mats, coeffs, d, p, ISLAND_CAP_POW)
-        hist += np.bincount(
-            np.minimum(mult, ISLAND_MAX_J + 1), minlength=ISLAND_MAX_J + 2
-        )
-    return {"hist": hist.astype(np.float64)}
+            mult = [fp_primary_multiplicity(mats, factors[0], degrees[0], p,
+                                            ISLAND_CAP_POW)]
+        for row, m in zip(hist, mult):
+            row += np.bincount(np.minimum(m, ISLAND_MAX_J + 1),
+                               minlength=ISLAND_MAX_J + 2)
+    return {f"hist_d{e}": h.astype(np.float64) for e, h in zip(degrees, hist)}
 
 
 def _run_island_law(spec):
     p, d = spec.p, spec.params["d"]
+    if len(_island_degrees(p, d)) > 1:
+        spec = replace(spec, shared="island")
     stats = run_chunked(spec, partial(_island_law_chunk, spec))
-    hist = stats["hist"]
+    hist = stats[f"hist_d{d}"]
     total = hist.sum()
     emp = hist / total
     tv = 0.5 * sum(
@@ -1022,7 +1042,7 @@ _register(ExperimentDef(
     defaults=dict(p=2, n=50, N=1, trials=100_000, d=1),
     runner=_run_island_law,
     min_precision=1,
-    suite_variants=({"d": 1}, {"d": 2}),
+    suite_variants=tuple({"d": d} for d in ISLAND_SHARED_DEGREES),
     budget=_island_budget,
 ))
 

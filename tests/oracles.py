@@ -17,8 +17,12 @@ them:
 - _rmul, _horner, _taylor_shift_rows and _screen, the ring products of
   the root engine as loops of coordinate products, against the
   multiplication-matrix versions of root_census;
-- island_law_chunk, one draw of a whole island chunk, against
-  registry._island_law_chunk, which draws and counts it in slices;
+- f2_multiplicity_by_powers, which counts a factor F of an F_2 matrix
+  A on F(A) squared cap_pow times, against
+  batched.f2_primary_multiplicity, which squares A and evaluates F at the
+  power; island_law_chunk, one draw of a whole island chunk counted that
+  way, against registry._island_law_chunk, which draws and counts it in
+  slices;
 - valuation_by_powers, which tests every residue against p, p^2, ...,
   p^N, against batched.batch_valuation, which reads base-p digits from a
   table.
@@ -36,7 +40,10 @@ import numpy as np
 
 from padicstats.batched import (
     check_modulus_budget,
-    f2_primary_multiplicity,
+    f2_matmul,
+    f2_pack,
+    f2_poly_of_matrix,
+    f2_rank,
     fp_primary_multiplicity,
     sample_f2_matrices,
 )
@@ -854,18 +861,28 @@ def _screen(res, elems, w, p):
 
 
 # ---------------------------------------------------------------------------
-# The island-law chunk in one draw.
+# The p = 2 island count by F(A)^K, and the island-law chunk in one draw.
 # ---------------------------------------------------------------------------
 
 
+def f2_multiplicity_by_powers(mats, coeffs, d, cap_pow):
+    """(n - rank(F(A)^K)) / d with K = 2^cap_pow for a monic F of degree d
+    over F_2: F(A) by Horner, then squared cap_pow times."""
+    n = mats.shape[1]
+    M = f2_poly_of_matrix(f2_pack(mats), coeffs, n)
+    for _ in range(cap_pow):
+        M = f2_matmul(M, M, n)
+    return (n - f2_rank(M, n)) // d
+
+
 def island_law_chunk(spec, gen, size):
-    """registry._island_law_chunk with the whole chunk drawn and counted at
-    once."""
+    """The histogram of registry._island_law_chunk at the spec's own d, as
+    "hist", with the whole chunk drawn and counted at once."""
     p, n, d = spec.p, spec.n, spec.params["d"]
     coeffs = list(unramified_modulus(p, d))
     if p == 2:
         mats = sample_f2_matrices(gen, size, n)
-        mult = f2_primary_multiplicity(mats, coeffs, d, ISLAND_CAP_POW)
+        mult = f2_multiplicity_by_powers(mats, coeffs, d, ISLAND_CAP_POW)
     else:
         mats = gen.integers(0, p, size=(size, n, n), dtype=np.int64)
         mult = fp_primary_multiplicity(mats, coeffs, d, p, ISLAND_CAP_POW)

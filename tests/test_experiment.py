@@ -760,16 +760,68 @@ def test_zp_experiments_share_one_pass(shared_store):
     {"p": 3, "n": 12, "d": 1},
     {"p": 2, "n": 20, "d": 2},
 ])
-def test_island_law_cap_gives_the_default_cap_report(overrides, monkeypatch):
+def test_island_law_cap_gives_the_default_cap_report(overrides, shared_store,
+                                                    monkeypatch):
     from padicstats import registry
 
     spec = build_experiment("island_law", {**overrides, "trials": 400, "seed": 9})
     capped = _strip_wall([r.to_dict() for r in run_experiment(spec)])
-    # the exact cap: 2^cap >= n / d, past any multiplicity
+    # the exact cap: 2^cap >= n / d, past any multiplicity; the store is
+    # emptied so that the p = 2 run counts its chunk anew at that cap
     n, d = overrides["n"], overrides["d"]
     monkeypatch.setattr(registry, "ISLAND_CAP_POW", (n // d - 1).bit_length())
+    experiment.clear_shared_chunks()
     full = _strip_wall([r.to_dict() for r in run_experiment(spec)])
     assert capped == full
+
+
+def _counting_island_chunks(monkeypatch):
+    from padicstats import registry
+
+    calls = []
+    chunk = registry._island_law_chunk
+
+    def counted(spec, gen, size):
+        calls.append(spec.params["d"])
+        return chunk(spec, gen, size)
+
+    monkeypatch.setattr(registry, "_island_law_chunk", counted)
+    return calls
+
+
+@pytest.mark.parametrize("order", [(1, 2), (2, 1)])
+def test_shared_island_reports_match_cold_runs(order, shared_store,
+                                               monkeypatch):
+    monkeypatch.setattr(experiment, "CHUNK_TRIALS", 256)
+    base = {"n": 20, "trials": 700, "seed": 11}  # three chunks, one partial
+    cold = {}
+    for d in order:
+        experiment.clear_shared_chunks()
+        cold[d] = _census_dicts("island_law", {**base, "d": d})
+    experiment.clear_shared_chunks()
+    calls = _counting_island_chunks(monkeypatch)
+    warm = {d: _census_dicts("island_law", {**base, "d": d}) for d in order}
+    assert warm == cold
+    # the first run drew each chunk once for both degrees; the second read
+    # every chunk from the store
+    assert calls == [order[0]] * 3
+    assert len(shared_store) == 3
+    for key, part in shared_store.items():
+        assert key[0] == "island" and sorted(part) == ["hist_d1", "hist_d2"]
+
+
+def test_unshared_island_runs_leave_store_untouched(shared_store,
+                                                   monkeypatch):
+    _census_dicts("island_law", {"n": 20, "trials": 300, "seed": 1})
+    before = list(shared_store.items())
+    assert len(before) == 1
+    calls = _counting_island_chunks(monkeypatch)
+    for overrides in ({"p": 3, "n": 20, "d": 1}, {"p": 2, "n": 20, "d": 3}):
+        (r,) = run_experiment(build_experiment(
+            "island_law", {**overrides, "trials": 300, "seed": 1}))
+        assert r.used == 300
+    assert calls == [1, 3]  # each drew its own chunk
+    assert list(shared_store.items()) == before
 
 
 def test_census_worker_invariance_with_cold_store(shared_store, monkeypatch):

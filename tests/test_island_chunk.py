@@ -1,19 +1,23 @@
-"""The island-law chunk, drawn and counted in slices of ISLAND_SLICE entries,
-against one draw of the whole chunk (oracles.island_law_chunk), the p = 3
-island counts at the benchmark's parameters, and the working sets of the
-linalg chunks: the island slices (int32 draws and float32 powers at odd p),
-and the charpoly/det identity and joint cokernel chain chunks, which drop
-each array once it is used."""
+"""The p = 2 multiplicity kernel against the F(A)^K route
+(oracles.f2_multiplicity_by_powers), the island-law chunk, drawn and counted
+in slices of ISLAND_SLICE entries, against one draw of the whole chunk
+(oracles.island_law_chunk), the p = 3 island counts at the benchmark's
+parameters, and the working sets of the linalg chunks: the island slices
+(int32 draws and float32 powers at odd p), and the charpoly/det identity
+and joint cokernel chain chunks, which drop each array once it is used."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from padicstats.batched import f2_primary_multiplicity
 from padicstats.experiment import build_experiment, run_experiment
 from padicstats.matrix_lab import Rng
 from padicstats import registry
 from padicstats.registry import ISLAND_SLICE, _island_law_chunk
+from padicstats.root_census import factor_mod_p
 
 import oracles
 
@@ -22,8 +26,10 @@ BENCH_SIZE = {2: 4096, 3: 1024}  # the benchmark's island chunks, at n = 50
 
 
 def _cases():
-    for p, d in ((2, 1), (2, 2), (3, 1)):
-        for n in (5, 50, 63) if p == 2 else (5, 50):
+    # p = 2 at d = 3 counts its own degree alone, as the odd-p chunk does
+    for p, d, ns in ((2, 1, (5, 50, 63)), (2, 2, (5, 50, 63)),
+                     (2, 3, (5, 63)), (3, 1, (5, 50))):
+        for n in ns:
             step = max(1, ISLAND_SLICE // (n * n))
             sizes = [1, step - 1, step, step + 1, 1000]
             if n == 50:
@@ -33,18 +39,77 @@ def _cases():
                     yield pytest.param(p, d, n, size, id=f"p{p}-d{d}-n{n}-{size}")
 
 
+def _f2_irreducibles(max_degree):
+    """Every monic irreducible polynomial over F_2 of degree 1..max_degree,
+    coefficients low degree first."""
+    out = []
+    for e in range(1, max_degree + 1):
+        for low in itertools.product((0, 1), repeat=e):
+            F = (*low, 1)
+            if factor_mod_p(F, 2) == ((F, e, 1),):
+                out.append(list(F))
+    return out
+
+
+F2_IRREDUCIBLE = _f2_irreducibles(4)
+
+
+def _planted(F, n, size, seed):
+    """size matrices over F_2, matrix b block upper triangular with c copies
+    of F's companion matrix leading its diagonal, c = b mod (n // e + 1) for
+    F of degree e, and random entries elsewhere: F^c divides its
+    characteristic polynomial, in Jordan blocks of varying sizes."""
+    e = len(F) - 1
+    companion = np.zeros((e, e), dtype=bool)
+    companion[np.arange(1, e), np.arange(e - 1)] = True
+    companion[:, -1] = F[:-1]
+    mats = Rng(seed).generator().integers(0, 2, size=(size, n, n)) == 1
+    copies = np.arange(size) % (n // e + 1)
+    for b, c in enumerate(copies):
+        for i in range(c):
+            mats[b, (i + 1) * e:, i * e:(i + 1) * e] = False
+            mats[b, i * e:(i + 1) * e, i * e:(i + 1) * e] = companion
+    return mats, copies
+
+
+@pytest.mark.parametrize("n", [1, 5, 50, 63])
+def test_f2_kernel_equals_the_power_route(n):
+    # F(A^K) against F(A)^K for every monic irreducible F of degree 1-4:
+    # 2, 1, 2 and 3 of them
+    degrees = [len(F) - 1 for F in F2_IRREDUCIBLE]
+    assert [degrees.count(e) for e in range(1, 5)] == [2, 1, 2, 3]
+    for i, planted in enumerate(F2_IRREDUCIBLE):
+        mats, copies = _planted(planted, n, 40, seed=100 * n + i)
+        for k in range(4):
+            got = f2_primary_multiplicity(mats, F2_IRREDUCIBLE, k)
+            assert got.shape == (len(F2_IRREDUCIBLE), len(mats))
+            for F, row in zip(F2_IRREDUCIBLE, got):
+                want = oracles.f2_multiplicity_by_powers(mats, F, len(F) - 1, k)
+                assert np.array_equal(row, want), (planted, F, k)
+            # the planted copies count, up to the cap 2^k
+            assert (got[i] >= np.minimum(copies, 2 ** k)).all()
+
+
 @pytest.mark.parametrize("p,d,n,size", _cases())
 def test_sliced_chunk_equals_the_one_shot_chunk(p, d, n, size):
     spec = build_experiment("island_law", {"p": p, "d": d, "n": n})
+    # a p = 2 chunk at d = 1 or 2 counts both degrees from one draw
+    degrees = (1, 2) if p == 2 and d <= 2 else (d,)
     for key in KEYS:
-        gen, ref = Rng(*key).generator(), Rng(*key).generator()
-        got = _island_law_chunk(spec, gen, size)["hist"]
-        want = oracles.island_law_chunk(spec, ref, size)["hist"]
-        assert got.dtype == want.dtype == np.float64
-        assert np.array_equal(got, want), key
-        assert got.sum() == size
-        # and both streams stop at the same place
-        assert gen.integers(0, 2 ** 62) == ref.integers(0, 2 ** 62), key
+        gen = Rng(*key).generator()
+        part = _island_law_chunk(spec, gen, size)
+        assert sorted(part) == [f"hist_d{e}" for e in degrees]
+        after = gen.integers(0, 2 ** 62)
+        for e in degrees:
+            ref = Rng(*key).generator()
+            at_e = build_experiment("island_law", {"p": p, "d": e, "n": n})
+            got = part[f"hist_d{e}"]
+            want = oracles.island_law_chunk(at_e, ref, size)["hist"]
+            assert got.dtype == want.dtype == np.float64
+            assert np.array_equal(got, want), (key, e)
+            assert got.sum() == size
+            # and both streams stop at the same place
+            assert after == ref.integers(0, 2 ** 62), (key, e)
 
 
 # The p = 3 island law at the benchmark's parameters (d = 1, n = 50, 1,024

@@ -400,7 +400,7 @@ def test_primary_multiplicity_kernels_match_exact_reference(p, coeffs):
     mats[:10, :, :4] = 0  # x divides the characteristic polynomial
     cap = _exact_cap(8, d)
     if p == 2:
-        got = f2_primary_multiplicity(mats, coeffs, d, cap)
+        (got,) = f2_primary_multiplicity(mats, [coeffs], cap)
     else:
         got = fp_primary_multiplicity(mats, coeffs, d, p, cap)
     want = [_exact_multiplicity(A, coeffs, p) // d for A in mats.tolist()]
@@ -733,8 +733,8 @@ def test_island_cap_keeps_the_capped_histogram(p):
     mats = _planted_island_batch(p, 20 + p)
     cap = _exact_cap(mats.shape[1], 1)
     if p == 2:
-        full = f2_primary_multiplicity(mats, [0, 1], 1, cap)
-        capped = f2_primary_multiplicity(mats, [0, 1], 1, ISLAND_CAP_POW)
+        (full,) = f2_primary_multiplicity(mats, [[0, 1]], cap)
+        (capped,) = f2_primary_multiplicity(mats, [[0, 1]], ISLAND_CAP_POW)
     else:
         full = fp_primary_multiplicity(mats, [0, 1], 1, p, cap)
         capped = fp_primary_multiplicity(mats, [0, 1], 1, p, ISLAND_CAP_POW)

@@ -9,7 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from padicstats.batched import batch_charpoly, check_modulus_budget, sample_matrices
+from padicstats.batched import (
+    batch_charpoly,
+    batch_hensel_lift,
+    check_modulus_budget,
+    sample_matrices,
+)
 from padicstats.matrix_lab import MAT, Rng
 from padicstats.registry import _census_chunk, _charpolys
 from padicstats import matrix_lab, padic_core, root_census
@@ -36,6 +41,7 @@ from padicstats.root_census import (
     zp_roots,
     _decode_residue,
     _fp_gcd,
+    _lift_start,
     _zp_roots_raw,
 )
 
@@ -310,6 +316,32 @@ def test_hensel_split_reconstitutes_random():
             ((k, dk, mk),) = factor_mod_p(h.coeffs, p)
             assert (dk, mk) == (d, mult)
             assert h.degree == d * mult
+
+
+@pytest.mark.parametrize("p,N", [(2, 12), (3, 12), (5, 6)])
+def test_lift_with_a_constant_cofactor_returns_f(p, N):
+    # a residue F^mult alone leaves the cofactor 1, so the lift is g = f.
+    # The full lift of the same rows runs with the roles swapped: the
+    # factor 1 lifts to 1 and the cofactor F^mult to f, by every step.
+    m = p ** N
+    gen = Rng(40 + p).generator()
+    for d, mult in ((1, 3), (2, 2), (3, 2)):
+        F = list(unramified_modulus(p, d))
+        gbar = [1]
+        for _ in range(mult):
+            gbar = poly_mul(gbar, F, p)
+        n = len(gbar) - 1
+        rows = np.array(gbar * 20, dtype=np.int64).reshape(20, n + 1)
+        rows[:, :-1] += p * gen.integers(0, m // p, size=(20, n))
+        ((g0, h0, s, t),) = _lift_start(tuple(gbar), p, factor_mod_p(gbar, p))
+        assert h0 == (1,) and s == ()
+        data = [np.array([x] * 20, dtype=np.int64).reshape(20, len(x))
+                for x in (g0, h0, s, t)]
+        g, h = batch_hensel_lift(rows, *data, p, N)
+        one, full = batch_hensel_lift(rows, data[1], data[0], data[3], data[2],
+                                      p, N)
+        assert np.array_equal(g, full) and np.array_equal(h, one)
+        assert np.array_equal(g, rows % m) and h.tolist() == [[1]] * 20
 
 
 @st.composite
